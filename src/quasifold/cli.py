@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .construction import build_construction, construction_report, induced_moment
+from .construction import (
+    _render_field,
+    _render_vector,
+    build_construction,
+    construction_report,
+    induced_moment,
+)
 from .errors import DimensionUnsupported, QuasifoldError, SchemaError
 from .polytope import check_delzant, check_rational, check_simple, parse_polytope
 from .verify import run_verification, sample_level_set
@@ -116,6 +122,13 @@ def _write_csv(path: Path, mus: np.ndarray, phis: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in mu] + [repr(float(v)) for v in phi])
 
 
+def _image(data, sample_set, precision: float) -> np.ndarray:
+    """Phi of every sample, or an empty (0, n) array for no samples."""
+    if not len(sample_set):
+        return np.zeros((0, data.dim))
+    return induced_moment(sample_set.z, data, tol=None, precision=precision)
+
+
 def _polygon_order(points: np.ndarray) -> np.ndarray:
     center = points.mean(axis=0)
     angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
@@ -171,17 +184,9 @@ def cmd_analyze(args, precision: float) -> int:
     payload = {
         "dimension": poly.dim,
         "facets": poly.facet_count,
-        "field": {
-            "degree": poly.field.degree,
-            "minpoly": [str(c) for c in poly.field.minpoly],
-            "root_interval": [str(b) for b in poly.field.root_interval],
-        },
+        "field": _render_field(poly.field),
         "vertices": [
-            {
-                "exact": [s.to_expr() for s in v.point],
-                "float": [s.to_float(precision) for s in v.point],
-                "active_facets": list(v.active),
-            }
+            {**_render_vector(v.point, precision), "active_facets": list(v.active)}
             for v in poly.vertices
         ],
         "simple": {
@@ -204,17 +209,10 @@ def cmd_analyze(args, precision: float) -> int:
                 if certificate.independent is not None else None
             ),
         },
-        "delzant": None,
+        "delzant": (
+            check_delzant(poly, certificate).as_dict() if certificate.rational else None
+        ),
     }
-    if certificate.rational:
-        report = check_delzant(poly, certificate)
-        payload["delzant"] = {
-            "integral": report.integral,
-            "facet_gcds": list(report.facet_gcds),
-            "vertex_determinants": list(report.vertex_determinants),
-            "nonprimitive_facets": list(report.nonprimitive_facets),
-            "nonunimodular_vertices": list(report.nonunimodular_vertices),
-        }
     _emit_json(payload, args.out)
     return EXIT_OK
 
@@ -238,11 +236,8 @@ def cmd_verify(args, precision: float) -> int:
     )
     _emit_json(report.as_dict(), args.out)
     if args.csv is not None:
-        sample_set = sample_level_set(data, args.samples, seed=args.seed,
-                                      precision=precision)
-        phis = (induced_moment(sample_set.z, data, tol=None, precision=precision)
-                if len(sample_set) else np.zeros((0, data.dim)))
-        _write_csv(args.csv, sample_set.mu, phis)
+        sample_set = report.sample_set
+        _write_csv(args.csv, sample_set.mu, _image(data, sample_set, precision))
     if not report.passed:
         sys.stderr.write(
             "verification failed: " + ", ".join(report.failures) + "\n"
@@ -261,8 +256,7 @@ def cmd_plot(args, precision: float) -> int:
     if args.svg is not None and data.dim != 2:
         raise DimensionUnsupported(f"SVG plots need n = 2, polytope has n = {data.dim}")
     sample_set = sample_level_set(data, args.samples, seed=args.seed, precision=precision)
-    phis = (induced_moment(sample_set.z, data, tol=None, precision=precision)
-            if len(sample_set) else np.zeros((0, data.dim)))
+    phis = _image(data, sample_set, precision)
     if args.csv is not None:
         _write_csv(args.csv, sample_set.mu, phis)
     if args.svg is not None:

@@ -34,7 +34,7 @@ from .polytope import (
     check_delzant,
     check_simple,
 )
-from .scalars import DEFAULT_PRECISION, Scalar
+from .scalars import DEFAULT_PRECISION, Field, Scalar
 
 MANIFOLD = "manifold"
 ORBIFOLD = "orbifold"
@@ -59,7 +59,11 @@ class Classification:
     kind: str
     is_lattice: bool
     delzant: DelzantReport | None
-    vertex_orders: tuple[int | None, ...]
+    charts: tuple[VertexChart, ...]
+
+    @property
+    def vertex_orders(self) -> tuple[int | None, ...]:
+        return tuple(chart.order for chart in self.charts)
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,9 @@ def _squared_moduli(p: HPolytope, v: Vertex) -> tuple[Scalar, ...]:
 
 
 def fixed_points(data: DelzantData) -> list[VertexChart]:
-    """One chart per vertex with the exact fixed-point moduli; group data
-    is filled in by vertex_structure_group."""
-    return [
-        VertexChart(vertex=v, squared_moduli=_squared_moduli(data.polytope, v))
-        for v in data.polytope.vertices
-    ]
+    """One chart per vertex with the exact fixed-point moduli and the
+    structure group that classification computed."""
+    return list(data.classification.charts)
 
 
 def _resolve_vertex(data: DelzantData, v) -> Vertex:
@@ -270,18 +271,20 @@ def _resolve_vertex(data: DelzantData, v) -> Vertex:
 
 def vertex_structure_group(data: DelzantData, v) -> VertexChart:
     """Chart group at a vertex: each quasilattice generator is written in
-    the basis of the n active normals; the group is finite exactly when
-    all coordinates are rational, with order computed via Smith form."""
+    the basis of the n active normals (one elimination of the basis
+    augmented by every generator); the group is finite exactly when all
+    coordinates are rational, with order computed via Smith form."""
     vertex = _resolve_vertex(data, v)
     p = data.polytope
     n = data.dim
-    basis = Matrix(p.field, [[p.normals[j][i] for j in vertex.active] for i in range(n)])
-    coords: list[Vector] = []
-    for gen in data.quasilattice.generators:
-        c = basis.solve(gen)
-        if c is None:
-            raise InternalInconsistency("active normals at a simple vertex are singular")
-        coords.append(c)
+    generators = data.quasilattice.generators
+    ech = Matrix(p.field, [
+        [p.normals[j][i] for j in vertex.active] + [g[i] for g in generators]
+        for i in range(n)
+    ]).echelon()
+    if ech.pivots != tuple(range(n)):
+        raise InternalInconsistency("active normals at a simple vertex are singular")
+    coords = [tuple(row[n + k] for row in ech.rows) for k in range(len(generators))]
     finite = all(entry.is_rational() for c in coords for entry in c)
     order = None
     if finite:
@@ -316,10 +319,10 @@ def classify(data: DelzantData) -> Classification:
     else:
         global_kind = QUASIFOLD
 
-    orders = tuple(
-        vertex_structure_group(data, i).order
-        for i in range(len(data.polytope.vertices))
+    charts = tuple(
+        vertex_structure_group(data, i) for i in range(len(data.polytope.vertices))
     )
+    orders = tuple(chart.order for chart in charts)
     if any(order is None for order in orders):
         local_kind = QUASIFOLD
     elif all(order == 1 for order in orders):
@@ -333,7 +336,7 @@ def classify(data: DelzantData) -> Classification:
             f"vertex structure groups say {local_kind} (orders {orders})"
         )
     return Classification(kind=global_kind, is_lattice=cert.rational,
-                          delzant=delzant, vertex_orders=orders)
+                          delzant=delzant, charts=charts)
 
 
 # --------------------------------------------------------------------------
@@ -351,12 +354,19 @@ def _render_vector(vec: Sequence[Scalar], precision: float) -> dict:
     }
 
 
+def _render_field(fld: Field) -> dict:
+    return {
+        "degree": fld.degree,
+        "minpoly": [str(c) for c in fld.minpoly],
+        "root_interval": [str(b) for b in fld.root_interval],
+    }
+
+
 def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION) -> dict:
     """JSON-ready summary; exact expressions alongside certified floats."""
     p = data.polytope
     cls = data.classification
     cert = data.quasilattice.certificate
-    charts = [vertex_structure_group(data, i) for i in range(len(p.vertices))]
     report = {
         "dimension": data.dim,
         "facets": data.ambient_dim,
@@ -364,11 +374,7 @@ def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION)
         "kernel_dim": len(data.kernel_basis),
         "n_rational_dim": data.n_rational_dim,
         "n_compact": data.n_compact,
-        "field": {
-            "degree": p.field.degree,
-            "minpoly": [str(c) for c in p.field.minpoly],
-            "root_interval": [str(b) for b in p.field.root_interval],
-        },
+        "field": _render_field(p.field),
         "projection": [_render_vector(row, precision) for row in data.projection.rows],
         "offsets": _render_vector(data.offsets, precision),
         "kernel_basis": [_render_vector(v, precision) for v in data.kernel_basis],
@@ -391,16 +397,7 @@ def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION)
             "kind": cls.kind,
             "is_lattice": cls.is_lattice,
             "vertex_orders": list(cls.vertex_orders),
-            "delzant": (
-                {
-                    "integral": cls.delzant.integral,
-                    "facet_gcds": list(cls.delzant.facet_gcds),
-                    "vertex_determinants": list(cls.delzant.vertex_determinants),
-                    "nonprimitive_facets": list(cls.delzant.nonprimitive_facets),
-                    "nonunimodular_vertices": list(cls.delzant.nonunimodular_vertices),
-                }
-                if cls.delzant is not None else None
-            ),
+            "delzant": cls.delzant.as_dict() if cls.delzant is not None else None,
         },
         "charts": [
             {
@@ -413,7 +410,7 @@ def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION)
                 "finite": chart.finite,
                 "order": chart.order,
             }
-            for chart in charts
+            for chart in cls.charts
         ],
     }
     return report

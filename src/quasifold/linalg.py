@@ -1,9 +1,9 @@
 """Exact linear algebra over a scalar field.
 
-Elimination is fraction-free (Bareiss) with a fixed pivot rule: scan
-columns left to right and take the first row with a nonzero entry.  The
-derived reduced echelon form therefore yields reproducible ranks, kernel
-bases and solutions, which the golden tests rely on.
+Elimination is Gauss–Jordan with a fixed pivot rule: scan columns left to
+right and take the first row with a nonzero entry.  The reduced echelon
+form is unique, so ranks, kernel bases and solutions are reproducible,
+which the golden tests rely on.
 """
 
 from __future__ import annotations
@@ -85,53 +85,55 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------------
 
-    def _forward(self) -> tuple[list[list[Scalar]], list[int], int]:
-        """Bareiss forward elimination.
+    def _reduce(self) -> tuple[list[list[Scalar]], list[int], Scalar]:
+        """Gauss–Jordan elimination.
 
-        Returns (rows, pivot columns, swap parity).  Division by the previous
-        pivot is exact, which keeps intermediate entries small.
+        Returns the nonzero rows of the reduced echelon form, its pivot
+        columns, and the signed product of the pivots (the determinant of
+        an invertible square matrix).  Each pivot row is scaled by one
+        inverse; columns left of the pivot are already final, and rows
+        whose factor is zero are skipped.
         """
         work = [list(r) for r in self.rows]
         m, n = self.shape
+        zero, one = self.field.zero, self.field.one
         pivots: list[int] = []
-        parity = 1
-        prev = self.field.one
-        r = 0
+        det = one
         for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
             pivot_row = next((i for i in range(r, m) if not work[i][c].is_zero()), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
                 work[r], work[pivot_row] = work[pivot_row], work[r]
-                parity = -parity
-            pivot = work[r][c]
-            for i in range(r + 1, m):
+                det = -det
+            row = work[r]
+            det = det * row[c]
+            inv = row[c].inverse()
+            live = [j for j in range(c + 1, n) if not row[j].is_zero()]
+            row[c] = one
+            for j in live:
+                row[j] = row[j] * inv
+            for i in range(m):
                 factor = work[i][c]
-                for j in range(n):
-                    work[i][j] = (pivot * work[i][j] - factor * work[r][j]) / prev
-            prev = pivot
+                if i == r or factor.is_zero():
+                    continue
+                other = work[i]
+                other[c] = zero
+                for j in live:
+                    other[j] = other[j] - factor * row[j]
             pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return work, pivots, parity
+        return work[:len(pivots)], pivots, det
 
     def echelon(self) -> Echelon:
         """Reduced row echelon form (pivots normalized to 1)."""
-        work, pivots, _ = self._forward()
-        rank = len(pivots)
-        for i in reversed(range(rank)):
-            c = pivots[i]
-            inv = work[i][c].inverse()
-            work[i] = [e * inv for e in work[i]]
-            for k in range(i):
-                factor = work[k][c]
-                if not factor.is_zero():
-                    work[k] = [a - factor * b for a, b in zip(work[k], work[i])]
-        return Echelon(tuple(tuple(r) for r in work[:rank]), tuple(pivots))
+        rows, pivots, _ = self._reduce()
+        return Echelon(tuple(tuple(r) for r in rows), tuple(pivots))
 
     def rank(self) -> int:
-        return len(self._forward()[1])
+        return len(self._reduce()[1])
 
     def kernel(self) -> tuple[Vector, ...]:
         """Basis of the right kernel, echelon-derived and deterministic.
@@ -176,13 +178,8 @@ class Matrix:
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("determinant of a non-square matrix")
-        if m == 0:
-            return self.field.one
-        work, pivots, parity = self._forward()
-        if len(pivots) < n:
-            return self.field.zero
-        d = work[n - 1][pivots[n - 1]]
-        return d if parity == 1 else -d
+        _, pivots, det = self._reduce()
+        return det if len(pivots) == n else self.field.zero
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular."""

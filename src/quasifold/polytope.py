@@ -204,19 +204,16 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     every facet with zero slack (more than n of them at a non-simple
     vertex).
     """
-    if p._vertices is not None:
-        return list(p._vertices)
     _assert_bounded(p)
     d, n = p.facet_count, p.dim
+    square = tuple(range(n))
     seen: dict[tuple, Vertex] = {}
     order: list[tuple] = []
     for subset in combinations(range(d), n):
-        m = Matrix(p.field, [p.normals[j] for j in subset])
-        if m.rank() < n:
+        ech = Matrix(p.field, [p.normals[j] + (p.offsets[j],) for j in subset]).echelon()
+        if ech.pivots != square:
             continue
-        point = m.solve([p.offsets[j] for j in subset])
-        if point is None:
-            continue
+        point = tuple(row[n] for row in ech.rows)
         key = tuple(s.coeffs for s in point)
         if key in seen:
             continue
@@ -240,7 +237,6 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
         raise LowerDimensional(
             f"affine hull of the vertices has dimension {hull_dim} < {n}"
         )
-    p._vertices = tuple(vertices)
     return vertices
 
 
@@ -304,6 +300,15 @@ class DelzantReport:
     vertex_determinants: tuple[int | None, ...]
     nonprimitive_facets: tuple[int, ...]
     nonunimodular_vertices: tuple[int, ...]
+
+    def as_dict(self) -> dict:
+        return {
+            "integral": self.integral,
+            "facet_gcds": list(self.facet_gcds),
+            "vertex_determinants": list(self.vertex_determinants),
+            "nonprimitive_facets": list(self.nonprimitive_facets),
+            "nonunimodular_vertices": list(self.nonunimodular_vertices),
+        }
 
 
 def check_delzant(p: HPolytope, certificate: LatticeCertificate) -> DelzantReport:

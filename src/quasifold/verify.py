@@ -288,6 +288,9 @@ class VerificationReport:
     effectiveness_index: int | None = None
     failures: list = dc_field(default_factory=list)
     passed: bool = True
+    # The level-set samples every check saw; not part of the JSON report.
+    sample_set: SampleSet | None = dc_field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -336,6 +339,7 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     report = VerificationReport(sample_count=samples, seed=seed,
                                 hamiltonian_step=h, tolerances=tolerances)
     sample_set = sample_level_set(data, samples, seed=seed, precision=precision)
+    report.sample_set = sample_set
 
     if len(sample_set):
         level = kernel_moment(sample_set.z, data, precision)

@@ -1,10 +1,17 @@
 """Command line surface: exit codes, report shapes, artifact files."""
 
+import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from quasifold import builtin_names
 from quasifold.cli import main
+from quasifold.verify import sample_level_set
+
+from conftest import construct_builtin
 
 
 def run(capsys, *argv):
@@ -110,6 +117,87 @@ def test_invalid_document_exit_2(capsys, tmp_path):
     assert "UnboundedPolytope" in err
 
 
+# sha256 of analyze / construct stdout for every corpus entry.  The
+# octahedron is not simple, so construct refuses it (pinned below).
+GOLDEN_DIGESTS = {
+    "cp2": (
+        "422cfc1e87001053b55bc0ffc5ca98420c77d5727000012c0b94a789281032a5",
+        "a75442667bc3f3d3cb2ca2600c0660ddab71858acbac76ab4e651e866d45f575",
+    ),
+    "cube": (
+        "31f44af8d929c0aca45e7f501f74765fe3be6c3debda5bd1bc11b2961b4ef225",
+        "478d0d609f923a61352b569252c5454252fd50061c519db2dd18e6321d51096b",
+    ),
+    "interval-sqrt2": (
+        "7e6e976ae8167d14fcf0a2be623898d8d8d9041a3d0de1a0492347869831bf0a",
+        "5cda4600da5be30c00dfd5d5441a08108404e77708a2e403acd47f236aa50926",
+    ),
+    "octahedron": (
+        "df2798686319d304029339336d00bb3a8a96262676aa5059b3bf9b3ea9669d27",
+        None,
+    ),
+    "pentagon": (
+        "0a96bf24dfdad40d221e9ae2b49cb0e895fceeb05f792eb537b59f74c6821597",
+        "a329ea9d89f61d7a2c771f53d69d182f06d5d6006d328878b0b2bc771497e099",
+    ),
+    "rugby-2": (
+        "74b91944c188d4ad8cda13913a355acee1ecf295c7705bd1ccf25f443c43a650",
+        "56802af9633c614870f400f69b0c51cf36747e7b6d513484f33f555f8e06f415",
+    ),
+    "rugby-3": (
+        "5b70ccae7abebf7d6353d2123fb5c29afb3e6c0210295621a331e37fc3fc3c1c",
+        "0be86bcb283544c3231a3890a6a9b0324564a4bb80f65a9dcaafd10c06ef50e2",
+    ),
+    "rugby-5": (
+        "8e774ded65e654c32b220c048cffbe79502b903b7bfa804d73dbdefbcee53d18",
+        "5b49c256c4ed828e8fafcae6f8f0ada7182bc4fdb4a57346b8404b7441764644",
+    ),
+    "sphere": (
+        "338a8d39903dd2d6f6a5e589f46e87160cef28d65d45f7aa33ead93ab5522ba9",
+        "e6149f62fe7914126cc18afcb38b0ac1588cc90b1f34bdb03bade7e5ebb10f16",
+    ),
+    "square": (
+        "19c0f3e0fdbaa79ae0edddf3359dc560edc30b43105fd0a758005bbeac0eda05",
+        "b3e6ec75ee8a7b1807f115e89e2b331271934bbc3ecbf766adf32c5b2d876a48",
+    ),
+    "teardrop-2": (
+        "6025b41cbdfaf1ea8a71fc2d3935b531eee6776ee7adf09054c073f4747464a8",
+        "751c834b17221fc2ddc104e49b9f053521d9383a6599b7de5a8ab50cce020aa8",
+    ),
+    "teardrop-3": (
+        "fe3daa14dc1efe1716fe918cbb4b42b996cc3c236e5a5c86ac8941336d574eb1",
+        "0a712799c01312899ddf6a9eda3e8684b08f606d2af57f40ba8da4fed51ec746",
+    ),
+    "teardrop-5": (
+        "802d68f3c6162785ded01e7758ab3f837fa93a2864d21bf0729fe4d05b4ef6ca",
+        "59d505437a793a41534f72c6103c6a2c19cb40af181e3c8fe24fbd9193022b6c",
+    ),
+    "triangle-sqrt2": (
+        "9665d5c17adfaee1f48d4ae937fdac9a0721ce36a93466614763bb4f4ffb98e0",
+        "a64dabcc0aa4e7bddb01840ee944ae2697a18117814ca481ee163d818ecc3744",
+    ),
+}
+
+
+def test_golden_digests_cover_the_corpus():
+    assert sorted(GOLDEN_DIGESTS) == sorted(builtin_names())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_stdout_bytes_match_golden_digests(capsys, name):
+    analyze_digest, construct_digest = GOLDEN_DIGESTS[name]
+    code, out, err = run(capsys, "analyze", "--builtin", name)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == analyze_digest
+    code, out, err = run(capsys, "construct", "--builtin", name)
+    if construct_digest is None:
+        assert (code, out) == (2, "")
+        assert err == "NotSimple: vertex 0 lies on 4 facets, expected 3\n"
+    else:
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == construct_digest
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -127,6 +215,18 @@ def test_verify_writes_report_and_csv(capsys, tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "mu_1,mu_2,phi_1,phi_2"
     assert len(lines) == 65
+
+
+def test_verify_csv_shows_the_verified_samples(capsys, tmp_path):
+    out_csv = tmp_path / "pairs.csv"
+    code, _, _ = run(capsys, "verify", "--builtin", "cp2", "--samples", "300",
+                     "--seed", "4", "--csv", str(out_csv))
+    assert code == 0
+    with out_csv.open() as handle:
+        rows = list(csv.reader(handle))[1:]
+    mu = np.array([[float(x) for x in row[:2]] for row in rows])
+    expected = sample_level_set(construct_builtin("cp2"), 300, seed=4).mu
+    assert np.array_equal(mu, expected)
 
 
 def test_verify_threshold_failure_exit_3(capsys):

@@ -1,14 +1,17 @@
 """Exact dense linear algebra over Q(theta).
 
 The randomized checks compare against a plain Fraction Gaussian
-elimination written here, so the Bareiss implementation under test is
-never its own oracle.
+elimination and a Leibniz-formula determinant written here, so the
+Gauss-Jordan implementation under test is never its own oracle.  The
+contract checks run over Q and over Q(sqrt 2), where every pivot
+inverse goes through the extended gcd with the minimal polynomial.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifold import DimensionMismatch, Field, Matrix, rational_field
@@ -43,6 +46,19 @@ def oracle_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def leibniz_det(m):
+    """Sum over permutations, in the package's scalar arithmetic only."""
+    n = m.shape[0]
+    total = m.field.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = m.field.one
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def oracle_det(rows):
@@ -139,6 +155,17 @@ class TestPinned:
 # --------------------------------------------------------------------------
 
 entries = st.integers(min_value=-6, max_value=6)
+# a + b*theta; over Q theta is 0, so b drops out
+pairs = st.tuples(entries, entries)
+fields = st.sampled_from((RAT, SQRT2))
+
+
+def field_vector(field, pairs_):
+    return tuple(field.scalar(a) + b * field.theta for a, b in pairs_)
+
+
+def field_matrix(field, rows):
+    return Matrix(field, [field_vector(field, r) for r in rows])
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,37 +180,51 @@ def test_det_matches_oracle(rows):
     assert rat_matrix(rows).det().as_fraction() == oracle_det(rows)
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(pairs, min_size=3, max_size=3), min_size=3, max_size=3))
+def test_det_matches_leibniz_over_sqrt2(rows):
+    m = field_matrix(SQRT2, rows)
+    assert m.det() == leibniz_det(m)
+
+
 @settings(max_examples=80, deadline=None)
-@given(rows=st.lists(st.lists(entries, min_size=4, max_size=4), min_size=2, max_size=4))
-def test_kernel_contract(rows):
-    m = rat_matrix(rows)
+@given(field=fields,
+       rows=st.lists(st.lists(pairs, min_size=4, max_size=4), min_size=2, max_size=4))
+def test_kernel_contract(field, rows):
+    m = field_matrix(field, rows)
     basis = m.kernel()
     assert m.rank() + len(basis) == m.shape[1]
     for v in basis:
         assert all(x.is_zero() for x in m.mat_vec(v))
     # determinism on an equal matrix built from scratch
-    assert rat_matrix(rows).kernel() == basis
+    assert field_matrix(field, rows).kernel() == basis
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(st.lists(entries, min_size=3, max_size=3), min_size=2, max_size=4),
-    x=st.lists(entries, min_size=3, max_size=3),
+    field=fields,
+    rows=st.lists(st.lists(pairs, min_size=3, max_size=3), min_size=2, max_size=4),
+    x=st.lists(pairs, min_size=3, max_size=3),
 )
-def test_solve_round_trip(rows, x):
+def test_solve_round_trip(field, rows, x):
     # construct a guaranteed-consistent system, then check M @ solution = b
-    m = rat_matrix(rows)
-    b = m.mat_vec(as_vector(RAT, x))
+    m = field_matrix(field, rows)
+    b = m.mat_vec(field_vector(field, x))
     sol = m.solve(b)
     assert sol is not None
     assert m.mat_vec(sol) == b
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3))
-def test_inverse_round_trip(rows):
-    m = rat_matrix(rows)
-    if oracle_det(rows) == 0:
+@given(field=fields,
+       rows=st.lists(st.lists(pairs, min_size=3, max_size=3), min_size=3, max_size=3))
+# singular only over the field: the leading block has det theta^2 - 2 = 0
+@example(field=SQRT2, rows=[[(0, 1), (2, 0), (0, 0)],
+                            [(1, 0), (0, 1), (0, 0)],
+                            [(0, 0), (0, 0), (1, 0)]])
+def test_inverse_round_trip(field, rows):
+    m = field_matrix(field, rows)
+    if leibniz_det(m).is_zero():
         assert m.inverse() is None
     else:
-        assert m @ m.inverse() == Matrix.identity(RAT, 3)
+        assert m @ m.inverse() == Matrix.identity(field, 3)

@@ -6,6 +6,8 @@ enumerator (numpy solves over all facet subsets) on every builtin.
 
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,13 @@ class TestParse:
         for name in builtin_names():
             parsed = json.loads(json.dumps(builtin_document(name)))
             parse_polytope(parsed)  # must not raise
+
+    def test_readme_documents_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for block in blocks:
+            parse_polytope(json.loads(block))  # must not raise
 
 
 # --------------------------------------------------------------------------
