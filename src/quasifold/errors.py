@@ -118,10 +118,6 @@ class StepOutOfRange(QuasifoldError, ValueError):
     """Finite-difference step outside the supported [1e-8, 1e-3] range."""
 
 
-class RejectionStall(QuasifoldError):
-    """Rejection sampler acceptance rate collapsed (thin polytope)."""
-
-
 # -------------------------------------------------------------------- cli
 
 class DimensionUnsupported(QuasifoldError):

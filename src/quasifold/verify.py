@@ -1,8 +1,9 @@
 """Monte Carlo and finite-difference checks of a construction.
 
 Samples live on the zero level set of the reduced moment map: a polytope
-point mu drawn by rejection from the vertex bounding box determines the
-moduli |z_j|^2 = <mu, X_j> - lambda_j, and phases are uniform.  All
+point mu drawn exactly uniformly, from a pulling dissection of the
+polytope into simplices, determines the moduli
+|z_j|^2 = <mu, X_j> - lambda_j, and phases are uniform.  All
 randomness flows through one seeded generator per check, so reports are
 bitwise reproducible for equal seeds.
 """
@@ -16,12 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .construction import DelzantData, fixed_points, induced_moment, kernel_moment
-from .errors import DimensionUnsupported, RejectionStall, StepOutOfRange
+from .errors import DimensionUnsupported, StepOutOfRange
 from .scalars import DEFAULT_PRECISION
-
-_STALL_DRAWS = 1_000_000
-_STALL_RATE = 1e-4
-_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -50,33 +47,50 @@ class SampleSet:
         return Sample(self.mu[k], self.phases[k], self.z[k])
 
 
-def _bounding_box(data: DelzantData, precision: float) -> tuple[np.ndarray, np.ndarray]:
+def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
+                        dim: int) -> list[tuple[int, ...]]:
+    """Dissect a face of a simple polytope into simplices (vertex index
+    tuples): pull its lowest-index vertex v0 and cone it over a dissection
+    of every facet of the face that v0 misses.
+
+    ``face`` lists the face's vertices in increasing index order and
+    ``active`` holds each vertex's active facets.  Simplicity, which
+    build_construction enforces, makes every facet j that meets a face,
+    and is not active on all of it, cut out a face of one dimension less.
+    """
+    v0 = face[0]
+    if dim == 0:
+        return [(v0,)]
+    simplices = []
+    for j in sorted(frozenset().union(*(active[v] for v in face)) - active[v0]):
+        facet = [v for v in face if j in active[v]]
+        simplices.extend((v0,) + s for s in _pulling_dissection(active, facet, dim - 1))
+    return simplices
+
+
+def _dissection(data: DelzantData, precision: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (m, n+1, n) of a pulling dissection of the polytope into
+    n-simplices, and each simplex's |det| of its edge matrix (n! times
+    its volume)."""
     vertices = data.polytope.vertices
-    lo = []
-    hi = []
-    for axis in range(data.dim):
-        coords = [v.point[axis] for v in vertices]
-        cmin = coords[0]
-        cmax = coords[0]
-        for c in coords[1:]:
-            if c < cmin:
-                cmin = c
-            if c > cmax:
-                cmax = c
-        lo.append(cmin.floats(precision)[0])
-        hi.append(cmax.floats(precision)[1])
-    return np.array(lo), np.array(hi)
+    points = np.array([[s.to_float(precision) for s in v.point] for v in vertices])
+    active = [frozenset(v.active) for v in vertices]
+    simplices = _pulling_dissection(active, range(len(vertices)), data.dim)
+    corners = points[np.array(simplices)]
+    weights = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    return corners, weights
 
 
 def sample_level_set(data: DelzantData, count: int, seed: int = 0,
                      precision: float = DEFAULT_PRECISION) -> SampleSet:
-    """Draw level-set samples: mu by rejection inside the exact vertex
-    bounding box, phases uniform in [0, 1).
+    """Draw level-set samples: mu exactly uniform in the polytope, phases
+    uniform in [0, 1).
 
-    Raises RejectionStall when fewer than one draw in 10^4 is accepted
-    over 10^6 candidates; parse-time validation guarantees the polytope
-    is full-dimensional, so a stall signals an extremely thin geometry
-    for which bounding-box rejection is the wrong tool.
+    mu picks a simplex of a pulling dissection with probability
+    proportional to its volume, then a point of that simplex with
+    barycentric coordinates from normalised exponentials (uniform on the
+    standard simplex).  There is no rejection step, so the cost per
+    sample does not depend on the shape of the polytope.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -88,27 +102,17 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0,
             z=np.zeros((0, d), dtype=complex),
         )
     rng = np.random.default_rng(seed)
-    lo, hi = _bounding_box(data, precision)
-    accepted_mu: list[np.ndarray] = []
-    accepted_slack: list[np.ndarray] = []
-    total = 0
-    have = 0
-    while have < count:
-        candidates = rng.uniform(lo, hi, size=(_BATCH, data.dim))
-        slack = candidates @ f.stack.T - f.lam
-        mask = np.all(slack >= 0.0, axis=1)
-        total += _BATCH
-        if mask.any():
-            accepted_mu.append(candidates[mask])
-            accepted_slack.append(slack[mask])
-            have += int(mask.sum())
-        if total >= _STALL_DRAWS and have < total * _STALL_RATE:
-            raise RejectionStall(
-                f"accepted {have} of {total} draws; polytope too thin for "
-                "bounding-box rejection"
-            )
-    mu = np.concatenate(accepted_mu)[:count]
-    slack = np.concatenate(accepted_slack)[:count]
+    corners, weights = _dissection(data, precision)
+    cumulative = np.cumsum(weights)
+    pick = np.searchsorted(cumulative, rng.random(count) * cumulative[-1], side="right")
+    pick = np.minimum(pick, len(weights) - 1)  # the product can round up to the total
+    barycentric = rng.exponential(size=(count, data.dim + 1))
+    barycentric /= barycentric.sum(axis=1, keepdims=True)
+    mu = np.zeros((count, data.dim))
+    for k in range(data.dim + 1):
+        mu += barycentric[:, k:k + 1] * corners[pick, k]
+    # Clipping absorbs the float rounding of points on a facet.
+    slack = np.maximum(mu @ f.stack.T - f.lam, 0.0)
     phases = rng.uniform(0.0, 1.0, size=(count, d))
     z = np.sqrt(slack) * np.exp(2j * np.pi * phases)
     return SampleSet(mu=mu, phases=phases, z=z)

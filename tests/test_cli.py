@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quasifold import builtin_names
-from quasifold.cli import main
+from quasifold.cli import _write_csv, main
 from quasifold.verify import sample_level_set
 
 from conftest import construct_builtin
@@ -227,6 +227,40 @@ def test_verify_csv_shows_the_verified_samples(capsys, tmp_path):
     mu = np.array([[float(x) for x in row[:2]] for row in rows])
     expected = sample_level_set(construct_builtin("cp2"), 300, seed=4).mu
     assert np.array_equal(mu, expected)
+
+
+def _csv_writer_bytes(path, mus, phis):
+    """The CSV as csv.writer writes it from repr(float) fields."""
+    n = mus.shape[1]
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"mu_{i + 1}" for i in range(n)]
+                        + [f"phi_{i + 1}" for i in range(n)])
+        for mu, phi in zip(mus, phis):
+            writer.writerow([repr(float(v)) for v in mu] + [repr(float(v)) for v in phi])
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    # More rows than one write chunk, plus values whose repr is unusual.
+    mus = rng.standard_normal((2500, 3))
+    phis = rng.standard_normal((2500, 3))
+    mus[0] = [-0.0, 5e-324, 1e300]
+    phis[1] = [1e-300, -1e300, 0.1]
+    _write_csv(tmp_path / "fast.csv", mus, phis)
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "oracle.csv", mus, phis)
+
+
+def test_verify_zero_samples_csv_is_header_only(capsys, tmp_path):
+    out_csv = tmp_path / "pairs.csv"
+    code, _, _ = run(capsys, "verify", "--builtin", "cube", "--samples", "0",
+                     "--csv", str(out_csv))
+    assert code == 0
+    empty = np.zeros((0, 3))
+    assert out_csv.read_bytes() == _csv_writer_bytes(tmp_path / "oracle.csv", empty, empty)
+    assert out_csv.read_bytes() == b"mu_1,mu_2,mu_3,phi_1,phi_2,phi_3\r\n"
 
 
 def test_verify_threshold_failure_exit_3(capsys):

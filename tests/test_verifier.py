@@ -3,13 +3,13 @@ Hamiltonian identity, invariance, and report determinism."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from quasifold import (
     DimensionUnsupported,
-    RejectionStall,
     StepOutOfRange,
     check_hamiltonian_identity,
     check_invariance,
@@ -22,6 +22,7 @@ from quasifold import (
     sample_level_set,
     verify_moment_image,
 )
+from quasifold.verify import _dissection
 from conftest import construct_builtin
 
 VERIFY_NAMES = ["sphere", "teardrop-3", "rugby-2", "interval-sqrt2",
@@ -66,8 +67,9 @@ class TestSampling:
         assert np.array_equal(one.mu, samples.mu[3])
         assert len(list(samples)) == 8
 
-    def test_rejection_stall_on_thin_polytope(self):
-        # diagonal strip of width 1e-6 inside a unit box: acceptance ~1e-6
+    def test_thin_polytope_samples_inside(self):
+        # diagonal strip of width 1e-6 inside a unit box: a bounding-box
+        # rejection sampler would accept about one draw in 10^6
         thin = parse_polytope({
             "dimension": 2,
             "facets": [
@@ -78,8 +80,97 @@ class TestSampling:
             ],
         })
         data = build_construction(thin)
-        with pytest.raises(RejectionStall):
-            sample_level_set(data, 2048, seed=0)
+        samples = sample_level_set(data, 2048, seed=0)
+        assert len(samples) == 2048
+        f = data.floats()
+        assert np.min(samples.mu @ f.stack.T - f.lam) >= -1e-12
+        report = run_verification(data, samples=2048, seed=0)
+        assert report.passed, report.failures
+
+
+# --------------------------------------------------------------------------
+# Pulling dissection, checked against volumes and centroids computed apart
+# --------------------------------------------------------------------------
+
+def _box(sides):
+    """The box prod [0, s_i] as a document."""
+    n = len(sides)
+    unit = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    return {
+        "dimension": n,
+        "facets": [{"normal": e, "offset": "0"} for e in unit]
+        + [{"normal": [f"-{x}" for x in e], "offset": f"-{s}"}
+           for e, s in zip(unit, sides)],
+    }
+
+
+def _projective_space(n):
+    """The standard n-simplex, the moment polytope of CP^n."""
+    return {
+        "dimension": n,
+        "facets": [{"normal": [str(int(i == j)) for j in range(n)], "offset": "0"}
+                   for i in range(n)]
+        + [{"normal": ["-1"] * n, "offset": "-1"}],
+    }
+
+
+def _shoelace(data):
+    """Area and centroid of a polygon from its vertex floats."""
+    pts = np.array([[s.to_float() for s in v.point] for v in data.polytope.vertices])
+    center = pts.mean(axis=0)
+    pts = pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))]
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = cross.sum() / 2
+    centroid = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6 * area)
+    return area, centroid
+
+
+class TestDissection:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_box_has_n_factorial_simplices_of_its_volume(self, n):
+        sides = ["1", "2", "1/3", "5/2", "3/4", "7"][:n]
+        data = build_construction(parse_polytope(_box(sides)))
+        _, weights = _dissection(data, 1e-12)
+        assert len(weights) == math.factorial(n)
+        volume = math.prod(-s.to_float() for s in data.polytope.offsets[n:])
+        assert weights.sum() / math.factorial(n) == pytest.approx(volume, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["cp2", "triangle-sqrt2", "sphere"])
+    def test_simplex_is_one_simplex(self, name):
+        _, weights = _dissection(construct_builtin(name), 1e-12)
+        assert len(weights) == 1
+
+    def test_pentagon_area_matches_shoelace(self):
+        data = construct_builtin("pentagon")
+        _, weights = _dissection(data, 1e-12)
+        assert len(weights) == 3
+        area, _ = _shoelace(data)
+        assert weights.sum() / 2 == pytest.approx(area, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["square", "cube", "cp2", "pentagon"])
+    def test_sample_mean_is_the_centroid(self, name):
+        data = construct_builtin(name)
+        if name == "pentagon":
+            _, centroid = _shoelace(data)
+        elif name == "cp2":
+            centroid = np.full(2, 1 / 3)
+        else:
+            centroid = np.full(data.dim, 0.5)
+        mu = sample_level_set(data, 10_000, seed=3).mu
+        stderr = mu.std(axis=0, ddof=1) / math.sqrt(len(mu))
+        assert np.all(np.abs(mu.mean(axis=0) - centroid) <= 5 * stderr)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_projective_space_verifies_in_high_dimension(n):
+    # 4 s is the per-dimension limit of the benchmark's verify_max_dim probe
+    start = time.perf_counter()
+    data = build_construction(parse_polytope(_projective_space(n)))
+    report = run_verification(data, samples=10_000, seed=0)
+    assert report.failures == []
+    assert time.perf_counter() - start < 4.0
 
 
 # --------------------------------------------------------------------------
