@@ -27,7 +27,7 @@ from .construction import (
 )
 from .errors import DimensionUnsupported, QuasifoldError, SchemaError
 from .polytope import check_delzant, check_rational, check_simple, parse_polytope
-from .verify import run_verification, sample_level_set
+from .verify import _polygon_order, _vertex_floats, run_verification, sample_level_set
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -133,12 +133,6 @@ def _image(data, sample_set, precision: float) -> np.ndarray:
     return induced_moment(sample_set.z, data, tol=None, precision=precision)
 
 
-def _polygon_order(points: np.ndarray) -> np.ndarray:
-    center = points.mean(axis=0)
-    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
-    return points[np.argsort(angles)]
-
-
 def _write_svg(path: Path, outline: np.ndarray, scatter: np.ndarray) -> None:
     size, margin = 640.0, 40.0
     stacked = outline if scatter.size == 0 else np.vstack([outline, scatter])
@@ -165,10 +159,6 @@ def _write_svg(path: Path, outline: np.ndarray, scatter: np.ndarray) -> None:
         lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.6" fill="#c23b22" fill-opacity="0.45"/>')
     lines.append("</svg>")
     path.write_text("\n".join(lines) + "\n")
-
-
-def _vertex_floats(p, precision: float) -> np.ndarray:
-    return np.array([[s.to_float(precision) for s in v.point] for v in p.vertices])
 
 
 # --------------------------------------------------------------------------

@@ -23,14 +23,12 @@ from .errors import (
     NotSimple,
     OffLevelSet,
 )
-from .lattices import quotient_order, rational_rank
+from .lattices import LatticeCertificate, quotient_order, rational_rank, span_certificate
 from .linalg import Matrix, Vector
 from .polytope import (
     DelzantReport,
     HPolytope,
-    LatticeCertificate,
     Vertex,
-    certificate_for,
     check_delzant,
     check_simple,
 )
@@ -175,7 +173,7 @@ def build_construction(p: HPolytope) -> DelzantData:
     quasilattice = Quasilattice(
         dim=n,
         generators=generators,
-        certificate=certificate_for(p.field, generators, n),
+        certificate=span_certificate(p.field, generators, n),
     )
 
     # Rational points of Lie(N): common rational kernel of every power-basis

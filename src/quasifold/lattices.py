@@ -184,19 +184,21 @@ def quotient_order(coord_vectors: Sequence[Sequence[Fraction]], n: int) -> int:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpanLattice:
-    """The inputs generate a lattice: basis vectors and integer coordinates."""
+class LatticeCertificate:
+    """Outcome of the exact rationality test on a family of vectors.
 
-    basis: tuple[tuple[Scalar, ...], ...]
-    coords: tuple[tuple[int, ...], ...]
+    ``rational`` means the vectors generate a rank-n lattice; ``basis``
+    then holds n generating vectors and ``coords`` one integer coordinate
+    row per input vector.  Otherwise ``rank`` > n is the Q-dimension of
+    the span and ``independent`` indexes a Q-linearly independent subset
+    witnessing it.
+    """
 
-
-@dataclass(frozen=True)
-class SpanIrrational:
-    """Q-rank of the inputs exceeds the ambient dimension: no lattice."""
-
+    rational: bool
     rank: int
-    independent: tuple[int, ...]
+    basis: tuple[tuple[Scalar, ...], ...] | None = None
+    coords: tuple[tuple[int, ...], ...] | None = None
+    independent: tuple[int, ...] | None = None
 
 
 def flatten_vector(vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -227,7 +229,7 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[int, .
 
 def span_certificate(
     field: Field, vectors: Sequence[Sequence[Scalar]], ambient_dim: int
-) -> SpanLattice | SpanIrrational:
+) -> LatticeCertificate:
     """Decide whether the vectors generate a lattice in R^ambient_dim.
 
     The callers guarantee the vectors span R^ambient_dim over the reals,
@@ -238,7 +240,7 @@ def span_certificate(
     flat = [flatten_vector(v) for v in vectors]
     rank, independent = rational_rank(flat)
     if rank != ambient_dim:
-        return SpanIrrational(rank=rank, independent=tuple(independent))
+        return LatticeCertificate(rational=False, rank=rank, independent=independent)
 
     mult = math.lcm(*(c.denominator for row in flat for c in row))
     int_rows = [[int(c * mult) for c in row] for row in flat]
@@ -261,4 +263,5 @@ def span_certificate(
         if c is None:
             raise AssertionError("input vector fell outside its own HNF lattice")
         coords.append(tuple(c))
-    return SpanLattice(basis=tuple(basis), coords=tuple(coords))
+    return LatticeCertificate(rational=True, rank=ambient_dim, basis=tuple(basis),
+                              coords=tuple(coords))

@@ -3,13 +3,14 @@
 A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
 here is exact: vertex enumeration solves n-subsets of facet equations,
-boundedness is a recession-cone ray test, and rationality of the normal
-family is certified (or refuted) over Q.
+boundedness and full dimension are read off the vertex active sets, and
+rationality of the normal family is certified (or refuted) over Q.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from .errors import (
     SchemaError,
     UnboundedPolytope,
 )
-from .lattices import SpanIrrational, SpanLattice, integer_det, span_certificate
+from .lattices import LatticeCertificate, integer_det, span_certificate
 from .linalg import Matrix, Vector
 from .scalars import Field, Scalar, parse_scalar, rational_field
 
@@ -123,8 +124,10 @@ def parse_polytope(document: dict) -> HPolytope:
     """Validate a polytope document and return the exact H-representation.
 
     Raises SchemaError for malformed documents, NormalsDontSpan when the
-    normals fail to span R^n, UnboundedPolytope / LowerDimensional when
-    the feasible set is not a full-dimensional polytope.
+    normals fail to span R^n, and, from vertex enumeration,
+    LowerDimensional when the feasible set is empty, UnboundedPolytope
+    when it is unbounded, and LowerDimensional when it lies in a facet
+    hyperplane.
     """
     _require(isinstance(document, dict), "document must be a JSON object")
     unknown = set(document) - _DOCUMENT_KEYS
@@ -173,17 +176,24 @@ def parse_polytope(document: dict) -> HPolytope:
 # Vertex enumeration
 # --------------------------------------------------------------------------
 
-def _assert_bounded(p: HPolytope) -> None:
-    """Recession cone test: {v : <v, X_j> >= 0 for all j} must be {0}.
+def _assert_bounded(p: HPolytope, vertices: Sequence[Vertex]) -> None:
+    """Raise UnboundedPolytope when the nonempty feasible set has an
+    unbounded edge.
 
-    The normals span R^n, so the cone is pointed and any nonzero element
-    implies an extreme ray cut out by n-1 active constraints; exhaustive
-    enumeration of those candidate rays is exact and complete.
+    The normals span R^n, so the feasible set is pointed, and an unbounded
+    pointed polyhedron has an unbounded edge at some vertex (Ziegler,
+    Lectures on Polytopes, 1995).  That edge lies on n-1 independent
+    facets active at its vertex and at no other vertex, so only an
+    (n-1)-subset of active facets that a single vertex holds is tested:
+    its kernel ray, either sign, against every facet.  A subset two
+    vertices share cuts out a bounded edge.
     """
     d, n = p.facet_count, p.dim
-    for subset in combinations(range(d), n - 1):
-        m = Matrix(p.field, [p.normals[j] for j in subset], cols=n)
-        kernel = m.kernel()
+    holders = Counter(s for v in vertices for s in combinations(v.active, n - 1))
+    for subset, count in holders.items():
+        if count > 1:
+            continue
+        kernel = Matrix(p.field, [p.normals[j] for j in subset], cols=n).kernel()
         if len(kernel) != 1:
             continue
         ray = kernel[0]
@@ -203,12 +213,16 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     equal candidate points are merged, and the recorded active set lists
     every facet with zero slack (more than n of them at a non-simple
     vertex).
+
+    The normals span R^n, so a nonempty feasible set has a vertex: no
+    vertex means LowerDimensional.  Boundedness is then tested on the
+    active sets (_assert_bounded).  A bounded polytope is the hull of its
+    vertices, so it lies in the hyperplane of facet j, and is not full
+    dimensional, exactly when j is active at every vertex.
     """
-    _assert_bounded(p)
     d, n = p.facet_count, p.dim
     square = tuple(range(n))
     seen: dict[tuple, Vertex] = {}
-    order: list[tuple] = []
     for subset in combinations(range(d), n):
         ech = Matrix(p.field, [p.normals[j] + (p.offsets[j],) for j in subset]).echelon()
         if ech.pivots != square:
@@ -222,21 +236,14 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
             continue
         active = tuple(j for j, s in enumerate(slacks) if s.is_zero())
         seen[key] = Vertex(point=point, active=active)
-        order.append(key)
 
-    vertices = [seen[k] for k in order]
+    vertices = list(seen.values())
     if not vertices:
         raise LowerDimensional("feasible set is empty")
-    if len(vertices) > 1:
-        base = vertices[0].point
-        rows = [[a - b for a, b in zip(v.point, base)] for v in vertices[1:]]
-        hull_dim = Matrix(p.field, rows).rank()
-    else:
-        hull_dim = 0
-    if hull_dim < n:
-        raise LowerDimensional(
-            f"affine hull of the vertices has dimension {hull_dim} < {n}"
-        )
+    _assert_bounded(p, vertices)
+    common = set(vertices[0].active).intersection(*(v.active for v in vertices[1:]))
+    if common:
+        raise LowerDimensional(f"facet {min(common)} is active at every vertex")
     return vertices
 
 
@@ -259,36 +266,8 @@ def check_simple(p: HPolytope) -> SimplicityReport:
     return SimplicityReport(simple=True)
 
 
-@dataclass(frozen=True)
-class LatticeCertificate:
-    """Outcome of the exact rationality test on the facet normals.
-
-    ``rational`` means the normals generate a rank-n lattice; ``basis``
-    then holds n generating vectors and ``coords`` one integer coordinate
-    row per input vector.  Otherwise ``rank`` > n is the Q-dimension of
-    the span and ``independent`` indexes a Q-linearly independent subset
-    witnessing it.
-    """
-
-    rational: bool
-    rank: int
-    basis: tuple[Vector, ...] | None = None
-    coords: tuple[tuple[int, ...], ...] | None = None
-    independent: tuple[int, ...] | None = None
-
-
-def certificate_for(fld: Field, vectors: Sequence[Vector], dim: int) -> LatticeCertificate:
-    outcome = span_certificate(fld, vectors, dim)
-    if isinstance(outcome, SpanLattice):
-        return LatticeCertificate(rational=True, rank=dim, basis=outcome.basis,
-                                  coords=outcome.coords)
-    assert isinstance(outcome, SpanIrrational)
-    return LatticeCertificate(rational=False, rank=outcome.rank,
-                              independent=outcome.independent)
-
-
 def check_rational(p: HPolytope) -> LatticeCertificate:
-    return certificate_for(p.field, p.normals, p.dim)
+    return span_certificate(p.field, p.normals, p.dim)
 
 
 @dataclass(frozen=True)

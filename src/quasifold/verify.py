@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .construction import DelzantData, fixed_points, induced_moment, kernel_moment
 from .errors import DimensionUnsupported, StepOutOfRange
 from .scalars import DEFAULT_PRECISION
-
-
-@dataclass(frozen=True)
-class Sample:
-    mu: np.ndarray
-    phases: np.ndarray
-    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -39,12 +32,10 @@ class SampleSet:
     def __len__(self) -> int:
         return self.mu.shape[0]
 
-    def __iter__(self) -> Iterator[Sample]:
-        for k in range(len(self)):
-            yield Sample(self.mu[k], self.phases[k], self.z[k])
 
-    def __getitem__(self, k: int) -> Sample:
-        return Sample(self.mu[k], self.phases[k], self.z[k])
+def _vertex_floats(polytope, precision: float) -> np.ndarray:
+    """The polytope's vertices as a (V, n) float array, in vertex order."""
+    return np.array([[s.to_float(precision) for s in v.point] for v in polytope.vertices])
 
 
 def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
@@ -73,7 +64,7 @@ def _dissection(data: DelzantData, precision: float) -> tuple[np.ndarray, np.nda
     n-simplices, and each simplex's |det| of its edge matrix (n! times
     its volume)."""
     vertices = data.polytope.vertices
-    points = np.array([[s.to_float(precision) for s in v.point] for v in vertices])
+    points = _vertex_floats(data.polytope, precision)
     active = [frozenset(v.active) for v in vertices]
     simplices = _pulling_dissection(active, range(len(vertices)), data.dim)
     corners = points[np.array(simplices)]
@@ -395,6 +386,13 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
 # Planar hull distance (n = 2)
 # --------------------------------------------------------------------------
 
+def _polygon_order(points: np.ndarray) -> np.ndarray:
+    """The vertices of a convex polygon sorted by angle about their mean."""
+    center = points.mean(axis=0)
+    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
+    return points[np.argsort(angles)]
+
+
 def _point_to_polygon(point: np.ndarray, polygon: np.ndarray) -> float:
     """Distance from a point to a convex polygon (0 inside)."""
     m = polygon.shape[0]
@@ -429,12 +427,7 @@ def hull_hausdorff_distance(data: DelzantData, mus: np.ndarray,
     hull = ConvexHull(points)
     hull_polygon = points[hull.vertices]  # counterclockwise
 
-    vertex_pts = np.array(
-        [[s.to_float(precision) for s in v.point] for v in data.polytope.vertices]
-    )
-    center = vertex_pts.mean(axis=0)
-    angles = np.arctan2(vertex_pts[:, 1] - center[1], vertex_pts[:, 0] - center[0])
-    delta_polygon = vertex_pts[np.argsort(angles)]
+    delta_polygon = _polygon_order(_vertex_floats(data.polytope, precision))
 
     forward = max(_point_to_polygon(pt, delta_polygon) for pt in hull_polygon)
     backward = max(_point_to_polygon(pt, hull_polygon) for pt in delta_polygon)

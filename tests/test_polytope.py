@@ -1,16 +1,22 @@
 """Polytope parsing, vertex enumeration, simplicity, rationality, integrality.
 
 Vertex enumeration is cross-checked against an independent float-based
-enumerator (numpy solves over all facet subsets) on every builtin.
+enumerator (numpy solves over all facet subsets) on every builtin, and
+the boundedness and full-dimension verdicts against exact brute-force
+oracles (a recession scan over all (n-1)-subsets of facets and the rank
+of the vertex differences) on random H-representations.
 """
 
 import itertools
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifold import (
     LowerDimensional,
@@ -39,6 +45,11 @@ def doc(dimension, facets, field=None, extra=None):
 
 
 SQRT2_FIELD = {"minpoly": ["-2", "0", "1"], "root_interval": ["1", "2"]}
+
+CONE_FACETS = [
+    (["-1", "0", "1"], "0"), (["1", "0", "1"], "0"),
+    (["0", "-1", "1"], "0"), (["0", "1", "1"], "0"),
+]
 
 
 # --------------------------------------------------------------------------
@@ -72,13 +83,33 @@ class TestParse:
         with pytest.raises(LowerDimensional):
             parse_polytope(doc(1, [(["1"], "2"), (["-1"], "0")]))
 
+    def test_empty_feasible_set_with_recession_ray(self):
+        # x >= 1, -x >= 0, y >= 0: empty, although every constraint allows
+        # the ray (0, 1); emptiness is decided first
+        with pytest.raises(LowerDimensional, match="feasible set is empty"):
+            parse_polytope(doc(2, [
+                (["1", "0"], "1"), (["-1", "0"], "0"), (["0", "1"], "0"),
+            ]))
+
     def test_lower_dimensional_slab(self):
         # x = 0 slab crossed with [0,1]: nonempty but affinely 1-dimensional
-        with pytest.raises(LowerDimensional):
+        with pytest.raises(LowerDimensional, match="facet 0 is active at every vertex"):
             parse_polytope(doc(2, [
                 (["1", "0"], "0"), (["-1", "0"], "0"),
                 (["0", "1"], "0"), (["0", "-1"], "-1"),
             ]))
+
+    def test_cone_with_non_simple_apex_is_unbounded(self):
+        # z >= |x|, z >= |y|: four facets meet at the apex
+        with pytest.raises(UnboundedPolytope) as info:
+            parse_polytope(doc(3, CONE_FACETS))
+        assert [s.as_fraction() for s in info.value.direction] == [1, 1, 1]
+
+    def test_capped_cone_parses(self):
+        p = parse_polytope(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]))
+        apex = next(v for v in p.vertices if all(s.is_zero() for s in v.point))
+        assert apex.active == (0, 1, 2, 3)
+        assert len(p.vertices) == 5
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("dimension"),
@@ -197,6 +228,102 @@ class TestVertices:
         exact = [np.array([s.to_float() for s in v.point]) for v in p.vertices]
         for mu in oracle:
             assert min(np.linalg.norm(mu - e) for e in exact) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# Boundedness and full dimension against exact brute-force oracles
+# --------------------------------------------------------------------------
+
+def _rref(rows, width):
+    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def brute_force_outcome(normals, offsets, n):
+    """(exception type or None, vertex points) by exhaustive subset scans:
+    vertices from every n-subset of facets, a recession ray from every
+    (n-1)-subset, then the rank of the vertex differences."""
+    d = len(normals)
+    if len(_rref(normals, n)[1]) < n:
+        return NormalsDontSpan, []
+    vertices = []
+    for subset in itertools.combinations(range(d), n):
+        rows, pivots = _rref([normals[j] + [offsets[j]] for j in subset], n + 1)
+        if pivots != list(range(n)):
+            continue
+        point = [row[n] for row in rows]
+        if point not in vertices and all(
+                _dot(x, point) >= b for x, b in zip(normals, offsets)):
+            vertices.append(point)
+    if not vertices:
+        return LowerDimensional, []
+    for subset in itertools.combinations(range(d), n - 1):
+        rows, pivots = _rref([normals[j] for j in subset], n)
+        if len(pivots) != n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        ray = [Fraction(0)] * n
+        ray[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            ray[c] = -row[free]
+        for candidate in (ray, [-x for x in ray]):
+            if all(_dot(x, candidate) >= 0 for x in normals):
+                return UnboundedPolytope, vertices
+    differences = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    if len(_rref(differences, n)[1]) < n:
+        return LowerDimensional, vertices
+    return None, vertices
+
+
+@st.composite
+def h_representations(draw):
+    n = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(4, 7))
+    normal = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    normals = draw(st.lists(normal, min_size=d, max_size=d))
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return n, normals, offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(h_representations())
+@example((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1]))     # square
+@example((2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, -1]))      # segment
+@example((2, [[1, 0], [-1, 0], [0, 1], [1, 1]], [1, 0, 0, 0]))        # empty, with a ray
+@example((3, [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]], [0, 0, 0, 0]))  # cone
+def test_parse_agrees_with_brute_force(case):
+    n, normals, offsets = case
+    expected, oracle_vertices = brute_force_outcome(normals, offsets, n)
+    document = doc(n, [([str(x) for x in normal], str(b))
+                       for normal, b in zip(normals, offsets)])
+    if expected is None:
+        p = parse_polytope(document)
+        points = [[s.as_fraction() for s in v.point] for v in p.vertices]
+        assert sorted(points) == sorted(oracle_vertices)
+        return
+    with pytest.raises(expected) as info:
+        parse_polytope(document)
+    if expected is UnboundedPolytope:
+        ray = [s.as_fraction() for s in info.value.direction]
+        assert any(ray)
+        assert all(_dot(x, ray) >= 0 for x in normals)
 
 
 # --------------------------------------------------------------------------

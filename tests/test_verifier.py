@@ -61,12 +61,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_level_set(construct_builtin("square"), -1)
 
-    def test_sample_indexing(self):
-        samples = sample_level_set(construct_builtin("cp2"), 8, seed=2)
-        one = samples[3]
-        assert np.array_equal(one.mu, samples.mu[3])
-        assert len(list(samples)) == 8
-
     def test_thin_polytope_samples_inside(self):
         # diagonal strip of width 1e-6 inside a unit box: a bounding-box
         # rejection sampler would accept about one draw in 10^6
