@@ -2,16 +2,14 @@
 
 Commands: examples, analyze, construct, verify, plot.  Exit codes are a
 contract: 0 success, 1 I/O error, 2 validation failure, 3 verification
-threshold failure.  The environment variable QUASIFOLD_PRECISION
-overrides the default 1e-12 certified evaluation precision.
+threshold failure.  Each float rendering of an exact value is the
+midpoint of a certified interval of width at most 1e-12.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -126,11 +124,11 @@ def _write_csv(path: Path, mus: np.ndarray, phis: np.ndarray) -> None:
             handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
 
 
-def _image(data, sample_set, precision: float) -> np.ndarray:
+def _image(data, sample_set) -> np.ndarray:
     """Phi of every sample, or an empty (0, n) array for no samples."""
     if not len(sample_set):
         return np.zeros((0, data.dim))
-    return induced_moment(sample_set.z, data, tol=None, precision=precision)
+    return induced_moment(sample_set.z, data, tol=None)
 
 
 def _write_svg(path: Path, outline: np.ndarray, scatter: np.ndarray) -> None:
@@ -165,13 +163,13 @@ def _write_svg(path: Path, outline: np.ndarray, scatter: np.ndarray) -> None:
 # Commands
 # --------------------------------------------------------------------------
 
-def cmd_examples(args, precision: float) -> int:
+def cmd_examples(args) -> int:
     for name in corpus.builtin_names():
         sys.stdout.write(f"{name:16s} {corpus.DESCRIPTIONS.get(name, '')}\n")
     return EXIT_OK
 
 
-def cmd_analyze(args, precision: float) -> int:
+def cmd_analyze(args) -> int:
     poly = parse_polytope(_load_document(args))
     simplicity = check_simple(poly)
     certificate = check_rational(poly)
@@ -180,7 +178,7 @@ def cmd_analyze(args, precision: float) -> int:
         "facets": poly.facet_count,
         "field": _render_field(poly.field),
         "vertices": [
-            {**_render_vector(v.point, precision), "active_facets": list(v.active)}
+            {**_render_vector(v.point), "active_facets": list(v.active)}
             for v in poly.vertices
         ],
         "simple": {
@@ -211,14 +209,14 @@ def cmd_analyze(args, precision: float) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args, precision: float) -> int:
+def cmd_construct(args) -> int:
     poly = parse_polytope(_load_document(args))
     data = build_construction(poly)
-    _emit_json(construction_report(data, precision), args.out)
+    _emit_json(construction_report(data), args.out)
     return EXIT_OK
 
 
-def cmd_verify(args, precision: float) -> int:
+def cmd_verify(args) -> int:
     if args.samples < 0:
         raise SchemaError("--samples must be nonnegative")
     poly = parse_polytope(_load_document(args))
@@ -226,12 +224,10 @@ def cmd_verify(args, precision: float) -> int:
     report = run_verification(
         data, samples=args.samples, seed=args.seed,
         tol_roundtrip=args.tol_roundtrip, tol_rank=args.tol_rank,
-        precision=precision,
     )
     _emit_json(report.as_dict(), args.out)
     if args.csv is not None:
-        sample_set = report.sample_set
-        _write_csv(args.csv, sample_set.mu, _image(data, sample_set, precision))
+        _write_csv(args.csv, report.sample_set.mu, report.phi)
     if not report.passed:
         sys.stderr.write(
             "verification failed: " + ", ".join(report.failures) + "\n"
@@ -240,7 +236,7 @@ def cmd_verify(args, precision: float) -> int:
     return EXIT_OK
 
 
-def cmd_plot(args, precision: float) -> int:
+def cmd_plot(args) -> int:
     if args.svg is None and args.csv is None:
         raise SchemaError("plot needs --svg and/or --csv")
     if args.samples < 0:
@@ -249,12 +245,12 @@ def cmd_plot(args, precision: float) -> int:
     data = build_construction(poly)
     if args.svg is not None and data.dim != 2:
         raise DimensionUnsupported(f"SVG plots need n = 2, polytope has n = {data.dim}")
-    sample_set = sample_level_set(data, args.samples, seed=args.seed, precision=precision)
-    phis = _image(data, sample_set, precision)
+    sample_set = sample_level_set(data, args.samples, seed=args.seed)
+    phis = _image(data, sample_set)
     if args.csv is not None:
         _write_csv(args.csv, sample_set.mu, phis)
     if args.svg is not None:
-        outline = _polygon_order(_vertex_floats(poly, precision))
+        outline = _polygon_order(_vertex_floats(poly))
         _write_svg(args.svg, outline, phis)
     return EXIT_OK
 
@@ -266,16 +262,8 @@ def cmd_plot(args, precision: float) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw = os.environ.get("QUASIFOLD_PRECISION", "")
     try:
-        precision = float(raw) if raw else 1e-12
-        if not (precision > 0 and math.isfinite(precision)):
-            raise ValueError
-    except ValueError:
-        sys.stderr.write(f"invalid QUASIFOLD_PRECISION: {raw!r}\n")
-        return EXIT_VALIDATION
-    try:
-        return args.func(args, precision)
+        return args.func(args)
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO

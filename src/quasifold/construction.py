@@ -11,6 +11,7 @@ reduction.  Exact data stays exact; float renderings are certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .polytope import (
     check_delzant,
     check_simple,
 )
-from .scalars import DEFAULT_PRECISION, Field, Scalar
+from .scalars import Field, Scalar
 
 MANIFOLD = "manifold"
 ORBIFOLD = "orbifold"
@@ -89,9 +90,6 @@ class DelzantData:
     n_rational_dim: int
     classification: Classification
 
-    def __post_init__(self):
-        self._float_cache: dict[float, _FloatData] = {}
-
     @property
     def ambient_dim(self) -> int:
         return self.polytope.facet_count
@@ -109,40 +107,36 @@ class DelzantData:
     def n_compact(self) -> bool:
         return self.n_rational_dim == self.ambient_dim - self.dim
 
-    def floats(self, precision: float = DEFAULT_PRECISION) -> "_FloatData":
-        cached = self._float_cache.get(precision)
-        if cached is None:
-            cached = _FloatData.build(self, precision)
-            self._float_cache[precision] = cached
-        return cached
+    @cached_property
+    def floats(self) -> "_FloatData":
+        return _FloatData.build(self)
 
 
 class _FloatData:
-    """Certified-precision float mirror of the exact construction data."""
+    """Float mirror of the exact construction data (Scalar.to_float of
+    each entry)."""
 
-    def __init__(self, stack, lam, kernel, pinv_stack, lift):
+    def __init__(self, stack, lam, kernel, pinv_stack):
         self.stack = stack          # (d, n), row j is X_j
         self.lam = lam              # (d,)
         self.kernel = kernel        # (d-n, d), rows span Lie(N)
         self.pinv_stack = pinv_stack  # (n, d), least-squares inverse of stack
-        self.lift = lift            # (d, n), least-norm right inverse of pi
 
     @classmethod
-    def build(cls, data: "DelzantData", precision: float) -> "_FloatData":
+    def build(cls, data: "DelzantData") -> "_FloatData":
         stack = np.array(
-            [[s.to_float(precision) for s in normal] for normal in data.polytope.normals],
+            [[s.to_float() for s in normal] for normal in data.polytope.normals],
             dtype=float,
         )
-        lam = np.array([s.to_float(precision) for s in data.offsets], dtype=float)
+        lam = np.array([s.to_float() for s in data.offsets], dtype=float)
         kernel = np.array(
-            [[s.to_float(precision) for s in vec] for vec in data.kernel_basis],
+            [[s.to_float() for s in vec] for vec in data.kernel_basis],
             dtype=float,
         ).reshape(len(data.kernel_basis), data.polytope.facet_count)
         svals = np.linalg.svd(stack, compute_uv=False)
         if svals[-1] <= svals[0] * 1e-13:
             raise IllConditioned("facet normal matrix is numerically rank-deficient")
-        pinv_stack = np.linalg.pinv(stack)
-        return cls(stack, lam, kernel, pinv_stack, pinv_stack.T)
+        return cls(stack, lam, kernel, np.linalg.pinv(stack))
 
 
 # --------------------------------------------------------------------------
@@ -201,21 +195,18 @@ def build_construction(p: HPolytope) -> DelzantData:
 # Moment maps (float side)
 # --------------------------------------------------------------------------
 
-def torus_moment(z, data: DelzantData, precision: float = DEFAULT_PRECISION):
+def torus_moment(z, data: DelzantData):
     """Ambient-torus moment map J(z)_j = |z_j|^2 + lambda_j."""
-    f = data.floats(precision)
     z = np.asarray(z, dtype=complex)
-    return np.abs(z) ** 2 + f.lam
+    return np.abs(z) ** 2 + data.floats.lam
 
 
-def kernel_moment(z, data: DelzantData, precision: float = DEFAULT_PRECISION):
+def kernel_moment(z, data: DelzantData):
     """Moment map of the reduced subgroup N; zero on the level set."""
-    f = data.floats(precision)
-    return torus_moment(z, data, precision) @ f.kernel.T
+    return torus_moment(z, data) @ data.floats.kernel.T
 
 
-def induced_moment(z, data: DelzantData, tol: float | None = 1e-8,
-                   precision: float = DEFAULT_PRECISION):
+def induced_moment(z, data: DelzantData, tol: float | None = 1e-8):
     """Moment map of the quotient torus: least-squares solution mu of
     <mu, X_j> = J(z)_j.  On the level set the system is consistent and
     the image point lies in the polytope.
@@ -223,8 +214,8 @@ def induced_moment(z, data: DelzantData, tol: float | None = 1e-8,
     tol bounds |Psi(z)| before solving; pass None to evaluate the smooth
     extension off the level set (used by derivative checks).
     """
-    f = data.floats(precision)
-    j = torus_moment(z, data, precision)
+    f = data.floats
+    j = torus_moment(z, data)
     if tol is not None:
         level = j @ f.kernel.T
         worst = float(np.max(np.abs(level))) if level.size else 0.0
@@ -341,14 +332,10 @@ def classify(data: DelzantData) -> Classification:
 # Report rendering
 # --------------------------------------------------------------------------
 
-def _render_scalar(s: Scalar, precision: float) -> dict:
-    return {"exact": s.to_expr(), "float": s.to_float(precision)}
-
-
-def _render_vector(vec: Sequence[Scalar], precision: float) -> dict:
+def _render_vector(vec: Sequence[Scalar]) -> dict:
     return {
         "exact": [s.to_expr() for s in vec],
-        "float": [s.to_float(precision) for s in vec],
+        "float": [s.to_float() for s in vec],
     }
 
 
@@ -360,7 +347,7 @@ def _render_field(fld: Field) -> dict:
     }
 
 
-def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION) -> dict:
+def construction_report(data: DelzantData) -> dict:
     """JSON-ready summary; exact expressions alongside certified floats."""
     p = data.polytope
     cls = data.classification
@@ -373,15 +360,15 @@ def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION)
         "n_rational_dim": data.n_rational_dim,
         "n_compact": data.n_compact,
         "field": _render_field(p.field),
-        "projection": [_render_vector(row, precision) for row in data.projection.rows],
-        "offsets": _render_vector(data.offsets, precision),
-        "kernel_basis": [_render_vector(v, precision) for v in data.kernel_basis],
+        "projection": [_render_vector(row) for row in data.projection.rows],
+        "offsets": _render_vector(data.offsets),
+        "kernel_basis": [_render_vector(v) for v in data.kernel_basis],
         "quasilattice": {
-            "generators": [_render_vector(g, precision) for g in data.quasilattice.generators],
+            "generators": [_render_vector(g) for g in data.quasilattice.generators],
             "is_lattice": data.quasilattice.is_lattice,
             "rational_rank": cert.rank,
             "lattice_basis": (
-                [_render_vector(b, precision) for b in cert.basis]
+                [_render_vector(b) for b in cert.basis]
                 if cert.rational else None
             ),
             "generator_coordinates": (
@@ -399,11 +386,11 @@ def construction_report(data: DelzantData, precision: float = DEFAULT_PRECISION)
         },
         "charts": [
             {
-                "vertex": _render_vector(chart.vertex.point, precision),
+                "vertex": _render_vector(chart.vertex.point),
                 "active_facets": list(chart.vertex.active),
-                "squared_moduli": _render_vector(chart.squared_moduli, precision),
+                "squared_moduli": _render_vector(chart.squared_moduli),
                 "generator_coords": [
-                    _render_vector(c, precision) for c in chart.generator_coords
+                    _render_vector(c) for c in chart.generator_coords
                 ],
                 "finite": chart.finite,
                 "order": chart.order,

@@ -18,7 +18,12 @@ import numpy as np
 
 from .construction import DelzantData, fixed_points, induced_moment, kernel_moment
 from .errors import DimensionUnsupported, StepOutOfRange
-from .scalars import DEFAULT_PRECISION
+
+# Finite-difference step and (sample, direction) pair count of the
+# Hamiltonian check; samples moved by the invariance check.
+HAMILTONIAN_STEP = 1e-5
+HAMILTONIAN_PAIRS = 100
+INVARIANCE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,9 @@ class SampleSet:
         return self.mu.shape[0]
 
 
-def _vertex_floats(polytope, precision: float) -> np.ndarray:
+def _vertex_floats(polytope) -> np.ndarray:
     """The polytope's vertices as a (V, n) float array, in vertex order."""
-    return np.array([[s.to_float(precision) for s in v.point] for v in polytope.vertices])
+    return np.array([[s.to_float() for s in v.point] for v in polytope.vertices])
 
 
 def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
@@ -59,12 +64,12 @@ def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
     return simplices
 
 
-def _dissection(data: DelzantData, precision: float) -> tuple[np.ndarray, np.ndarray]:
+def _dissection(data: DelzantData) -> tuple[np.ndarray, np.ndarray]:
     """Corners (m, n+1, n) of a pulling dissection of the polytope into
     n-simplices, and each simplex's |det| of its edge matrix (n! times
     its volume)."""
     vertices = data.polytope.vertices
-    points = _vertex_floats(data.polytope, precision)
+    points = _vertex_floats(data.polytope)
     active = [frozenset(v.active) for v in vertices]
     simplices = _pulling_dissection(active, range(len(vertices)), data.dim)
     corners = points[np.array(simplices)]
@@ -72,8 +77,7 @@ def _dissection(data: DelzantData, precision: float) -> tuple[np.ndarray, np.nda
     return corners, weights
 
 
-def sample_level_set(data: DelzantData, count: int, seed: int = 0,
-                     precision: float = DEFAULT_PRECISION) -> SampleSet:
+def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
     """Draw level-set samples: mu exactly uniform in the polytope, phases
     uniform in [0, 1).
 
@@ -85,7 +89,7 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0,
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    f = data.floats(precision)
+    f = data.floats
     d = data.ambient_dim
     if count == 0:
         return SampleSet(
@@ -93,7 +97,7 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0,
             z=np.zeros((0, d), dtype=complex),
         )
     rng = np.random.default_rng(seed)
-    corners, weights = _dissection(data, precision)
+    corners, weights = _dissection(data)
     cumulative = np.cumsum(weights)
     pick = np.searchsorted(cumulative, rng.random(count) * cumulative[-1], side="right")
     pick = np.minimum(pick, len(weights) - 1)  # the product can round up to the total
@@ -118,50 +122,47 @@ class ImageCheck:
     max_roundtrip_error: float
     min_containment_slack: float
     vertex_gaps: tuple[float, ...]
+    phi: np.ndarray = dc_field(repr=False, compare=False)  # (N, n), Phi of each sample
 
 
-def verify_moment_image(data: DelzantData, samples: SampleSet,
-                        precision: float = DEFAULT_PRECISION) -> ImageCheck:
+def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
     """Round-trip mu -> z -> Phi(z) and containment of the image in the
     polytope; also evaluates the fiber over every vertex, whose image
     must hit the vertex itself (fixed points are exact)."""
-    f = data.floats(precision)
+    f = data.floats
     if len(samples):
-        phi = induced_moment(samples.z, data, tol=None, precision=precision)
+        phi = induced_moment(samples.z, data, tol=None)
         roundtrip = float(np.max(np.abs(phi - samples.mu)))
         containment = float(np.min(phi @ f.stack.T - f.lam))
     else:
+        phi = np.zeros((0, data.dim))
         roundtrip = 0.0
         containment = 0.0
     gaps = []
     for chart in fixed_points(data):
-        moduli = np.array([max(s.to_float(precision), 0.0) for s in chart.squared_moduli])
+        moduli = np.array([max(s.to_float(), 0.0) for s in chart.squared_moduli])
         z_vertex = np.sqrt(moduli).astype(complex)
-        target = np.array([s.to_float(precision) for s in chart.vertex.point])
-        image = induced_moment(z_vertex, data, tol=None, precision=precision)
+        target = np.array([s.to_float() for s in chart.vertex.point])
+        image = induced_moment(z_vertex, data, tol=None)
         gaps.append(float(np.max(np.abs(image - target))))
     return ImageCheck(max_roundtrip_error=roundtrip,
                       min_containment_slack=containment,
-                      vertex_gaps=tuple(gaps))
+                      vertex_gaps=tuple(gaps), phi=phi)
 
 
-def check_regular_value(data: DelzantData, samples: SampleSet,
-                        precision: float = DEFAULT_PRECISION) -> float:
+def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
     """Smallest relative singular value of the level-map Jacobian across
     the samples.  Row k of the Jacobian at z is
     2*B_kj*(x_j, y_j) over the 2d real coordinates; a margin bounded away
-    from zero certifies 0 is a regular value along the sampled set."""
+    from zero certifies 0 is a regular value along the sampled set.
+
+    J J^T = 4 B diag(|z|^2) B^T, so J has the singular values of the
+    (d-n, d) matrix 2 B diag(|z|); their ratio needs neither the 2 nor
+    the phases."""
     if not len(samples):
         return math.inf
-    f = data.floats(precision)
-    x = samples.z.real
-    y = samples.z.imag
-    # jac: (N, d-n, 2d)
-    jac = np.concatenate([
-        2.0 * f.kernel[None, :, :] * x[:, None, :],
-        2.0 * f.kernel[None, :, :] * y[:, None, :],
-    ], axis=2)
-    svals = np.linalg.svd(jac, compute_uv=False)
+    scaled = data.floats.kernel[None, :, :] * np.abs(samples.z)[:, None, :]
+    svals = np.linalg.svd(scaled, compute_uv=False)
     margins = svals[:, -1] / svals[:, 0]
     return float(np.min(margins))
 
@@ -171,16 +172,15 @@ def check_regular_value(data: DelzantData, samples: SampleSet,
 # --------------------------------------------------------------------------
 
 def _hamiltonian_residuals(data: DelzantData, z: np.ndarray, directions: np.ndarray,
-                           h: float, precision: float) -> np.ndarray:
+                           h: float) -> np.ndarray:
     """Max coordinatewise discrepancy between i(X_M) omega_0 and the
     central finite difference of d<Phi, X>, per (z, X) pair."""
     if not (1e-8 <= h <= 1e-3):
         raise StepOutOfRange(f"step {h} outside [1e-8, 1e-3]")
-    f = data.floats(precision)
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     n_pairs, d = z.shape
-    lifts = directions @ f.lift.T  # least-norm pi-preimages, (N, d)
+    lifts = directions @ data.floats.pinv_stack  # least-norm pi-preimages, (N, d)
     x, y = z.real, z.imag
 
     # omega_0 = (1/2*pi*i) sum dz^dzbar = c * sum dx^dy with c = -1/pi.
@@ -193,7 +193,7 @@ def _hamiltonian_residuals(data: DelzantData, z: np.ndarray, directions: np.ndar
     lhs = np.concatenate([-c * vy, c * vx], axis=1)  # dx coefficients, then dy
 
     def f_value(w: np.ndarray) -> np.ndarray:
-        phi = induced_moment(w, data, tol=None, precision=precision)
+        phi = induced_moment(w, data, tol=None)
         return np.einsum("ij,ij->i", phi, directions)
 
     fd = np.empty((n_pairs, 2 * d))
@@ -207,12 +207,11 @@ def _hamiltonian_residuals(data: DelzantData, z: np.ndarray, directions: np.ndar
     return np.max(np.abs(lhs - fd), axis=1)
 
 
-def check_hamiltonian_identity(data: DelzantData, z, direction, h: float = 1e-5,
-                               precision: float = DEFAULT_PRECISION) -> float:
+def check_hamiltonian_identity(data: DelzantData, z, direction,
+                               h: float = HAMILTONIAN_STEP) -> float:
     """Residual of i(X_M) omega_0 = d<Phi, X> at one point, one direction."""
     res = _hamiltonian_residuals(data, np.asarray(z, dtype=complex)[None, :],
-                                 np.asarray(direction, dtype=float)[None, :],
-                                 h, precision)
+                                 np.asarray(direction, dtype=float)[None, :], h)
     return float(res[0])
 
 
@@ -227,28 +226,27 @@ class InvarianceCheck:
     effectiveness_index: int | None
 
 
-def check_invariance(data: DelzantData, samples: SampleSet, seed=0,
-                     precision: float = DEFAULT_PRECISION, take: int = 64) -> InvarianceCheck:
+def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> InvarianceCheck:
     """Psi under random full-torus elements, Phi under random elements of
-    the kernel subgroup, plus a free-orbit witness (a sample with every
-    modulus positive, where the torus action is effective)."""
+    the kernel subgroup, on the first INVARIANCE_SAMPLES samples, plus a
+    free-orbit witness (a sample with every modulus positive, where the
+    torus action is effective)."""
     rng = np.random.default_rng(seed)
-    k = min(take, len(samples))
+    k = min(INVARIANCE_SAMPLES, len(samples))
     z = samples.z[:k]
     d = data.ambient_dim
-    f = data.floats(precision)
+    f = data.floats
     if k:
         theta = rng.uniform(0.0, 1.0, size=(k, d))
         rotated = z * np.exp(2j * np.pi * theta)
         torus = float(np.max(np.abs(
-            kernel_moment(rotated, data, precision) - kernel_moment(z, data, precision)
+            kernel_moment(rotated, data) - kernel_moment(z, data)
         )))
         sigma = rng.uniform(-1.0, 1.0, size=(k, f.kernel.shape[0]))
         theta_n = (sigma @ f.kernel) % 1.0
         moved = z * np.exp(2j * np.pi * theta_n)
         kernel_res = float(np.max(np.abs(
-            induced_moment(moved, data, tol=None, precision=precision)
-            - induced_moment(z, data, tol=None, precision=precision)
+            induced_moment(moved, data, tol=None) - induced_moment(z, data, tol=None)
         )))
     else:
         torus = 0.0
@@ -283,9 +281,12 @@ class VerificationReport:
     effectiveness_index: int | None = None
     failures: list = dc_field(default_factory=list)
     passed: bool = True
-    # The level-set samples every check saw; not part of the JSON report.
+    # The level-set samples every check saw and Phi of each (N, n); not
+    # part of the JSON report.
     sample_set: SampleSet | None = dc_field(default=None, init=False, repr=False,
                                             compare=False)
+    phi: np.ndarray | None = dc_field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -311,15 +312,14 @@ class VerificationReport:
 
 
 def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
-                     tol_roundtrip: float = 1e-8, tol_rank: float = 1e-6,
-                     h: float = 1e-5, hamiltonian_pairs: int = 100,
-                     precision: float = DEFAULT_PRECISION) -> VerificationReport:
+                     tol_roundtrip: float = 1e-8,
+                     tol_rank: float = 1e-6) -> VerificationReport:
     """Run every check at its standard tolerance and collect the report.
 
     Thresholds: level residual 1e-9, round-trip and containment
-    tol_roundtrip, rank margin tol_rank, Hamiltonian residual 1e-6 at the
-    given step, torus invariance 1e-9, kernel-group invariance 1e-8,
-    vertex attainment 1e-9.
+    tol_roundtrip, rank margin tol_rank, Hamiltonian residual 1e-6 at step
+    HAMILTONIAN_STEP on the first HAMILTONIAN_PAIRS samples, torus
+    invariance 1e-9, kernel-group invariance 1e-8, vertex attainment 1e-9.
     """
     tolerances = {
         "level_residual": 1e-9,
@@ -332,27 +332,28 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
         "vertex_attainment": 1e-9,
     }
     report = VerificationReport(sample_count=samples, seed=seed,
-                                hamiltonian_step=h, tolerances=tolerances)
-    sample_set = sample_level_set(data, samples, seed=seed, precision=precision)
+                                hamiltonian_step=HAMILTONIAN_STEP, tolerances=tolerances)
+    sample_set = sample_level_set(data, samples, seed=seed)
     report.sample_set = sample_set
 
     if len(sample_set):
-        level = kernel_moment(sample_set.z, data, precision)
+        level = kernel_moment(sample_set.z, data)
         report.max_level_residual = float(np.max(np.abs(level)))
-    image = verify_moment_image(data, sample_set, precision)
+    image = verify_moment_image(data, sample_set)
+    report.phi = image.phi
     report.max_roundtrip_error = image.max_roundtrip_error
     report.min_containment_slack = image.min_containment_slack
     report.vertex_attainment_gaps = list(image.vertex_gaps)
-    report.min_rank_margin = check_regular_value(data, sample_set, precision)
+    report.min_rank_margin = check_regular_value(data, sample_set)
 
-    pairs = min(hamiltonian_pairs, len(sample_set))
+    pairs = min(HAMILTONIAN_PAIRS, len(sample_set))
     if pairs:
         dir_rng = np.random.default_rng([seed, 1])
         directions = dir_rng.standard_normal((pairs, data.dim))
         residuals = _hamiltonian_residuals(data, sample_set.z[:pairs], directions,
-                                           h, precision)
+                                           HAMILTONIAN_STEP)
         report.max_hamiltonian_residual = float(np.max(residuals))
-    invariance = check_invariance(data, sample_set, seed=[seed, 2], precision=precision)
+    invariance = check_invariance(data, sample_set, seed=[seed, 2])
     report.invariance = {
         "torus": invariance.torus_residual,
         "kernel_group": invariance.kernel_group_residual,
@@ -412,8 +413,7 @@ def _point_to_polygon(point: np.ndarray, polygon: np.ndarray) -> float:
     return 0.0 if inside else best
 
 
-def hull_hausdorff_distance(data: DelzantData, mus: np.ndarray,
-                            precision: float = DEFAULT_PRECISION) -> float:
+def hull_hausdorff_distance(data: DelzantData, mus: np.ndarray) -> float:
     """Hausdorff distance between the convex hull of image points and the
     polytope itself; both polygons are convex, so vertex-to-polygon
     distances realize the supremum."""
@@ -427,7 +427,7 @@ def hull_hausdorff_distance(data: DelzantData, mus: np.ndarray,
     hull = ConvexHull(points)
     hull_polygon = points[hull.vertices]  # counterclockwise
 
-    delta_polygon = _polygon_order(_vertex_floats(data.polytope, precision))
+    delta_polygon = _polygon_order(_vertex_floats(data.polytope))
 
     forward = max(_point_to_polygon(pt, delta_polygon) for pt in hull_polygon)
     backward = max(_point_to_polygon(pt, hull_polygon) for pt in delta_polygon)

@@ -253,6 +253,39 @@ def test_csv_bytes_match_csv_writer(tmp_path):
         tmp_path / "oracle.csv", mus, phis)
 
 
+# sha256 of the `verify --samples 2000 --seed 0 --csv` file for every
+# constructible corpus entry.
+VERIFY_CSV_DIGESTS = {
+    "cp2": "2d17357d72d27784aa01ca905be336026ed0bcf49802c7518dfb7b3302eea3c1",
+    "cube": "9758e1c709af98081374fba29a21561c36250dfcc9c17e1cf9e7c1c8a9815fb6",
+    "interval-sqrt2": "998e0b6f8528eb83f532dcb2b1376936ce8fe9f7368efd2cfedfe81753647b67",
+    "pentagon": "5784100557da98e43fef4cb73782a1c141208ea68102da1201d4c32f6002c98d",
+    "rugby-2": "d3d924e6b8e5f680a490defe59535c063f6adf43bbdb614ed4edae21dd7aa258",
+    "rugby-3": "f7dae3af29e156b648678a331643de97faf812dbaf7f461c1b0b111ef5ff96a0",
+    "rugby-5": "793049b84259570c41ce2d92027b44bf104bcbe787caabf384e5fc93e5e1a528",
+    "sphere": "4cd3e368c36e81130256653f3bd167aad776e881360324875bdf1971ce635681",
+    "square": "f92fe95917324e81d19ceba4b506199c1f6bd377bbaa596fb01a11b39d65acc5",
+    "teardrop-2": "c1da7937fab24ca58ce82c30f0da71155176877820cad122edba99046efb3c48",
+    "teardrop-3": "7aa0706cfebf93fed76958e4437ce1e4c8ae863219af0446b605f131c2062794",
+    "teardrop-5": "797f7353281ce627bf3d77686f882454a144a2fe6ec9e8d61aad5f956b5523f2",
+    "triangle-sqrt2": "fd3272c3571fb94dfbe5a5f38e62ad18be5ee16b48a9046e5437ed565e23f89b",
+}
+
+
+def test_verify_csv_digests_cover_the_constructible_corpus():
+    assert sorted(VERIFY_CSV_DIGESTS) == sorted(
+        name for name in builtin_names() if GOLDEN_DIGESTS[name][1] is not None)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CSV_DIGESTS))
+def test_verify_csv_bytes_match_golden_digests(capsys, tmp_path, name):
+    out_csv = tmp_path / "pairs.csv"
+    code, _, err = run(capsys, "verify", "--builtin", name, "--samples", "2000",
+                       "--seed", "0", "--csv", str(out_csv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == VERIFY_CSV_DIGESTS[name]
+
+
 def test_verify_zero_samples_csv_is_header_only(capsys, tmp_path):
     out_csv = tmp_path / "pairs.csv"
     code, _, _ = run(capsys, "verify", "--builtin", "cube", "--samples", "0",
@@ -324,24 +357,6 @@ def test_plot_zero_samples_outline_only(capsys, tmp_path):
 def test_plot_needs_some_output(capsys):
     code, _, err = run(capsys, "plot", "--builtin", "square")
     assert code == 2
-
-
-# --------------------------------------------------------------------------
-# precision env var
-# --------------------------------------------------------------------------
-
-def test_invalid_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("QUASIFOLD_PRECISION", "banana")
-    code, _, err = run(capsys, "examples")
-    assert code == 2
-    assert "QUASIFOLD_PRECISION" in err
-
-
-def test_precision_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("QUASIFOLD_PRECISION", "1e-10")
-    code, out, _ = run(capsys, "construct", "--builtin", "sphere")
-    assert code == 0
-    json.loads(out)
 
 
 def test_negative_samples_rejected(capsys):

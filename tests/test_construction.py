@@ -155,7 +155,7 @@ class TestMomentMaps:
     def test_square_barycenter_round_trip(self):
         data = construct_builtin("square")
         center = np.array([0.5, 0.5])
-        moduli = data.floats().stack @ center - data.floats().lam
+        moduli = data.floats.stack @ center - data.floats.lam
         z = np.sqrt(moduli) * np.exp(2j * np.pi * np.array([0.1, 0.9, 0.25, 0.75]))
         assert np.max(np.abs(induced_moment(z, data) - center)) < 1e-9
 

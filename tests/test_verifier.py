@@ -47,7 +47,7 @@ class TestSampling:
         data = construct_builtin(name)
         samples = sample_level_set(data, 300, seed=1)
         assert len(samples) == 300
-        f = data.floats()
+        f = data.floats
         slack = samples.mu @ f.stack.T - f.lam
         assert np.min(slack) >= -1e-12
         assert np.max(np.abs(kernel_moment(samples.z, data))) <= 1e-9
@@ -76,7 +76,7 @@ class TestSampling:
         data = build_construction(thin)
         samples = sample_level_set(data, 2048, seed=0)
         assert len(samples) == 2048
-        f = data.floats()
+        f = data.floats
         assert np.min(samples.mu @ f.stack.T - f.lam) >= -1e-12
         report = run_verification(data, samples=2048, seed=0)
         assert report.passed, report.failures
@@ -126,19 +126,19 @@ class TestDissection:
     def test_box_has_n_factorial_simplices_of_its_volume(self, n):
         sides = ["1", "2", "1/3", "5/2", "3/4", "7"][:n]
         data = build_construction(parse_polytope(_box(sides)))
-        _, weights = _dissection(data, 1e-12)
+        _, weights = _dissection(data)
         assert len(weights) == math.factorial(n)
         volume = math.prod(-s.to_float() for s in data.polytope.offsets[n:])
         assert weights.sum() / math.factorial(n) == pytest.approx(volume, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["cp2", "triangle-sqrt2", "sphere"])
     def test_simplex_is_one_simplex(self, name):
-        _, weights = _dissection(construct_builtin(name), 1e-12)
+        _, weights = _dissection(construct_builtin(name))
         assert len(weights) == 1
 
     def test_pentagon_area_matches_shoelace(self):
         data = construct_builtin("pentagon")
-        _, weights = _dissection(data, 1e-12)
+        _, weights = _dissection(data)
         assert len(weights) == 3
         area, _ = _shoelace(data)
         assert weights.sum() / 2 == pytest.approx(area, rel=1e-12)
@@ -185,6 +185,7 @@ class TestImage:
         data = construct_builtin("square")
         image = verify_moment_image(data, sample_level_set(data, 0))
         assert image.max_roundtrip_error == 0.0
+        assert image.phi.shape == (0, 2)
         assert max(image.vertex_gaps) <= 1e-9  # fixed points still checked
 
 
@@ -195,10 +196,23 @@ class TestRegularValue:
         margin = check_regular_value(data, sample_level_set(data, 400, seed=4))
         assert margin > 1e-6
 
+    @pytest.mark.parametrize("name", VERIFY_NAMES)
+    def test_margin_matches_full_jacobian(self, name):
+        # Oracle: the SVD of the whole (N, d-n, 2d) real Jacobian
+        # 2*B*(x, y) of the level map.
+        data = construct_builtin(name)
+        samples = sample_level_set(data, 400, seed=4)
+        kernel = data.floats.kernel[None, :, :]
+        jac = np.concatenate([2.0 * kernel * samples.z.real[:, None, :],
+                              2.0 * kernel * samples.z.imag[:, None, :]], axis=2)
+        svals = np.linalg.svd(jac, compute_uv=False)
+        expected = float(np.min(svals[:, -1] / svals[:, 0]))
+        assert check_regular_value(data, samples) == pytest.approx(expected, rel=1e-12)
+
     def test_interval_jacobian_never_vanishes(self):
         data = construct_builtin("interval-sqrt2")
         samples = sample_level_set(data, 500, seed=5)
-        f = data.floats()
+        f = data.floats
         jac_rows = np.concatenate([
             2 * f.kernel[0] * samples.z.real, 2 * f.kernel[0] * samples.z.imag
         ], axis=1)
