@@ -25,7 +25,7 @@ from .construction import (
 )
 from .errors import DimensionUnsupported, QuasifoldError, SchemaError
 from .polytope import check_delzant, check_rational, check_simple, parse_polytope
-from .verify import _polygon_order, _vertex_floats, run_verification, sample_level_set
+from .verify import _vertex_floats, run_verification, sample_level_set
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -124,11 +124,11 @@ def _write_csv(path: Path, mus: np.ndarray, phis: np.ndarray) -> None:
             handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in chunk))
 
 
-def _image(data, sample_set) -> np.ndarray:
-    """Phi of every sample, or an empty (0, n) array for no samples."""
-    if not len(sample_set):
-        return np.zeros((0, data.dim))
-    return induced_moment(sample_set.z, data, tol=None)
+def _polygon_order(points: np.ndarray) -> np.ndarray:
+    """The vertices of a convex polygon sorted by angle about their mean."""
+    center = points.mean(axis=0)
+    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
+    return points[np.argsort(angles)]
 
 
 def _write_svg(path: Path, outline: np.ndarray, scatter: np.ndarray) -> None:
@@ -246,7 +246,7 @@ def cmd_plot(args) -> int:
     if args.svg is not None and data.dim != 2:
         raise DimensionUnsupported(f"SVG plots need n = 2, polytope has n = {data.dim}")
     sample_set = sample_level_set(data, args.samples, seed=args.seed)
-    phis = _image(data, sample_set)
+    phis = induced_moment(sample_set.z, data, tol=None)
     if args.csv is not None:
         _write_csv(args.csv, sample_set.mu, phis)
     if args.svg is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,13 @@ from .errors import (
     NotSimple,
     OffLevelSet,
 )
-from .lattices import LatticeCertificate, quotient_order, rational_rank, span_certificate
+from .lattices import (
+    LatticeCertificate,
+    flatten_vector,
+    quotient_order,
+    rational_rank,
+    span_certificate,
+)
 from .linalg import Matrix, Vector
 from .polytope import (
     DelzantReport,
@@ -171,12 +176,8 @@ def build_construction(p: HPolytope) -> DelzantData:
     )
 
     # Rational points of Lie(N): common rational kernel of every power-basis
-    # coefficient layer of pi.
-    layers = []
-    for row in projection.rows:
-        for k in range(p.field.degree):
-            layers.append([Fraction(entry.coeffs[k]) for entry in row])
-    n_rational_dim = d - rational_rank(layers)[0]
+    # coefficient layer of pi, whose columns are the flattened normals.
+    n_rational_dim = d - rational_rank([flatten_vector(v) for v in p.normals])[0]
 
     data = DelzantData(
         polytope=p,
@@ -240,31 +241,15 @@ def fixed_points(data: DelzantData) -> list[VertexChart]:
     return list(data.classification.charts)
 
 
-def _resolve_vertex(data: DelzantData, v) -> Vertex:
-    vertices = data.polytope.vertices
-    if isinstance(v, int):
-        if 0 <= v < len(vertices):
-            return vertices[v]
-        raise NotAVertex(f"vertex index {v} out of range")
-    if isinstance(v, Vertex):
-        point = v.point
-    else:
-        point = tuple(data.polytope.field.scalar(e) for e in v)
-        if len(point) != data.dim:
-            raise NotAVertex(f"point has {len(point)} coordinates, expected {data.dim}")
-    for candidate in vertices:
-        if candidate.point == point:
-            return candidate
-    raise NotAVertex("point is not a vertex of the polytope")
-
-
-def vertex_structure_group(data: DelzantData, v) -> VertexChart:
-    """Chart group at a vertex: each quasilattice generator is written in
-    the basis of the n active normals (one elimination of the basis
-    augmented by every generator); the group is finite exactly when all
-    coordinates are rational, with order computed via Smith form."""
-    vertex = _resolve_vertex(data, v)
+def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
+    """Chart group at the vertex of index v: each quasilattice generator
+    is written in the basis of the n active normals (one elimination of
+    the basis augmented by every generator); the group is finite exactly
+    when all coordinates are rational, with order computed via Smith form."""
     p = data.polytope
+    if not 0 <= v < len(p.vertices):
+        raise NotAVertex(f"vertex index {v} out of range")
+    vertex = p.vertices[v]
     n = data.dim
     generators = data.quasilattice.generators
     ech = Matrix(p.field, [

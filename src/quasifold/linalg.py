@@ -45,17 +45,6 @@ class Matrix:
         else:
             self.shape = (0, 0 if cols is None else cols)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "Matrix":
-        m, n = self.shape
-        return Matrix(self.field, [[self.rows[i][j] for i in range(m)] for j in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Scalar:
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.field == other.field and self.rows == other.rows
 
@@ -65,23 +54,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        vec = as_vector(self.field, v)
-        m, n = self.shape
-        if len(vec) != n:
-            raise DimensionMismatch(f"vector of length {len(vec)} against {n} columns")
-        zero = self.field.zero
-        return tuple(sum((row[j] * vec[j] for j in range(n)), zero) for row in self.rows)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.shape[1] != other.shape[0]:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.transpose().rows
-        return Matrix(self.field, [
-            [sum((a * b for a, b in zip(row, col)), self.field.zero) for col in cols]
-            for row in self.rows
-        ])
 
     # -- elimination -----------------------------------------------------------
 

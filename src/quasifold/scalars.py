@@ -448,17 +448,6 @@ class Scalar:
             lo, hi = min(products) + c, max(products) + c
         return lo, hi
 
-    def floats(self, precision: float = DEFAULT_PRECISION) -> tuple[float, float]:
-        """Certified float interval: outward-rounded endpoints."""
-        lo, hi = self.eval_interval(precision)
-        flo = float(lo)
-        if Fraction(flo) > lo:
-            flo = math.nextafter(flo, -math.inf)
-        fhi = float(hi)
-        if Fraction(fhi) < hi:
-            fhi = math.nextafter(fhi, math.inf)
-        return (flo, fhi)
-
     def to_float(self, precision: float = DEFAULT_PRECISION) -> float:
         lo, hi = self.eval_interval(precision)
         return float((lo + hi) / 2)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .construction import DelzantData, fixed_points, induced_moment, kernel_moment
-from .errors import DimensionUnsupported, StepOutOfRange
+from .errors import StepOutOfRange
 
 # Finite-difference step and (sample, direction) pair count of the
 # Hamiltonian check; samples moved by the invariance check.
@@ -156,14 +156,16 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
     2*B_kj*(x_j, y_j) over the 2d real coordinates; a margin bounded away
     from zero certifies 0 is a regular value along the sampled set.
 
-    J J^T = 4 B diag(|z|^2) B^T, so J has the singular values of the
-    (d-n, d) matrix 2 B diag(|z|); their ratio needs neither the 2 nor
-    the phases."""
+    J J^T = 4 B diag(|z|^2) B^T, so the squared singular values of J are
+    the eigenvalues of the (d-n, d-n) Gram matrix B diag(|z|^2) B^T up to
+    the factor 4, which the ratio drops, as it drops the phases.  Rounding
+    can push the smallest eigenvalue below zero; it is clipped to 0."""
     if not len(samples):
         return math.inf
-    scaled = data.floats.kernel[None, :, :] * np.abs(samples.z)[:, None, :]
-    svals = np.linalg.svd(scaled, compute_uv=False)
-    margins = svals[:, -1] / svals[:, 0]
+    kernel = data.floats.kernel
+    gram = (kernel[None, :, :] * np.abs(samples.z)[:, None, :] ** 2) @ kernel.T
+    eig = np.linalg.eigvalsh(gram)
+    margins = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
     return float(np.min(margins))
 
 
@@ -381,54 +383,3 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     report.failures = [name for name, ok in checks if not ok]
     report.passed = not report.failures
     return report
-
-
-# --------------------------------------------------------------------------
-# Planar hull distance (n = 2)
-# --------------------------------------------------------------------------
-
-def _polygon_order(points: np.ndarray) -> np.ndarray:
-    """The vertices of a convex polygon sorted by angle about their mean."""
-    center = points.mean(axis=0)
-    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
-    return points[np.argsort(angles)]
-
-
-def _point_to_polygon(point: np.ndarray, polygon: np.ndarray) -> float:
-    """Distance from a point to a convex polygon (0 inside)."""
-    m = polygon.shape[0]
-    inside = True
-    best = math.inf
-    for i in range(m):
-        a = polygon[i]
-        b = polygon[(i + 1) % m]
-        edge = b - a
-        rel = point - a
-        cross = edge[0] * rel[1] - edge[1] * rel[0]
-        if cross < 0:
-            inside = False
-        denom = float(edge @ edge)
-        t = float(np.clip((rel @ edge) / denom, 0.0, 1.0)) if denom else 0.0
-        best = min(best, float(np.linalg.norm(rel - t * edge)))
-    return 0.0 if inside else best
-
-
-def hull_hausdorff_distance(data: DelzantData, mus: np.ndarray) -> float:
-    """Hausdorff distance between the convex hull of image points and the
-    polytope itself; both polygons are convex, so vertex-to-polygon
-    distances realize the supremum."""
-    if data.dim != 2:
-        raise DimensionUnsupported("hull distance is only defined for n = 2")
-    from scipy.spatial import ConvexHull
-
-    points = np.asarray(mus, dtype=float)
-    if points.shape[0] < 3:
-        raise ValueError("need at least 3 image points for a hull")
-    hull = ConvexHull(points)
-    hull_polygon = points[hull.vertices]  # counterclockwise
-
-    delta_polygon = _polygon_order(_vertex_floats(data.polytope))
-
-    forward = max(_point_to_polygon(pt, delta_polygon) for pt in hull_polygon)
-    backward = max(_point_to_polygon(pt, hull_polygon) for pt in delta_polygon)
-    return max(forward, backward)

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from quasifold import builtin_names
 from quasifold.cli import _write_csv, main
 from quasifold.verify import sample_level_set
 
-from conftest import construct_builtin
+from conftest import construct_builtin, load_builtin
 
 
 def run(capsys, *argv):
@@ -346,12 +349,48 @@ def test_plot_csv_only_for_interval(capsys, tmp_path):
 
 def test_plot_zero_samples_outline_only(capsys, tmp_path):
     svg = tmp_path / "outline.svg"
+    csv_path = tmp_path / "outline.csv"
     code, _, _ = run(capsys, "plot", "--builtin", "square",
-                     "--samples", "0", "--svg", str(svg))
+                     "--samples", "0", "--svg", str(svg), "--csv", str(csv_path))
     assert code == 0
     body = svg.read_text()
     assert "<polygon" in body
     assert "<circle" not in body
+    assert csv_path.read_bytes() == b"mu_1,mu_2,phi_1,phi_2\r\n"
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CSV_DIGESTS))
+def test_plot_csv_bytes_match_golden_digests(capsys, tmp_path, name):
+    # plot draws the same samples as verify and writes the same pairs
+    out_csv = tmp_path / "pairs.csv"
+    code, _, err = run(capsys, "plot", "--builtin", name, "--samples", "2000",
+                       "--seed", "0", "--csv", str(out_csv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == VERIFY_CSV_DIGESTS[name]
+
+
+# sha256 of the `plot --samples 2000 --seed 0 --svg` file for every planar
+# constructible corpus entry.
+PLOT_SVG_DIGESTS = {
+    "cp2": "afdd0efd4417fce4151af8ce7f778087df5b8c1883f874bd840896a26ed7b248",
+    "pentagon": "1b64ff3e565b405163f73c418b0a0a59e9cd42b3bb577964d6f6dfeed2bd7ee3",
+    "square": "cdbf4434e980cd3538bcf692fb45d6af2d6e4dc2932b35f662d4203857e54323",
+    "triangle-sqrt2": "a2df846903f13db0d455ba3e1bebdccad8f5e5daf82fd135daaa4b384a63afdf",
+}
+
+
+def test_plot_svg_digests_cover_the_planar_corpus():
+    assert sorted(PLOT_SVG_DIGESTS) == sorted(
+        name for name in VERIFY_CSV_DIGESTS if load_builtin(name).dim == 2)
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SVG_DIGESTS))
+def test_plot_svg_bytes_match_golden_digests(capsys, tmp_path, name):
+    svg = tmp_path / "plot.svg"
+    code, _, err = run(capsys, "plot", "--builtin", name, "--samples", "2000",
+                       "--seed", "0", "--svg", str(svg))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == PLOT_SVG_DIGESTS[name]
 
 
 def test_plot_needs_some_output(capsys):
@@ -362,3 +401,36 @@ def test_plot_needs_some_output(capsys):
 def test_negative_samples_rejected(capsys):
     code, _, _ = run(capsys, "verify", "--builtin", "square", "--samples", "-3")
     assert code == 2
+
+
+# --------------------------------------------------------------------------
+# runtime dependencies
+# --------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every command on the pentagon, in a fresh interpreter where scipy cannot
+# be imported; prints the first command that does not exit 0.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+from quasifold.cli import main
+out = sys.argv[2]
+for argv in (
+    ["analyze", "--builtin", "pentagon"],
+    ["construct", "--builtin", "pentagon"],
+    ["verify", "--builtin", "pentagon", "--samples", "200", "--csv", out + "/v.csv"],
+    ["plot", "--builtin", "pentagon", "--samples", "200",
+     "--svg", out + "/p.svg", "--csv", out + "/p.csv"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(SRC), str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -32,6 +32,12 @@ CONSTRUCTIBLE = [
 ]
 
 
+def project(data, v):
+    """pi(v) = sum_j v_j X_j, in the field's exact arithmetic."""
+    zero = data.polytope.field.zero
+    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in data.projection.rows)
+
+
 # --------------------------------------------------------------------------
 # Kernel and dimensions
 # --------------------------------------------------------------------------
@@ -54,7 +60,7 @@ class TestKernel:
         # the all-ones vector lies in the kernel: the five unit normals of a
         # regular pentagon sum to zero exactly
         ones = tuple([f.one] * 5)
-        assert all(s.is_zero() for s in data.projection.mat_vec(ones))
+        assert all(s.is_zero() for s in project(data, ones))
 
     @pytest.mark.parametrize("name", CONSTRUCTIBLE)
     def test_projection_annihilates_kernel(self, name):
@@ -62,8 +68,7 @@ class TestKernel:
         zero = data.polytope.field.zero
         assert len(data.kernel_basis) == data.ambient_dim - data.dim
         for v in data.kernel_basis:
-            assert data.projection.mat_vec(v) == tuple(
-                [zero] * data.dim)
+            assert project(data, v) == tuple([zero] * data.dim)
 
     @pytest.mark.parametrize("name", CONSTRUCTIBLE)
     def test_reduced_dimension_is_2n(self, name):
@@ -220,17 +225,8 @@ class TestCharts:
             chart = vertex_structure_group(data, i)
             assert chart.finite and chart.order == 1
 
-    def test_structure_group_accepts_vertex_point(self):
-        data = construct_builtin("square")
-        f = data.polytope.field
-        chart = vertex_structure_group(data, (f.one, f.one))
-        assert chart.order == 1
-
     def test_not_a_vertex(self):
         data = construct_builtin("square")
-        f = data.polytope.field
-        with pytest.raises(NotAVertex):
-            vertex_structure_group(data, (f.scalar("1/2"), f.scalar("1/2")))
         with pytest.raises(NotAVertex):
             vertex_structure_group(data, 99)
 

@@ -2,9 +2,10 @@
 
 The randomized checks compare against a plain Fraction Gaussian
 elimination and a Leibniz-formula determinant written here, so the
-Gauss-Jordan implementation under test is never its own oracle.  The
-contract checks run over Q and over Q(sqrt 2), where every pivot
-inverse goes through the extended gcd with the minimal polynomial.
+Gauss-Jordan implementation under test is never its own oracle; matrix
+products are written here too.  The contract checks run over Q and over
+Q(sqrt 2), where every pivot inverse goes through the extended gcd with
+the minimal polynomial.
 """
 
 from fractions import Fraction
@@ -23,6 +24,19 @@ SQRT2 = Field(("-2", "0", "1"), (1, 2))
 
 def rat_matrix(rows):
     return Matrix(RAT, [[RAT.scalar(x) for x in r] for r in rows])
+
+
+def identity(field, n):
+    return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def mat_vec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), m.field.zero) for row in m.rows)
+
+
+def matmul(a, b):
+    return Matrix(a.field, [[sum((x * y for x, y in zip(row, col)), a.field.zero)
+                             for col in zip(*b.rows)] for row in a.rows])
 
 
 # --------------------------------------------------------------------------
@@ -56,7 +70,7 @@ def leibniz_det(m):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = m.field.one
         for i, j in enumerate(perm):
-            term = term * m[i, j]
+            term = term * m.rows[i][j]
         total = total - term if inversions % 2 else total + term
     return total
 
@@ -88,7 +102,7 @@ class TestPinned:
         assert rat_matrix([[0, 0, 0]] * 3).rank() == 0
 
     def test_identity_kernel_empty(self):
-        assert Matrix.identity(RAT, 2).kernel() == ()
+        assert identity(RAT, 2).kernel() == ()
 
     def test_triangle_projection_kernel(self):
         # projection onto the skewed right triangle normals: kernel direction
@@ -112,10 +126,10 @@ class TestPinned:
         assert len(basis) == 3
         zero = cos_field.zero
         for v in basis:
-            assert m.mat_vec(v) == (zero, zero)
+            assert mat_vec(m, v) == (zero, zero)
 
     def test_solve_identity(self, sqrt2_field):
-        m = Matrix.identity(sqrt2_field, 2)
+        m = identity(sqrt2_field, 2)
         s = sqrt2_field.theta
         assert m.solve((s, sqrt2_field.zero)) == (s, sqrt2_field.zero)
 
@@ -131,18 +145,11 @@ class TestPinned:
         m = rat_matrix([[1, 2], [3, 4]])
         with pytest.raises(DimensionMismatch):
             m.solve(as_vector(RAT, [1, 2, 3]))
-        with pytest.raises(DimensionMismatch):
-            m @ rat_matrix([[1, 2, 3]])
 
     def test_det_and_inverse(self):
         m = rat_matrix([[2, 1], [7, 4]])
         assert m.det().as_fraction() == 1
-        assert m.inverse() @ m == Matrix.identity(RAT, 2)
-
-    def test_matmul(self):
-        a = rat_matrix([[1, 2], [3, 4]])
-        b = rat_matrix([[0, 1], [1, 0]])
-        assert a @ b == rat_matrix([[2, 1], [4, 3]])
+        assert matmul(m.inverse(), m) == identity(RAT, 2)
 
     def test_zero_row_matrix_keeps_columns(self):
         m = Matrix(RAT, [], cols=3)
@@ -195,7 +202,7 @@ def test_kernel_contract(field, rows):
     basis = m.kernel()
     assert m.rank() + len(basis) == m.shape[1]
     for v in basis:
-        assert all(x.is_zero() for x in m.mat_vec(v))
+        assert all(x.is_zero() for x in mat_vec(m, v))
     # determinism on an equal matrix built from scratch
     assert field_matrix(field, rows).kernel() == basis
 
@@ -209,10 +216,10 @@ def test_kernel_contract(field, rows):
 def test_solve_round_trip(field, rows, x):
     # construct a guaranteed-consistent system, then check M @ solution = b
     m = field_matrix(field, rows)
-    b = m.mat_vec(field_vector(field, x))
+    b = mat_vec(m, field_vector(field, x))
     sol = m.solve(b)
     assert sol is not None
-    assert m.mat_vec(sol) == b
+    assert mat_vec(m, sol) == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,4 +234,4 @@ def test_inverse_round_trip(field, rows):
     if leibniz_det(m).is_zero():
         assert m.inverse() is None
     else:
-        assert m @ m.inverse() == Matrix.identity(field, 3)
+        assert matmul(m, m.inverse()) == identity(field, 3)

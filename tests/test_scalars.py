@@ -218,9 +218,9 @@ class TestEval:
             assert abs(cos_field.parse(expr).to_float() - want) < 1e-12
 
     def test_float_width_contract(self, sqrt2_field):
-        lo, hi = sqrt2_field.theta.floats(1e-10)
-        assert lo <= math.sqrt(2) <= hi
-        assert hi - lo < 1e-9
+        lo, hi = sqrt2_field.theta.eval_interval(1e-10)
+        assert 0 < lo and lo * lo <= 2 <= hi * hi
+        assert hi - lo <= Fraction(1, 10**10)
 
     def test_sign_certification(self, cos_field):
         # sqrt5 - 2 > 0 but the difference is about 0.236; tighter: compare
