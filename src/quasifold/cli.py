@@ -25,7 +25,7 @@ from .construction import (
 )
 from .errors import DimensionUnsupported, QuasifoldError, SchemaError
 from .polytope import check_delzant, check_rational, check_simple, parse_polytope
-from .verify import _vertex_floats, run_verification, sample_level_set
+from .verify import run_verification, sample_level_set
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -250,7 +250,7 @@ def cmd_plot(args) -> int:
     if args.csv is not None:
         _write_csv(args.csv, sample_set.mu, phis)
     if args.svg is not None:
-        outline = _polygon_order(_vertex_floats(poly))
+        outline = _polygon_order(data.floats.vertices)
         _write_svg(args.svg, outline, phis)
     return EXIT_OK
 

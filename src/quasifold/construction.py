@@ -49,7 +49,6 @@ QUASIFOLD = "quasifold"
 class Quasilattice:
     """Subgroup of R^n generated by the facet normals and any extras."""
 
-    dim: int
     generators: tuple[Vector, ...]
     certificate: LatticeCertificate
 
@@ -61,7 +60,6 @@ class Quasilattice:
 @dataclass(frozen=True)
 class Classification:
     kind: str
-    is_lattice: bool
     delzant: DelzantReport | None
     charts: tuple[VertexChart, ...]
 
@@ -77,10 +75,17 @@ class VertexChart:
     basis (each coordinate vector acts on the chart modulo Z^n)."""
 
     vertex: Vertex
-    squared_moduli: tuple[Scalar, ...]
-    generator_coords: tuple[Vector, ...] | None = None
-    finite: bool | None = None
-    order: int | None = None
+    generator_coords: tuple[Vector, ...]
+    order: int | None
+
+    @property
+    def squared_moduli(self) -> tuple[Scalar, ...]:
+        """|z_j|^2 = <v, X_j> - lambda_j on the fiber over the vertex."""
+        return self.vertex.slacks
+
+    @property
+    def finite(self) -> bool:
+        return self.order is not None
 
 
 @dataclass(eq=False)
@@ -89,7 +94,6 @@ class DelzantData:
 
     polytope: HPolytope
     projection: Matrix
-    offsets: tuple[Scalar, ...]
     kernel_basis: tuple[Vector, ...]
     quasilattice: Quasilattice
     n_rational_dim: int
@@ -121,11 +125,12 @@ class _FloatData:
     """Float mirror of the exact construction data (Scalar.to_float of
     each entry)."""
 
-    def __init__(self, stack, lam, kernel, pinv_stack):
+    def __init__(self, stack, lam, kernel, pinv_stack, vertices):
         self.stack = stack          # (d, n), row j is X_j
         self.lam = lam              # (d,)
         self.kernel = kernel        # (d-n, d), rows span Lie(N)
         self.pinv_stack = pinv_stack  # (n, d), least-squares inverse of stack
+        self.vertices = vertices    # (V, n), in vertex order
 
     @classmethod
     def build(cls, data: "DelzantData") -> "_FloatData":
@@ -133,7 +138,7 @@ class _FloatData:
             [[s.to_float() for s in normal] for normal in data.polytope.normals],
             dtype=float,
         )
-        lam = np.array([s.to_float() for s in data.offsets], dtype=float)
+        lam = np.array([s.to_float() for s in data.polytope.offsets], dtype=float)
         kernel = np.array(
             [[s.to_float() for s in vec] for vec in data.kernel_basis],
             dtype=float,
@@ -141,7 +146,11 @@ class _FloatData:
         svals = np.linalg.svd(stack, compute_uv=False)
         if svals[-1] <= svals[0] * 1e-13:
             raise IllConditioned("facet normal matrix is numerically rank-deficient")
-        return cls(stack, lam, kernel, np.linalg.pinv(stack))
+        vertices = np.array(
+            [[s.to_float() for s in v.point] for v in data.polytope.vertices],
+            dtype=float,
+        )
+        return cls(stack, lam, kernel, np.linalg.pinv(stack), vertices)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +168,7 @@ def build_construction(p: HPolytope) -> DelzantData:
     if not simplicity.simple:
         raise NotSimple(
             f"vertex {simplicity.witness_index} lies on "
-            f"{len(simplicity.witness.active)} facets, expected {p.dim}"
+            f"{len(p.vertices[simplicity.witness_index].active)} facets, expected {p.dim}"
         )
     n, d = p.dim, p.facet_count
     projection = Matrix(p.field, [[p.normals[j][i] for j in range(d)] for i in range(n)])
@@ -170,7 +179,6 @@ def build_construction(p: HPolytope) -> DelzantData:
         )
     generators = p.normals + p.extra_generators
     quasilattice = Quasilattice(
-        dim=n,
         generators=generators,
         certificate=span_certificate(p.field, generators, n),
     )
@@ -182,7 +190,6 @@ def build_construction(p: HPolytope) -> DelzantData:
     data = DelzantData(
         polytope=p,
         projection=projection,
-        offsets=p.offsets,
         kernel_basis=kernel,
         quasilattice=quasilattice,
         n_rational_dim=n_rational_dim,
@@ -229,12 +236,6 @@ def induced_moment(z, data: DelzantData, tol: float | None = 1e-8):
 # Fixed points and structure groups
 # --------------------------------------------------------------------------
 
-def _squared_moduli(p: HPolytope, v: Vertex) -> tuple[Scalar, ...]:
-    # Fiber over a vertex: |z_j|^2 = <mu_v, X_j> - lambda_j, zero exactly
-    # on the active facets.
-    return tuple(p.slack(v.point, j) for j in range(p.facet_count))
-
-
 def fixed_points(data: DelzantData) -> list[VertexChart]:
     """One chart per vertex with the exact fixed-point moduli and the
     structure group that classification computed."""
@@ -259,19 +260,12 @@ def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
     if ech.pivots != tuple(range(n)):
         raise InternalInconsistency("active normals at a simple vertex are singular")
     coords = [tuple(row[n + k] for row in ech.rows) for k in range(len(generators))]
-    finite = all(entry.is_rational() for c in coords for entry in c)
     order = None
-    if finite:
+    if all(entry.is_rational() for c in coords for entry in c):
         order = quotient_order(
             [tuple(entry.as_fraction() for entry in c) for c in coords], n
         )
-    return VertexChart(
-        vertex=vertex,
-        squared_moduli=_squared_moduli(p, vertex),
-        generator_coords=tuple(coords),
-        finite=finite,
-        order=order,
-    )
+    return VertexChart(vertex=vertex, generator_coords=tuple(coords), order=order)
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +277,10 @@ def classify(data: DelzantData) -> Classification:
 
     Route one is global: quasilattice discreteness plus the integrality
     test in the certified lattice.  Route two is local: triviality or
-    finiteness of every vertex structure group.  Disagreement raises
-    InternalInconsistency rather than picking a side.
+    finiteness of every vertex structure group.  With a lattice Q, each
+    group Gamma_v = Q / Lambda_v must also have order |det| of the active
+    normals in a basis of Q.  Disagreement raises InternalInconsistency
+    rather than picking a side.
     """
     cert = data.quasilattice.certificate
     delzant = check_delzant(data.polytope, cert) if cert.rational else None
@@ -309,8 +305,14 @@ def classify(data: DelzantData) -> Classification:
             f"certificate route says {global_kind}, "
             f"vertex structure groups say {local_kind} (orders {orders})"
         )
-    return Classification(kind=global_kind, is_lattice=cert.rational,
-                          delzant=delzant, charts=charts)
+    if delzant is not None:
+        for i, (order, det) in enumerate(zip(orders, delzant.vertex_determinants)):
+            if order != abs(det):
+                raise InternalInconsistency(
+                    f"vertex {i}: structure group order {order}, "
+                    f"certificate determinant {det}"
+                )
+    return Classification(kind=global_kind, delzant=delzant, charts=charts)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def construction_report(data: DelzantData) -> dict:
         "n_compact": data.n_compact,
         "field": _render_field(p.field),
         "projection": [_render_vector(row) for row in data.projection.rows],
-        "offsets": _render_vector(data.offsets),
+        "offsets": _render_vector(p.offsets),
         "kernel_basis": [_render_vector(v) for v in data.kernel_basis],
         "quasilattice": {
             "generators": [_render_vector(g) for g in data.quasilattice.generators],
@@ -365,7 +367,7 @@ def construction_report(data: DelzantData) -> dict:
         },
         "classification": {
             "kind": cls.kind,
-            "is_lattice": cls.is_lattice,
+            "is_lattice": data.quasilattice.is_lattice,
             "vertex_orders": list(cls.vertex_orders),
             "delzant": cls.delzant.as_dict() if cls.delzant is not None else None,
         },

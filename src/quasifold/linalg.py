@@ -45,12 +45,6 @@ class Matrix:
         else:
             self.shape = (0, 0 if cols is None else cols)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.field == other.field and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"

@@ -33,10 +33,12 @@ _FIELD_KEYS = {"minpoly", "root_interval"}
 
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex with the full set of facet indices active at it."""
+    """A vertex with its facet slacks <v, X_j> - lambda_j and the full set
+    of facet indices active (zero slack) at it."""
 
     point: Vector
     active: tuple[int, ...]
+    slacks: tuple[Scalar, ...]
 
 
 @dataclass
@@ -231,11 +233,11 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
         key = tuple(s.coeffs for s in point)
         if key in seen:
             continue
-        slacks = [p.slack(point, j) for j in range(d)]
+        slacks = tuple(p.slack(point, j) for j in range(d))
         if any((not s.is_zero()) and s.sign() < 0 for s in slacks):
             continue
         active = tuple(j for j, s in enumerate(slacks) if s.is_zero())
-        seen[key] = Vertex(point=point, active=active)
+        seen[key] = Vertex(point=point, active=active, slacks=slacks)
 
     vertices = list(seen.values())
     if not vertices:
@@ -255,14 +257,13 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
 class SimplicityReport:
     simple: bool
     witness_index: int | None = None
-    witness: Vertex | None = None
 
 
 def check_simple(p: HPolytope) -> SimplicityReport:
     """Simple means exactly n facets meet at every vertex."""
     for i, v in enumerate(p.vertices):
         if len(v.active) != p.dim:
-            return SimplicityReport(simple=False, witness_index=i, witness=v)
+            return SimplicityReport(simple=False, witness_index=i)
     return SimplicityReport(simple=True)
 
 

@@ -206,16 +206,11 @@ class Field:
     # -- isolator -----------------------------------------------------------
 
     def _refine(self) -> None:
+        # Only irrational scalars refine, so the degree is >= 2 and the
+        # minimal polynomial has no rational root: the midpoint is never one.
         lo, hi = self._iso
-        if lo == hi:
-            return
         mid = (lo + hi) / 2
-        v = _poly_eval(self.minpoly, mid)
-        if v == 0:
-            # Rational root: only possible for degree 1, where theta itself
-            # is rational and the isolator may collapse to a point.
-            self._iso = (mid, mid)
-        elif (v > 0) == (self._sign_lo > 0):
+        if (_poly_eval(self.minpoly, mid) > 0) == (self._sign_lo > 0):
             self._iso = (mid, hi)
         else:
             self._iso = (lo, mid)

@@ -28,19 +28,13 @@ INVARIANCE_SAMPLES = 64
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Column-stacked level-set samples (mu rows, phase rows, z rows)."""
+    """Column-stacked level-set samples (mu rows, z rows)."""
 
     mu: np.ndarray      # (N, n)
-    phases: np.ndarray  # (N, d)
     z: np.ndarray       # (N, d) complex
 
     def __len__(self) -> int:
         return self.mu.shape[0]
-
-
-def _vertex_floats(polytope) -> np.ndarray:
-    """The polytope's vertices as a (V, n) float array, in vertex order."""
-    return np.array([[s.to_float() for s in v.point] for v in polytope.vertices])
 
 
 def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
@@ -69,10 +63,9 @@ def _dissection(data: DelzantData) -> tuple[np.ndarray, np.ndarray]:
     n-simplices, and each simplex's |det| of its edge matrix (n! times
     its volume)."""
     vertices = data.polytope.vertices
-    points = _vertex_floats(data.polytope)
     active = [frozenset(v.active) for v in vertices]
     simplices = _pulling_dissection(active, range(len(vertices)), data.dim)
-    corners = points[np.array(simplices)]
+    corners = data.floats.vertices[np.array(simplices)]
     weights = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
     return corners, weights
 
@@ -90,12 +83,6 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
     if count < 0:
         raise ValueError("count must be nonnegative")
     f = data.floats
-    d = data.ambient_dim
-    if count == 0:
-        return SampleSet(
-            mu=np.zeros((0, data.dim)), phases=np.zeros((0, d)),
-            z=np.zeros((0, d), dtype=complex),
-        )
     rng = np.random.default_rng(seed)
     corners, weights = _dissection(data)
     cumulative = np.cumsum(weights)
@@ -108,9 +95,9 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
         mu += barycentric[:, k:k + 1] * corners[pick, k]
     # Clipping absorbs the float rounding of points on a facet.
     slack = np.maximum(mu @ f.stack.T - f.lam, 0.0)
-    phases = rng.uniform(0.0, 1.0, size=(count, d))
+    phases = rng.uniform(0.0, 1.0, size=(count, data.ambient_dim))
     z = np.sqrt(slack) * np.exp(2j * np.pi * phases)
-    return SampleSet(mu=mu, phases=phases, z=z)
+    return SampleSet(mu=mu, z=z)
 
 
 # --------------------------------------------------------------------------
@@ -139,10 +126,9 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
         roundtrip = 0.0
         containment = 0.0
     gaps = []
-    for chart in fixed_points(data):
+    for chart, target in zip(fixed_points(data), f.vertices):
         moduli = np.array([max(s.to_float(), 0.0) for s in chart.squared_moduli])
         z_vertex = np.sqrt(moduli).astype(complex)
-        target = np.array([s.to_float() for s in chart.vertex.point])
         image = induced_moment(z_vertex, data, tol=None)
         gaps.append(float(np.max(np.abs(image - target))))
     return ImageCheck(max_roundtrip_error=roundtrip,

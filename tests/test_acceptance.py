@@ -134,7 +134,7 @@ def test_criterion_02_quasisphere_level_coefficients():
         s, t = fld.one, fld.theta
         assert len(data.kernel_basis) == 1
         row = data.kernel_basis[0]
-        constant = row[0] * data.offsets[0] + row[1] * data.offsets[1]
+        constant = row[0] * data.polytope.offsets[0] + row[1] * data.polytope.offsets[1]
         triple = (row[0], row[1], constant)
         ratio = exact_ratio(triple, (fld.one, s / t, -s), fld)
         assert ratio == t
@@ -167,7 +167,7 @@ def test_criterion_03_pentagon_level_rows():
             (fld.zero, fld.zero, fld.one, -two_a, fld.one, -(sqrt5 * half)),
         ]
         computed = [
-            tuple(row) + (sum((rj * lj for rj, lj in zip(row, data.offsets)),
+            tuple(row) + (sum((rj * lj for rj, lj in zip(row, data.polytope.offsets)),
                               fld.zero),)
             for row in data.kernel_basis
         ]

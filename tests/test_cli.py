@@ -288,6 +288,77 @@ def test_verify_csv_bytes_match_golden_digests(capsys, tmp_path, name):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == VERIFY_CSV_DIGESTS[name]
 
+# sha256 of the `verify --seed 0` JSON stdout for every constructible corpus
+# entry, at 2000 samples and at 0 samples.
+VERIFY_JSON_DIGESTS = {
+    "cp2": (
+        "bfb15f65cf741024cd0c8cac5a3d72e729b26479227951754e201f9710672ad4",
+        "982ea2d9e37ba1ff7dc0a89ee1f4db187323b7d266d85e7605f722912dd55fb8",
+    ),
+    "cube": (
+        "7ecaa399d22e72dc0a4683a06479f5e419aeda3d940e34f225014c40ee082c0a",
+        "b7d929bb1658516dfa5fd321ffd54f8e3d1f33a095a4796d110840f6bb5cc0af",
+    ),
+    "interval-sqrt2": (
+        "3c4f23d2bf5382045b6b4901066e8e6888fe36b59e80a687b11698915bdc4070",
+        "4359880370eb1fac238957de1535c53b68fdd0d3dc97dcfd2de97639918cc132",
+    ),
+    "pentagon": (
+        "3868fd86e353c2fb9f58ba9c1bf76dade173fd1739c7a02e2e9673ddc309629c",
+        "5cdc40d66f1919871e8704893864621889d6faad9312c02638e7ab63bf743d10",
+    ),
+    "rugby-2": (
+        "445260fe84369fc276229630963347530c8a66a95a947c193485be3a3fc929c7",
+        "47c4d41ed3e478953ebfe3e43140f784e9c522206828c018283a79d4f9104234",
+    ),
+    "rugby-3": (
+        "3a1007f82dc5cd44e8192f7651d433473cb6b492174c1f1f7f3164ba8700869e",
+        "461f6f5885138a28b6d189fa4c6c8d415bfdb661ac878b047feeda805801cd1f",
+    ),
+    "rugby-5": (
+        "ef061496eaf915963c4f51da1c42cb3ed03554904a6f961d9773c447ce025e01",
+        "f3d512224c293a843c48b0ddebb4e0494e9caa1116b875dfdff65aeefdf181ed",
+    ),
+    "sphere": (
+        "cc96ba3297e3fa7fc296a32708e219cb0efc32501e6cf716d47c9485ea2d0259",
+        "0dce031ad6a1e1b556d8da38e5bae9601acf3a3e4cb995bdfde0e5a2f1e8450f",
+    ),
+    "square": (
+        "2c7e5b61feb2853623a98c74a6d5142a27e6e54381eb10d1c841c47d024d50f3",
+        "1db3999c4c5a23738d1407b5c36b4b32602cae8af33acb593f9d37259387b2eb",
+    ),
+    "teardrop-2": (
+        "4e29281375aee0b5421ef1b6636273fba8da49d9b95e775e4be6cbced561c4d5",
+        "93f2c346362e881f709406345c6697dce8f18be95243f5f5910d8e32d9f5ed8e",
+    ),
+    "teardrop-3": (
+        "83613baf754606a2df7880bc3ed73a59f54c1e2c554026716b8973dd413c5a46",
+        "bcd083be7eec53b8f7c384f8f7c27f6f43bf7ad294f59074e110123c13c5c92e",
+    ),
+    "teardrop-5": (
+        "1a90638d6be3244c179ec05b456b6929f40f98783e0ec62902e91b8a53d67f4e",
+        "3166eaa932d60560f0a728edb62db2890b54bd97afb0c0fcaedd4900554461db",
+    ),
+    "triangle-sqrt2": (
+        "395679b5a95615257207cc65a61d87803a7b29e0adbdf9fbf7641989a9016761",
+        "6b74be28176371affdb58944819f557fbbf84a563e2fdabfefb5780eab5959bc",
+    ),
+}
+
+
+def test_verify_json_digests_cover_the_constructible_corpus():
+    assert sorted(VERIFY_JSON_DIGESTS) == sorted(
+        name for name in builtin_names() if GOLDEN_DIGESTS[name][1] is not None)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_JSON_DIGESTS))
+def test_verify_json_bytes_match_golden_digests(capsys, name):
+    for samples, digest in zip(("2000", "0"), VERIFY_JSON_DIGESTS[name]):
+        code, out, err = run(capsys, "verify", "--builtin", name,
+                             "--samples", samples, "--seed", "0")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_verify_zero_samples_csv_is_header_only(capsys, tmp_path):
     out_csv = tmp_path / "pairs.csv"

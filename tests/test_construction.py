@@ -12,6 +12,7 @@ from quasifold import (
     MANIFOLD,
     ORBIFOLD,
     QUASIFOLD,
+    InternalInconsistency,
     NotAVertex,
     NotSimple,
     OffLevelSet,
@@ -23,6 +24,7 @@ from quasifold import (
     torus_moment,
     vertex_structure_group,
 )
+import quasifold.construction
 from conftest import construct_builtin, load_builtin
 
 CONSTRUCTIBLE = [
@@ -99,7 +101,7 @@ class TestKernel:
 class TestMomentMaps:
     def test_torus_moment_at_zero_is_offsets(self):
         data = construct_builtin("triangle-sqrt2")
-        lam = [s.to_float() for s in data.offsets]
+        lam = [s.to_float() for s in data.polytope.offsets]
         assert np.allclose(torus_moment(np.zeros(3, complex), data), lam, atol=1e-15)
 
     def test_torus_moment_triangle_fixed_point(self):
@@ -122,7 +124,7 @@ class TestMomentMaps:
         f = data.polytope.field
         (b,) = data.kernel_basis
         coeffs = list(b) + [
-            sum((bi * li for bi, li in zip(b, data.offsets)), f.zero)
+            sum((bi * li for bi, li in zip(b, data.polytope.offsets)), f.zero)
         ]
         s, t = f.one, f.theta
         target = [f.one, s / t, -s]
@@ -200,6 +202,20 @@ class TestCharts:
             assert len(zeros) == data.dim
             assert all(s.sign() >= 0 for s in c.squared_moduli)
 
+    @pytest.mark.parametrize("name", CONSTRUCTIBLE)
+    def test_squared_moduli_are_the_enumeration_slacks(self, name):
+        data = construct_builtin(name)
+        p = data.polytope
+        for c in fixed_points(data):
+            v = c.vertex
+            assert c.squared_moduli is v.slacks
+            for j, (normal, offset) in enumerate(zip(p.normals, p.offsets)):
+                dot = p.field.zero
+                for a, b in zip(v.point, normal):
+                    dot = dot + a * b
+                assert v.slacks[j] == dot - offset
+            assert v.active == tuple(j for j, s in enumerate(v.slacks) if s.is_zero())
+
     def test_interval_sqrt2_infinite_groups(self):
         data = construct_builtin("interval-sqrt2")
         f = data.polytope.field
@@ -251,18 +267,28 @@ class TestClassification:
 
     @pytest.mark.parametrize("name", CONSTRUCTIBLE)
     def test_routes_cohere(self, name):
-        cls = construct_builtin(name).classification
+        data = construct_builtin(name)
+        cls = data.classification
         orders = cls.vertex_orders
         if cls.kind == MANIFOLD:
             assert all(o == 1 for o in orders)
-            assert cls.is_lattice and cls.delzant.integral
+            assert data.quasilattice.is_lattice and cls.delzant.integral
         elif cls.kind == ORBIFOLD:
             assert all(o is not None for o in orders)
             assert any(o > 1 for o in orders)
-            assert cls.is_lattice and not cls.delzant.integral
+            assert data.quasilattice.is_lattice and not cls.delzant.integral
         else:
-            assert any(o is None for o in orders) or not cls.is_lattice
+            assert any(o is None for o in orders) or not data.quasilattice.is_lattice
             assert cls.delzant is None
+
+    def test_vertex_order_must_match_certificate_determinant(self, monkeypatch):
+        # Orders (1, 3) become (2, 4): still an orbifold, so only the
+        # per-vertex comparison with |det| catches it.
+        order = quasifold.construction.quotient_order
+        monkeypatch.setattr(quasifold.construction, "quotient_order",
+                            lambda *args: order(*args) + 1)
+        with pytest.raises(InternalInconsistency, match="vertex 0: structure group order 2"):
+            construct_builtin("teardrop-3")
 
 
 # --------------------------------------------------------------------------

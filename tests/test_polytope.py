@@ -335,9 +335,10 @@ class TestSimple:
         assert check_simple(load_builtin("cube")).simple
 
     def test_octahedron_not_simple(self):
-        report = check_simple(load_builtin("octahedron"))
+        p = load_builtin("octahedron")
+        report = check_simple(p)
         assert not report.simple
-        assert len(report.witness.active) == 4
+        assert len(p.vertices[report.witness_index].active) == 4
 
     def test_interval_simple(self):
         assert check_simple(load_builtin("sphere")).simple
