@@ -2,8 +2,8 @@
 
 Commands: examples, analyze, construct, verify, plot.  Exit codes are a
 contract: 0 success, 1 I/O error, 2 validation failure, 3 verification
-threshold failure.  Each float rendering of an exact value is the
-midpoint of a certified interval of width at most 1e-12.
+threshold failure.  Each float rendering of an exact value is the double
+nearest to that value.
 """
 
 from __future__ import annotations

@@ -233,13 +233,8 @@ def induced_moment(z, data: DelzantData, tol: float | None = 1e-8):
 
 
 # --------------------------------------------------------------------------
-# Fixed points and structure groups
+# Structure groups
 # --------------------------------------------------------------------------
-
-def fixed_points(data: DelzantData) -> list[VertexChart]:
-    """One chart per vertex with the exact fixed-point moduli and the
-    structure group that classification computed."""
-    return list(data.classification.charts)
 
 
 def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:

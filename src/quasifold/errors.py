@@ -46,7 +46,8 @@ class DivisionByZeroScalar(QuasifoldError, ZeroDivisionError):
 
 
 class SignUndecidable(QuasifoldError):
-    """Interval refinement failed to separate a value from zero.
+    """Interval refinement failed to separate a value from zero, or to
+    pin down the one double nearest to it.
 
     Only reachable when the minimal polynomial is reducible over Q despite
     passing the square-free and rational-root pre-checks; the coefficient

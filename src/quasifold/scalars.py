@@ -26,11 +26,11 @@ from .errors import (
     SignUndecidable,
 )
 
-DEFAULT_PRECISION = 1e-12
-
-# Bisection cap for sign certification.  2^-320 of the initial isolating
-# interval is far below any value a well-posed input can produce; hitting
-# the cap means the minimal polynomial was reducible after all.
+# Bisection cap for sign certification and for rounding to the nearest
+# double.  2^-320 of the initial isolating interval is far below
+# any gap a well-posed input can produce between a value and zero or a
+# rounding midpoint; hitting the cap means the minimal polynomial was
+# reducible after all.
 _MAX_REFINE = 320
 
 Rat = Fraction
@@ -165,8 +165,9 @@ class Field:
                     f"interval ({lo}, {hi}) contains {roots} roots of the minimal polynomial"
                 )
 
-        # Mutable isolator cache; only ever shrinks, so certified interval
-        # evaluations stay nested as precision increases.
+        # Mutable isolator cache; it only ever shrinks, and refining it only
+        # saves later work: every sign and float is a function of the exact
+        # value alone, so no output depends on its state.
         self._iso = (lo, hi)
         self._sign_lo = 1 if plo > 0 else -1
         self._powers = self._reduction_table()
@@ -417,22 +418,18 @@ class Scalar:
 
     # -- certified evaluation ----------------------------------------------------
 
-    def eval_interval(self, precision: float | Rat = DEFAULT_PRECISION) -> tuple[Rat, Rat]:
-        """Exact rational interval of width <= precision containing the value."""
-        if self.is_rational():
-            c = self.coeffs[0]
-            return (c, c)
-        target = Fraction(precision)
-        if target <= 0:
-            raise ValueError("precision must be positive")
+    def _enclosure(self, done) -> tuple[Rat, Rat]:
+        """First Horner enclosure (lo, hi) of the value with done(lo, hi),
+        refining the field's isolator in between."""
         field = self.field
         for _ in range(_MAX_REFINE):
             lo, hi = self._horner_interval(field._iso)
-            if hi - lo <= target:
-                return (lo, hi)
+            if done(lo, hi):
+                return lo, hi
             field._refine()
         raise SignUndecidable(
-            "interval refinement failed to converge; is the minimal polynomial reducible?"
+            f"interval refinement of {self.to_expr()} failed to converge; "
+            "is the minimal polynomial reducible?"
         )
 
     def _horner_interval(self, theta: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
@@ -443,9 +440,14 @@ class Scalar:
             lo, hi = min(products) + c, max(products) + c
         return lo, hi
 
-    def to_float(self, precision: float = DEFAULT_PRECISION) -> float:
-        lo, hi = self.eval_interval(precision)
-        return float((lo + hi) / 2)
+    def to_float(self) -> float:
+        """The double nearest to the exact value.  Rounding is monotone, so
+        once both ends of an enclosure round to the same double, that double
+        is nearest to the value; an irrational value is never a tie."""
+        if self.is_rational():
+            return float(self.coeffs[0])
+        lo, _ = self._enclosure(lambda lo, hi: float(lo) == float(hi))
+        return float(lo)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, certified by interval refinement."""
@@ -453,18 +455,8 @@ class Scalar:
             return 0
         if self.is_rational():
             return 1 if self.coeffs[0] > 0 else -1
-        field = self.field
-        for _ in range(_MAX_REFINE):
-            lo, hi = self._horner_interval(field._iso)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            field._refine()
-        raise SignUndecidable(
-            f"cannot separate {self.to_expr()} from zero; "
-            "is the minimal polynomial reducible?"
-        )
+        lo, _ = self._enclosure(lambda lo, hi: lo > 0 or hi < 0)
+        return 1 if lo > 0 else -1
 
     def __lt__(self, other):
         o = self._coerce(other)

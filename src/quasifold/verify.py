@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .construction import DelzantData, fixed_points, induced_moment, kernel_moment
+from .construction import DelzantData, induced_moment, kernel_moment
 from .errors import StepOutOfRange
 
 # Finite-difference step and (sample, direction) pair count of the
@@ -126,7 +126,7 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
         roundtrip = 0.0
         containment = 0.0
     gaps = []
-    for chart, target in zip(fixed_points(data), f.vertices):
+    for chart, target in zip(data.classification.charts, f.vertices):
         moduli = np.array([max(s.to_float(), 0.0) for s in chart.squared_moduli])
         z_vertex = np.sqrt(moduli).astype(complex)
         image = induced_moment(z_vertex, data, tol=None)

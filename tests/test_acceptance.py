@@ -26,7 +26,6 @@ from quasifold import (
     check_rational,
     check_regular_value,
     classify,
-    fixed_points,
     sample_level_set,
     verify_moment_image,
     vertex_structure_group,
@@ -172,8 +171,8 @@ def test_criterion_03_pentagon_level_rows():
             for row in data.kernel_basis
         ]
         assert len(computed) == 3
-        ref_rows = [[e.to_float(1e-15) for e in r] for r in reference]
-        got_rows = [[e.to_float(1e-15) for e in r] for r in computed]
+        ref_rows = [[e.to_float() for e in r] for r in reference]
+        got_rows = [[e.to_float() for e in r] for r in computed]
         p_ref = row_space_projector(ref_rows, 3)
         p_got = row_space_projector(got_rows, 3)
         assert float(np.max(np.abs(p_ref - p_got))) <= 1e-9
@@ -199,7 +198,7 @@ def test_criterion_04_moment_image():
             p = data.polytope
             fld = p.field
             n = p.dim
-            for chart in fixed_points(data):
+            for chart in data.classification.charts:
                 v = chart.vertex
                 for j in v.active:
                     assert chart.squared_moduli[j] == fld.zero, name

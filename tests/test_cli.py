@@ -133,15 +133,15 @@ GOLDEN_DIGESTS = {
     ),
     "interval-sqrt2": (
         "7e6e976ae8167d14fcf0a2be623898d8d8d9041a3d0de1a0492347869831bf0a",
-        "5cda4600da5be30c00dfd5d5441a08108404e77708a2e403acd47f236aa50926",
+        "e50059b7978929d96b2c4543b2f61a80552cf576e79183e27c8fed3a0d408733",
     ),
     "octahedron": (
         "df2798686319d304029339336d00bb3a8a96262676aa5059b3bf9b3ea9669d27",
         None,
     ),
     "pentagon": (
-        "0a96bf24dfdad40d221e9ae2b49cb0e895fceeb05f792eb537b59f74c6821597",
-        "a329ea9d89f61d7a2c771f53d69d182f06d5d6006d328878b0b2bc771497e099",
+        "5f15a995472d060ffe33ac671d93270683668e6426de608f2900db7eb42a63f6",
+        "ba3ae274a5576400014cab6f6751105bfe070c2b14794c4f515b62bd4e27fd06",
     ),
     "rugby-2": (
         "74b91944c188d4ad8cda13913a355acee1ecf295c7705bd1ccf25f443c43a650",
@@ -176,10 +176,20 @@ GOLDEN_DIGESTS = {
         "59d505437a793a41534f72c6103c6a2c19cb40af181e3c8fe24fbd9193022b6c",
     ),
     "triangle-sqrt2": (
-        "9665d5c17adfaee1f48d4ae937fdac9a0721ce36a93466614763bb4f4ffb98e0",
-        "a64dabcc0aa4e7bddb01840ee944ae2697a18117814ca481ee163d818ecc3744",
+        "b47f22dfd0fbd6daeb73c696baa81de6ff9b7bbd659781f400a10437151e312e",
+        "a2112d182877b4bbd2218df8e19c083593ca201bf5d3f6469542da5f921692f2",
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, construct) in GOLDEN_DIGESTS.items() if construct))
+def test_analyze_and_construct_render_vertices_alike(capsys, name):
+    # construct runs more sign tests than analyze before it renders
+    _, analyzed, _ = run(capsys, "analyze", "--builtin", name)
+    _, constructed, _ = run(capsys, "construct", "--builtin", name)
+    assert ([v["float"] for v in json.loads(analyzed)["vertices"]]
+            == [c["vertex"]["float"] for c in json.loads(constructed)["charts"]])
 
 
 def test_golden_digests_cover_the_corpus():
@@ -261,8 +271,8 @@ def test_csv_bytes_match_csv_writer(tmp_path):
 VERIFY_CSV_DIGESTS = {
     "cp2": "2d17357d72d27784aa01ca905be336026ed0bcf49802c7518dfb7b3302eea3c1",
     "cube": "9758e1c709af98081374fba29a21561c36250dfcc9c17e1cf9e7c1c8a9815fb6",
-    "interval-sqrt2": "998e0b6f8528eb83f532dcb2b1376936ce8fe9f7368efd2cfedfe81753647b67",
-    "pentagon": "5784100557da98e43fef4cb73782a1c141208ea68102da1201d4c32f6002c98d",
+    "interval-sqrt2": "524f578fc8e7a543ee730973afb5b8b5bbaf0ba77adefb44a713307c3c8bd4ca",
+    "pentagon": "2e9b3b0ebbae6cc8f3d0d225f2cd57ab15c6e7417563f3cf0ca113d14fa5846f",
     "rugby-2": "d3d924e6b8e5f680a490defe59535c063f6adf43bbdb614ed4edae21dd7aa258",
     "rugby-3": "f7dae3af29e156b648678a331643de97faf812dbaf7f461c1b0b111ef5ff96a0",
     "rugby-5": "793049b84259570c41ce2d92027b44bf104bcbe787caabf384e5fc93e5e1a528",
@@ -271,7 +281,7 @@ VERIFY_CSV_DIGESTS = {
     "teardrop-2": "c1da7937fab24ca58ce82c30f0da71155176877820cad122edba99046efb3c48",
     "teardrop-3": "7aa0706cfebf93fed76958e4437ce1e4c8ae863219af0446b605f131c2062794",
     "teardrop-5": "797f7353281ce627bf3d77686f882454a144a2fe6ec9e8d61aad5f956b5523f2",
-    "triangle-sqrt2": "fd3272c3571fb94dfbe5a5f38e62ad18be5ee16b48a9046e5437ed565e23f89b",
+    "triangle-sqrt2": "219a4fd5e778712abf9536f0d059e39adb289af2b463f6a1711317b3ff41d27d",
 }
 
 
@@ -300,12 +310,12 @@ VERIFY_JSON_DIGESTS = {
         "b7d929bb1658516dfa5fd321ffd54f8e3d1f33a095a4796d110840f6bb5cc0af",
     ),
     "interval-sqrt2": (
-        "3c4f23d2bf5382045b6b4901066e8e6888fe36b59e80a687b11698915bdc4070",
-        "4359880370eb1fac238957de1535c53b68fdd0d3dc97dcfd2de97639918cc132",
+        "0f889bc031ddb0ff0144083ee7e296e78812748bce51714edccc6e3cd58c60ea",
+        "88f8f129804a6fff0c11bd383e54da473de229d0acd383484e6d0436d8eca805",
     ),
     "pentagon": (
-        "3868fd86e353c2fb9f58ba9c1bf76dade173fd1739c7a02e2e9673ddc309629c",
-        "5cdc40d66f1919871e8704893864621889d6faad9312c02638e7ab63bf743d10",
+        "653faadb9c10e74409b0ccf941aa628f64c6e12205a58c55c8f86b35e4630e77",
+        "0bea86957873a7a25a5798a435e973cedea6d5400c4da107c0a8423bbe77f83b",
     ),
     "rugby-2": (
         "445260fe84369fc276229630963347530c8a66a95a947c193485be3a3fc929c7",
@@ -340,8 +350,8 @@ VERIFY_JSON_DIGESTS = {
         "3166eaa932d60560f0a728edb62db2890b54bd97afb0c0fcaedd4900554461db",
     ),
     "triangle-sqrt2": (
-        "395679b5a95615257207cc65a61d87803a7b29e0adbdf9fbf7641989a9016761",
-        "6b74be28176371affdb58944819f557fbbf84a563e2fdabfefb5780eab5959bc",
+        "d41414b8ef59229b51d5f3147b1914a5112da4c7f263a27da8ceefc07bd5aa75",
+        "6dfbc08ad08cb63d3f6ae674acd6119b1e88e9eb945e9413fe425a83dfbbb302",
     ),
 }
 

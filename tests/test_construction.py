@@ -18,7 +18,6 @@ from quasifold import (
     OffLevelSet,
     build_construction,
     construction_report,
-    fixed_points,
     induced_moment,
     kernel_moment,
     torus_moment,
@@ -182,20 +181,20 @@ class TestCharts:
     def test_unit_interval_fixed_points(self):
         data = construct_builtin("sphere")
         moduli = [tuple(s.as_fraction() for s in c.squared_moduli)
-                  for c in fixed_points(data)]
+                  for c in data.classification.charts]
         assert moduli == [(0, 1), (1, 0)]
 
     def test_triangle_origin_fiber(self):
         data = construct_builtin("triangle-sqrt2")
         f = data.polytope.field
-        charts = {c.vertex.point: c for c in fixed_points(data)}
+        charts = {c.vertex.point: c for c in data.classification.charts}
         origin = (f.zero, f.zero)
         assert charts[origin].squared_moduli == (f.zero, f.zero, f.theta)
 
     @pytest.mark.parametrize("name", CONSTRUCTIBLE)
     def test_chart_per_vertex_with_n_zeros(self, name):
         data = construct_builtin(name)
-        charts = fixed_points(data)
+        charts = data.classification.charts
         assert len(charts) == len(data.polytope.vertices)
         for c in charts:
             zeros = [s for s in c.squared_moduli if s.is_zero()]
@@ -206,7 +205,7 @@ class TestCharts:
     def test_squared_moduli_are_the_enumeration_slacks(self, name):
         data = construct_builtin(name)
         p = data.polytope
-        for c in fixed_points(data):
+        for c in data.classification.charts:
             v = c.vertex
             assert c.squared_moduli is v.slacks
             for j, (normal, offset) in enumerate(zip(p.normals, p.offsets)):

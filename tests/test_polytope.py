@@ -219,6 +219,15 @@ class TestVertices:
                     else:
                         assert slack.sign() > 0
 
+    def test_vertex_floats_ignore_refinement_history(self):
+        # A sign test refines the field's shared isolator; the floats of
+        # the second copy must not notice.
+        first, second = load_builtin("pentagon"), load_builtin("pentagon")
+        theta = second.field.theta
+        assert (theta - Fraction(9510565162951535, 10**16)).sign() != 0
+        assert ([[s.to_float() for s in v.point] for v in first.vertices]
+                == [[s.to_float() for s in v.point] for v in second.vertices])
+
     @pytest.mark.parametrize("name", sorted(builtin_names()))
     def test_matches_float_oracle(self, name):
         document = builtin_document(name)

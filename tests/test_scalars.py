@@ -186,21 +186,38 @@ class TestFieldAxioms:
 # Certified evaluation
 # --------------------------------------------------------------------------
 
+def _is_nearest_double(s, d):
+    """s lies strictly between the midpoints that d shares with its two
+    neighbouring doubles (also right when d is a power of two)."""
+    below = (Fraction(math.nextafter(d, -math.inf)) + Fraction(d)) / 2
+    above = (Fraction(d) + Fraction(math.nextafter(d, math.inf))) / 2
+    return (s - below).sign() > 0 and (s - above).sign() < 0
+
+
 class TestEval:
-    def test_rational_is_exact(self, sqrt2_field):
-        lo, hi = sqrt2_field.scalar("1/2").eval_interval(1e-6)
-        assert lo == hi == Fraction(1, 2)
+    def test_rational_is_float_of_fraction(self, sqrt2_field):
+        for value in (Fraction(1, 3), Fraction(-7, 10), Fraction(10**30 + 1, 3**40)):
+            assert sqrt2_field.scalar(value).to_float() == float(value)
 
-    def test_theta_interval(self, sqrt2_field):
-        lo, hi = sqrt2_field.theta.eval_interval(1e-6)
-        assert hi - lo <= Fraction(1, 10**6)
-        assert float(lo) <= math.sqrt(2) <= float(hi)
+    def test_square_roots_are_correctly_rounded(self, sqrt2_field, cos_field):
+        assert sqrt2_field.theta.to_float() == math.sqrt(2)
+        assert cos_field.parse("8*theta^2 - 5").to_float() == math.sqrt(5)
 
-    def test_nested_refinement(self, cos_field):
-        s = cos_field.parse("1 - 2*theta^2 + theta^3")
-        outer = s.eval_interval(1e-4)
-        inner = s.eval_interval(1e-5)
-        assert outer[0] <= inner[0] and inner[1] <= outer[1]
+    @settings(max_examples=250, deadline=None)
+    @given(a=st.sampled_from([SQRT2, COSF]).flatmap(_scalars))
+    def test_nearest_double(self, a):
+        for s in (a, a - Fraction(a.to_float())):
+            assert _is_nearest_double(s, s.to_float())
+
+    @pytest.mark.parametrize("expr, field", [
+        (f"theta - {Fraction(math.sqrt(2))}", SQRT2),
+        (f"8*theta^2 - 5 - {Fraction(math.sqrt(5))}", COSF),
+        (f"theta - {Fraction(9510565162951535, 10**16)}", COSF),
+    ], ids=["sqrt2", "sqrt5", "cos_pi_10"])
+    def test_nearest_double_near_zero(self, expr, field):
+        s = field.parse(expr)
+        d = s.to_float()
+        assert d != 0.0 and _is_nearest_double(s, d)
 
     def test_cos_2pi_5(self, cos_field):
         # cos(2pi/5) expressed in the power basis of cos(pi/10)
@@ -216,11 +233,6 @@ class TestEval:
         ]
         for expr, want in pairs:
             assert abs(cos_field.parse(expr).to_float() - want) < 1e-12
-
-    def test_float_width_contract(self, sqrt2_field):
-        lo, hi = sqrt2_field.theta.eval_interval(1e-10)
-        assert 0 < lo and lo * lo <= 2 <= hi * hi
-        assert hi - lo <= Fraction(1, 10**10)
 
     def test_sign_certification(self, cos_field):
         # sqrt5 - 2 > 0 but the difference is about 0.236; tighter: compare

@@ -43,3 +43,23 @@ def test_tracer_installs_and_uninstalls(tracing):
     finally:
         tracer.uninstall()
     assert quasifold.cli.parse_polytope is parse
+
+
+def test_end_op_counts_bisections(tracing):
+    # end_op reads each traced field's isolator, root_interval and degree.
+    # The interval [7/5, sqrt 2] needs a refined isolator to certify the
+    # sign of its length.
+    document = {
+        "field": {"minpoly": ["-2", "0", "1"], "root_interval": ["1", "2"]},
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "7/5"},
+                   {"normal": ["-1"], "offset": "-theta"}],
+    }
+    tracer = tracing.Tracer(tracing.quasifold_modules())
+    try:
+        tracer.install()
+        quasifold.parse_polytope(document)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["scalars.bisections"] > 0
