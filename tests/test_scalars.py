@@ -219,6 +219,22 @@ class TestEval:
         d = s.to_float()
         assert d != 0.0 and _is_nearest_double(s, d)
 
+    def test_nested_refinement(self, cos_field):
+        # Refining the shared isolator only shrinks it, and a rendering does
+        # not move when later sign tests refine it further.
+        s = cos_field.parse("1 - 2*theta^2 + theta^3")
+        outer = cos_field.isolator()
+        d = s.to_float()
+        inner = cos_field.isolator()
+        assert outer[0] <= inner[0] and inner[1] <= outer[1]
+        # theta - mid straddles zero on the current isolator, so its sign
+        # forces at least one more bisection.
+        assert (cos_field.theta - (inner[0] + inner[1]) / 2).sign() != 0
+        tightest = cos_field.isolator()
+        assert inner[0] <= tightest[0] and tightest[1] <= inner[1]
+        assert tightest[1] - tightest[0] < inner[1] - inner[0]
+        assert s.to_float() == d
+
     def test_cos_2pi_5(self, cos_field):
         # cos(2pi/5) expressed in the power basis of cos(pi/10)
         a = cos_field.parse("2*theta^2 - 3/2")
@@ -233,6 +249,15 @@ class TestEval:
         ]
         for expr, want in pairs:
             assert abs(cos_field.parse(expr).to_float() - want) < 1e-12
+
+    def test_float_width_contract(self, sqrt2_field):
+        # The rendering of sqrt(2) is off by at most half an ulp, which is
+        # far inside 1e-10; the containment is checked exactly in Q.
+        d = sqrt2_field.theta.to_float()
+        half_ulp = Fraction(math.ulp(d)) / 2
+        lo, hi = Fraction(d) - half_ulp, Fraction(d) + half_ulp
+        assert 0 < lo and lo * lo <= 2 <= hi * hi
+        assert hi - lo <= Fraction(1, 10**10)
 
     def test_sign_certification(self, cos_field):
         # sqrt5 - 2 > 0 but the difference is about 0.236; tighter: compare
