@@ -30,7 +30,7 @@ from .lattices import (
     rational_rank,
     span_certificate,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, dot
 from .polytope import (
     DelzantReport,
     HPolytope,
@@ -166,9 +166,11 @@ def build_construction(p: HPolytope) -> DelzantData:
     """
     simplicity = check_simple(p)
     if not simplicity.simple:
+        witness = simplicity.witness_index
+        active = p.vertices[witness].active
         raise NotSimple(
-            f"vertex {simplicity.witness_index} lies on "
-            f"{len(p.vertices[simplicity.witness_index].active)} facets, expected {p.dim}"
+            f"vertex {witness} lies on {len(active)} facets, expected {p.dim}",
+            vertex=witness, active=active,
         )
     n, d = p.dim, p.facet_count
     projection = Matrix(p.field, [[p.normals[j][i] for j in range(d)] for i in range(n)])
@@ -239,22 +241,22 @@ def induced_moment(z, data: DelzantData, tol: float | None = 1e-8):
 
 def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
     """Chart group at the vertex of index v: each quasilattice generator
-    is written in the basis of the n active normals (one elimination of
-    the basis augmented by every generator); the group is finite exactly
-    when all coordinates are rational, with order computed via Smith form."""
+    is written in the basis of the n active normals.  Those coordinates
+    are read off the vertex's cone, without an elimination: row j of D_v
+    for the normal X_j, and <w_k, g> for an extra generator g, where w_k
+    are the columns of W_v.  The group is finite exactly when all
+    coordinates are rational, with order computed via Smith form."""
     p = data.polytope
     if not 0 <= v < len(p.vertices):
         raise NotAVertex(f"vertex index {v} out of range")
     vertex = p.vertices[v]
+    if vertex.normal_coords is None:
+        raise InternalInconsistency(f"vertex {v} carries no cone")
+    edges = tuple(zip(*vertex.inverse))
+    coords = list(vertex.normal_coords) + [
+        tuple(dot(w, g) for w in edges) for g in p.extra_generators
+    ]
     n = data.dim
-    generators = data.quasilattice.generators
-    ech = Matrix(p.field, [
-        [p.normals[j][i] for j in vertex.active] + [g[i] for g in generators]
-        for i in range(n)
-    ]).echelon()
-    if ech.pivots != tuple(range(n)):
-        raise InternalInconsistency("active normals at a simple vertex are singular")
-    coords = [tuple(row[n + k] for row in ech.rows) for k in range(len(generators))]
     order = None
     if all(entry.is_rational() for c in coords for entry in c):
         order = quotient_order(

@@ -94,7 +94,13 @@ class NotRationalInput(QuasifoldError):
 # ----------------------------------------------------------- construction
 
 class NotSimple(QuasifoldError):
-    """Construction requires a simple polytope."""
+    """Construction requires a simple polytope; the witness is the index
+    of a vertex on more than n facets and its active facet tuple."""
+
+    def __init__(self, message: str, vertex=None, active=None):
+        super().__init__(message)
+        self.vertex = vertex
+        self.active = active
 
 
 class NotAVertex(QuasifoldError, ValueError):

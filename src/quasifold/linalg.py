@@ -21,6 +21,13 @@ def as_vector(field: Field, entries: Iterable) -> Vector:
     return tuple(field.scalar(e) for e in entries)
 
 
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
 @dataclass(frozen=True)
 class Echelon:
     """Reduced row echelon form with its pivot columns."""

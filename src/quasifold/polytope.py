@@ -2,7 +2,9 @@
 
 A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
-here is exact: vertex enumeration solves n-subsets of facet equations,
+here is exact: vertex enumeration walks the edge graph from the first
+vertex with one pivot per vertex, and falls back to solving n-subsets of
+facet equations on input that is not simple, not bounded or empty;
 boundedness and full dimension are read off the vertex active sets, and
 rationality of the normal family is certified (or refuted) over Q.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -24,7 +26,7 @@ from .errors import (
     UnboundedPolytope,
 )
 from .lattices import LatticeCertificate, integer_det, span_certificate
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, dot
 from .scalars import Field, Scalar, parse_scalar, rational_field
 
 _DOCUMENT_KEYS = {"field", "dimension", "facets", "quasilattice_extra_generators"}
@@ -34,11 +36,21 @@ _FIELD_KEYS = {"minpoly", "root_interval"}
 @dataclass(frozen=True)
 class Vertex:
     """A vertex with its facet slacks <v, X_j> - lambda_j and the full set
-    of facet indices active (zero slack) at it."""
+    of facet indices active (zero slack) at it.
+
+    A vertex the edge walk reaches also carries its cone.  ``inverse`` is
+    W_v = A_v^-1 by rows, where row k of A_v is the normal of facet
+    active[k]; column k of W_v is the direction w_k of the edge that
+    leaves facet active[k].  ``normal_coords`` is D_v, whose row j holds
+    <X_j, w_k> over k: the coordinates of X_j in the basis of the active
+    normals.  Both are None on a vertex of the subset scan.
+    """
 
     point: Vector
     active: tuple[int, ...]
     slacks: tuple[Scalar, ...]
+    inverse: tuple[Vector, ...] | None = None
+    normal_coords: tuple[Vector, ...] | None = None
 
 
 @dataclass
@@ -61,14 +73,7 @@ class HPolytope:
         return self._vertices
 
     def slack(self, point: Sequence[Scalar], j: int) -> Scalar:
-        return _dot(self.normals[j], point) - self.offsets[j]
-
-
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+        return dot(self.normals[j], point) - self.offsets[j]
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +205,7 @@ def _assert_bounded(p: HPolytope, vertices: Sequence[Vertex]) -> None:
             continue
         ray = kernel[0]
         for candidate in (ray, tuple(-s for s in ray)):
-            if all(_dot(p.normals[j], candidate).sign() >= 0 for j in range(d)):
+            if all(dot(p.normals[j], candidate).sign() >= 0 for j in range(d)):
                 rendered = ", ".join(s.to_expr() for s in candidate)
                 raise UnboundedPolytope(
                     f"recession direction ({rendered})", direction=candidate
@@ -210,11 +215,20 @@ def _assert_bounded(p: HPolytope, vertices: Sequence[Vertex]) -> None:
 def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     """All vertices, exactly, in deterministic facet-subset order.
 
-    Candidates come from invertible n-subsets of facet equations; each is
-    kept when every remaining slack is certified nonnegative.  Exactly
-    equal candidate points are merged, and the recorded active set lists
-    every facet with zero slack (more than n of them at a non-simple
-    vertex).
+    Candidates come from invertible n-subsets of facet equations, in
+    lexicographic order; each is kept when every remaining slack is
+    certified nonnegative.  Exactly equal candidate points are merged, and
+    the recorded active set lists every facet with zero slack (more than n
+    of them at a non-simple vertex).
+
+    That scan runs only until the first vertex.  When the first vertex is
+    simple, the edge walk (_walk) takes over and finds the rest with one
+    pivot each; it returns them sorted by active set, which for a simple
+    vertex is the one subset at which the scan finds it, so the list is
+    the scan's.  A walk that ends has seen every vertex simple and every
+    edge bounded, so the polytope is bounded and full dimensional.  When
+    the walk meets a non-simple vertex or an unbounded edge, the scan
+    resumes after the first vertex's subset.
 
     The normals span R^n, so a nonempty feasible set has a vertex: no
     vertex means LowerDimensional.  Boundedness is then tested on the
@@ -237,7 +251,12 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
         if any((not s.is_zero()) and s.sign() < 0 for s in slacks):
             continue
         active = tuple(j for j, s in enumerate(slacks) if s.is_zero())
-        seen[key] = Vertex(point=point, active=active, slacks=slacks)
+        vertex = Vertex(point=point, active=active, slacks=slacks)
+        if not seen and len(active) == n:
+            walked = _walk(p, vertex)
+            if walked is not None:
+                return walked
+        seen[key] = vertex
 
     vertices = list(seen.values())
     if not vertices:
@@ -247,6 +266,102 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     if common:
         raise LowerDimensional(f"facet {min(common)} is active at every vertex")
     return vertices
+
+
+def _walk(p: HPolytope, first: Vertex) -> list[Vertex] | None:
+    """Every vertex by a walk over the edge graph from the simple vertex
+    first, sorted by active set; None at a non-simple vertex or an
+    unbounded edge.
+
+    The first cone comes from one inversion of A_v; each new vertex from a
+    pivot of its neighbour's cone (_pivot).  The edge a pivot crossed needs
+    no ratio test from its far end: it leads back to the vertex the pivot
+    started from.  The graph of vertices and bounded edges of a pointed
+    polyhedron is connected, so the walk reaches every vertex unless an
+    edge on the way is unbounded.
+    """
+    inverse = Matrix(p.field, [p.normals[j] for j in first.active]).inverse().rows
+    columns = tuple(zip(*inverse))
+    coords = tuple(tuple(dot(x, w) for w in columns) for x in p.normals)
+    start = replace(first, inverse=inverse, normal_coords=coords)
+    found = {start.active: start}
+    pending = [(start, None)]
+    while pending:
+        v, back = pending.pop()
+        for k in range(len(v.active)):
+            if k == back:
+                continue
+            entering = _ratio_test(v, k)
+            if entering is None:
+                return None
+            active = tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,)))
+            if active not in found:
+                found[active] = _pivot(v, k, entering, active)
+                pending.append((found[active], active.index(entering)))
+    return [found[active] for active in sorted(found)]
+
+
+def _ratio_test(v: Vertex, k: int) -> int | None:
+    """The facet that edge k of the simple vertex v runs into, or None
+    when the edge is unbounded or ends on more than one new facet.
+
+    Along v + t*w_k the slack of facet j is s_j + t*D[j][k], so only
+    facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k].  The
+    denominators are positive, so ratios compare by cross-multiplying:
+    s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0.  A tie at
+    the minimum means more than n facets at the next vertex.
+    """
+    best, tie = None, False
+    for j, row in enumerate(v.normal_coords):
+        a = row[k]
+        if a.is_zero() or a.sign() > 0:
+            continue
+        if best is None:
+            best = j
+            continue
+        order = (v.slacks[j] * v.normal_coords[best][k] - v.slacks[best] * a).sign()
+        if order > 0:
+            best, tie = j, False
+        elif order == 0:
+            tie = True
+    return None if tie else best
+
+
+def _pivot(v: Vertex, k: int, entering: int, active: tuple[int, ...]) -> Vertex:
+    """The neighbour of v across edge k, which enters facet ``entering``.
+
+    With alpha = D[entering][k] < 0, the new edge directions are
+    w_k / alpha in the slot of the entering facet and
+    w_i - (D[entering][i] / alpha) * w_k for the others; every row of W
+    and D takes the same column operation, and zero multipliers are
+    skipped.  The step along w_k is t = s_entering / -alpha > 0.
+    """
+    pivot_row = v.normal_coords[entering]
+    inv = pivot_row[k].inverse()
+    factors = [(i, a * inv) for i, a in enumerate(pivot_row) if i != k and not a.is_zero()]
+    step = -(v.slacks[entering] * inv)
+    slot = active.index(entering)
+
+    def column_op(row: Vector) -> Vector:
+        out = list(row)
+        a = out.pop(k)
+        if not a.is_zero():
+            for i, factor in factors:
+                out[i if i < k else i - 1] = row[i] - factor * a
+            a = a * inv
+        out.insert(slot, a)
+        return tuple(out)
+
+    def moved(values: Vector, along: Sequence[Scalar]) -> Vector:
+        return tuple(s if a.is_zero() else s + step * a for s, a in zip(values, along))
+
+    return Vertex(
+        point=moved(v.point, [row[k] for row in v.inverse]),
+        active=active,
+        slacks=moved(v.slacks, [row[k] for row in v.normal_coords]),
+        inverse=tuple(column_op(row) for row in v.inverse),
+        normal_coords=tuple(column_op(row) for row in v.normal_coords),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -254,7 +254,7 @@ class Field:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Field)
             and self.minpoly == other.minpoly
             and self.root_interval == other.root_interval

@@ -24,6 +24,7 @@ from quasifold import (
     vertex_structure_group,
 )
 import quasifold.construction
+from quasifold.linalg import Matrix
 from conftest import construct_builtin, load_builtin
 
 CONSTRUCTIBLE = [
@@ -89,8 +90,10 @@ class TestKernel:
         assert not construct_builtin("pentagon").n_compact  # dim 1 < 3
 
     def test_not_simple_rejected(self):
-        with pytest.raises(NotSimple):
+        with pytest.raises(NotSimple) as info:
             build_construction(load_builtin("octahedron"))
+        assert info.value.vertex == 0
+        assert info.value.active == (0, 1, 2, 3)
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +217,18 @@ class TestCharts:
                     dot = dot + a * b
                 assert v.slacks[j] == dot - offset
             assert v.active == tuple(j for j, s in enumerate(v.slacks) if s.is_zero())
+
+    @pytest.mark.parametrize("name", CONSTRUCTIBLE)
+    def test_generator_coords_match_elimination(self, name):
+        # Oracle: one elimination per vertex and generator g, solving
+        # sum_k c_k X_active[k] = g (the rugby entries add an extra g).
+        data = construct_builtin(name)
+        p = data.polytope
+        for chart in data.classification.charts:
+            basis = Matrix(p.field, [[p.normals[j][i] for j in chart.vertex.active]
+                                     for i in range(p.dim)])
+            expected = tuple(basis.solve(g) for g in data.quasilattice.generators)
+            assert chart.generator_coords == expected
 
     def test_interval_sqrt2_infinite_groups(self):
         data = construct_builtin("interval-sqrt2")

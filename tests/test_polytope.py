@@ -1,7 +1,8 @@
 """Polytope parsing, vertex enumeration, simplicity, rationality, integrality.
 
 Vertex enumeration is cross-checked against an independent float-based
-enumerator (numpy solves over all facet subsets) on every builtin, and
+enumerator (numpy solves over all facet subsets) on every builtin, the
+edge walk against the subset scan it replaces on simple input, and
 the boundedness and full-dimension verdicts against exact brute-force
 oracles (a recession scan over all (n-1)-subsets of facets and the rank
 of the vertex differences) on random H-representations.
@@ -31,6 +32,8 @@ from quasifold import (
     check_simple,
     parse_polytope,
 )
+import quasifold.polytope as polytope_module
+from quasifold.linalg import Matrix
 from conftest import load_builtin
 
 
@@ -267,8 +270,9 @@ def _dot(u, v):
 
 def brute_force_outcome(normals, offsets, n):
     """(exception type or None, vertex points) by exhaustive subset scans:
-    vertices from every n-subset of facets, a recession ray from every
-    (n-1)-subset, then the rank of the vertex differences."""
+    vertices from every n-subset of facets, in the order of the first
+    subset that gives each, a recession ray from every (n-1)-subset, then
+    the rank of the vertex differences."""
     d = len(normals)
     if len(_rref(normals, n)[1]) < n:
         return NormalsDontSpan, []
@@ -325,7 +329,10 @@ def test_parse_agrees_with_brute_force(case):
     if expected is None:
         p = parse_polytope(document)
         points = [[s.as_fraction() for s in v.point] for v in p.vertices]
-        assert sorted(points) == sorted(oracle_vertices)
+        assert points == oracle_vertices  # in the oracle's first-subset order
+        for v, point in zip(p.vertices, oracle_vertices):
+            assert v.active == tuple(j for j, (x, b) in enumerate(zip(normals, offsets))
+                                     if _dot(x, point) == b)
         return
     with pytest.raises(expected) as info:
         parse_polytope(document)
@@ -333,6 +340,102 @@ def test_parse_agrees_with_brute_force(case):
         ray = [s.as_fraction() for s in info.value.direction]
         assert any(ray)
         assert all(_dot(x, ray) >= 0 for x in normals)
+
+
+# --------------------------------------------------------------------------
+# The edge walk against the subset scan
+# --------------------------------------------------------------------------
+
+def _unit(n, i, value="1"):
+    return [value if k == i else "0" for k in range(n)]
+
+
+def cube_document(n):
+    return doc(n, [(_unit(n, i), "0") for i in range(n)]
+               + [(_unit(n, i, "-1"), "-1") for i in range(n)])
+
+
+def projective_space_document(n):
+    return doc(n, [(_unit(n, i), "0") for i in range(n)] + [(["-1"] * n, "-1")])
+
+
+def pentagon_squared_document():
+    pentagon = builtin_document("pentagon")
+    facets = [(f["normal"] + ["0", "0"], f["offset"]) for f in pentagon["facets"]]
+    facets += [(["0", "0"] + f["normal"], f["offset"]) for f in pentagon["facets"]]
+    return doc(4, facets, field=pentagon["field"])
+
+
+# A square pyramid: its first vertex (0, 0, 0) is simple, so the walk
+# starts, and stops at the apex, where four facets meet.
+PYRAMID = doc(3, [
+    (["0", "0", "1"], "0"), (["2", "0", "-1"], "0"), (["0", "2", "-1"], "0"),
+    (["-2", "0", "-1"], "-2"), (["0", "-2", "-1"], "-2"),
+])
+
+WALKED = (
+    [pytest.param(builtin_document(name), id=name) for name in sorted(builtin_names())
+     if name != "octahedron"]
+    + [pytest.param(cube_document(n), id=f"cube{n}") for n in range(3, 8)]
+    + [pytest.param(projective_space_document(n), id=f"cp{n}") for n in range(3, 9)]
+    + [pytest.param(pentagon_squared_document(), id="pentagon2")]
+)
+SCANNED = [
+    pytest.param(builtin_document("octahedron"), id="octahedron"),
+    pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), id="capped-cone"),
+    pytest.param(PYRAMID, id="pyramid"),
+]
+
+
+def _scan(document, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(polytope_module, "_walk", lambda p, first: None)
+        return parse_polytope(document).vertices
+
+
+def _facts(vertices):
+    return [(v.point, v.active, v.slacks) for v in vertices]
+
+
+@pytest.mark.parametrize("document", WALKED)
+def test_walk_gives_the_scan_vertices(document, monkeypatch):
+    walked = parse_polytope(document).vertices
+    assert all(v.inverse is not None for v in walked)
+    assert _facts(walked) == _facts(_scan(document, monkeypatch))
+
+
+@pytest.mark.parametrize("document", SCANNED)
+def test_non_simple_input_takes_the_scan(document, monkeypatch):
+    vertices = parse_polytope(document).vertices
+    assert all(v.inverse is None for v in vertices)
+    assert any(len(v.active) > document["dimension"] for v in vertices)
+    assert _facts(vertices) == _facts(_scan(document, monkeypatch))
+
+
+@pytest.mark.parametrize("document", WALKED)
+def test_walk_cone_inverts_the_active_normals(document):
+    # D_v = X W_v, and the rows of D_v at the active facets are the unit
+    # rows, so A_v W_v = I.
+    p = parse_polytope(document)
+    f, n = p.field, p.dim
+    for v in p.vertices:
+        for x, coords in zip(p.normals, v.normal_coords):
+            assert coords == tuple(sum((x[i] * v.inverse[i][k] for i in range(n)), f.zero)
+                                   for k in range(n))
+        for k, j in enumerate(v.active):
+            assert v.normal_coords[j] == tuple(f.one if i == k else f.zero for i in range(n))
+
+
+def test_cube8_parse_eliminates_three_times(monkeypatch):
+    # One rank test, the first subset of the scan and the inversion of the
+    # first cone; the scan alone would eliminate all C(16, 8) = 12,870
+    # subsets.
+    calls = []
+    reduce = Matrix._reduce
+    monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
+    p = parse_polytope(cube_document(8))
+    assert len(p.vertices) == 256
+    assert len(calls) <= 3
 
 
 # --------------------------------------------------------------------------
