@@ -244,8 +244,7 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
         if ech.pivots != square:
             continue
         point = tuple(row[n] for row in ech.rows)
-        key = tuple(s.coeffs for s in point)
-        if key in seen:
+        if point in seen:
             continue
         slacks = tuple(p.slack(point, j) for j in range(d))
         if any((not s.is_zero()) and s.sign() < 0 for s in slacks):
@@ -256,7 +255,7 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
             walked = _walk(p, vertex)
             if walked is not None:
                 return walked
-        seen[key] = vertex
+        seen[point] = vertex
 
     vertices = list(seen.values())
     if not vertices:

@@ -2,17 +2,21 @@
 
 A field is described by a monic minimal polynomial with rational
 coefficients together with an isolating interval that pins down which
-real root theta denotes.  Scalars are coefficient vectors over the power
-basis 1, theta, ..., theta^(g-1); all arithmetic is exact, and every
-comparison against zero is decided by certified interval refinement,
+real root theta denotes.  A scalar is a vector of integer numerators over
+the power basis 1, theta, ..., theta^(g-1) and one positive common
+denominator, kept in lowest terms, so that equal values are equal
+tuples (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
+All arithmetic is exact integer arithmetic.  Every comparison against
+zero and every rounding to a double is decided by a Horner enclosure in
+integers over the field's isolating interval, refined by bisection,
 never by a floating epsilon.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,7 +39,6 @@ _MAX_REFINE = 320
 
 Rat = Fraction
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # --------------------------------------------------------------------------
@@ -72,22 +75,12 @@ def _poly_divmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Ra
     return q, _poly_trim(a[: len(b) - 1])
 
 
-def _poly_xgcd(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
-    """Return (g, u) with u*a = g (mod b) and g = gcd(a, b), both trimmed."""
+def _poly_gcd(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
+    """gcd(a, b) by Euclid's algorithm, trimmed (not made monic)."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    u0, u1 = [_ONE], []
     while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # u_next = u0 - q*u1
-        prod = [_ZERO] * (len(q) + len(u1))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    prod[i + j] += qi * uj
-        nxt = [x - y for x, y in zip(u0 + [_ZERO] * len(prod), prod + [_ZERO] * len(u0))]
-        u0, u1 = u1, _poly_trim(nxt)
-    return r0, u0
+        r0, r1 = r1, _poly_divmod(r0, r1)[1]
+    return r0
 
 
 def _sturm_chain(p: list[Rat]) -> list[list[Rat]]:
@@ -119,6 +112,14 @@ def _int_divisors(n: int) -> list[int]:
             out.append(n // d)
         d += 1
     return sorted(set(out))
+
+
+def _over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the least common denominator of the
+    rationals; the result is in lowest terms."""
+    fractions = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fractions))
+    return tuple(f.numerator * (den // f.denominator) for f in fractions), den
 
 
 # --------------------------------------------------------------------------
@@ -165,21 +166,30 @@ class Field:
                     f"interval ({lo}, {hi}) contains {roots} roots of the minimal polynomial"
                 )
 
-        # Mutable isolator cache; it only ever shrinks, and refining it only
-        # saves later work: every sign and float is a function of the exact
-        # value alone, so no output depends on its state.
-        self._iso = (lo, hi)
+        # Mutable isolator cache (L, H, D): theta lies in [L/D, H/D].  It
+        # only ever shrinks, and refining it only saves later work: every
+        # sign and float is a function of the exact value alone, so no
+        # output depends on its state.
+        (lo_num, hi_num), iso_den = _over_common_denominator((lo, hi))
+        self._iso = (lo_num, hi_num, iso_den)
         self._sign_lo = 1 if plo > 0 else -1
-        self._powers = self._reduction_table()
+        self._minpoly_num = _over_common_denominator(coeffs)[0]
+        self._powers, self._powers_den = self._reduction_table()
+
+        zeros = (0,) * (self.degree - 1)
+        self.zero = _scalar(self, (0,) + zeros, 1)
+        self.one = _scalar(self, (1,) + zeros, 1)
+        if self.degree == 1:
+            self.theta = self.scalar(-coeffs[0])
+        else:
+            self.theta = _scalar(self, (0, 1) + zeros[1:], 1)
 
     def _reject_reducible(self, p: list[Rat]) -> None:
-        g, _ = _poly_xgcd(p, _poly_deriv(p))
-        if len(g) > 1:
+        if len(_poly_gcd(p, _poly_deriv(p))) > 1:
             raise ReduciblePolynomial("minimal polynomial is not square-free")
         # Monic with rational coefficients: clear denominators and test every
         # candidate rational root num/den with num | constant, den | leading.
-        mult = math.lcm(*(c.denominator for c in p))
-        ints = [int(c * mult) for c in p]
+        ints = _over_common_denominator(p)[0]
         if ints[0] == 0:
             raise ReduciblePolynomial("zero is a rational root of the minimal polynomial")
         for den in _int_divisors(ints[-1]):
@@ -190,8 +200,9 @@ class Field:
                             f"minimal polynomial has rational root {cand}"
                         )
 
-    def _reduction_table(self) -> list[tuple[Rat, ...]]:
-        """theta^k for k in [degree, 2*degree-2] as power-basis vectors."""
+    def _reduction_table(self) -> tuple[list[tuple[int, ...]], int]:
+        """theta^k for k in [degree, 2*degree-2] as power-basis vectors of
+        integer numerators, over one common denominator."""
         g = self.degree
         table = []
         cur = [-c for c in self.minpoly[:-1]]  # theta^g
@@ -202,40 +213,32 @@ class Field:
             if top:
                 for j in range(g):
                     cur[j] += top * table[0][j]
-        return table
+        nums, den = _over_common_denominator(c for row in table for c in row)
+        return [nums[k * g:(k + 1) * g] for k in range(g - 1)], den
 
     # -- isolator -----------------------------------------------------------
 
     def _refine(self) -> None:
         # Only irrational scalars refine, so the degree is >= 2 and the
         # minimal polynomial has no rational root: the midpoint is never one.
-        lo, hi = self._iso
-        mid = (lo + hi) / 2
-        if (_poly_eval(self.minpoly, mid) > 0) == (self._sign_lo > 0):
-            self._iso = (mid, hi)
+        # Its sign at mid/den is that of sum_k c_k mid^k den^(g-k).
+        lo, hi, den = self._iso
+        mid = lo + hi
+        den *= 2
+        value, scale = 0, 1
+        for c in reversed(self._minpoly_num):
+            value = value * mid + c * scale
+            scale *= den
+        if (value > 0) == (self._sign_lo > 0):
+            self._iso = (mid, 2 * hi, den)
         else:
-            self._iso = (lo, mid)
+            self._iso = (2 * lo, mid, den)
 
     def isolator(self) -> tuple[Rat, Rat]:
-        return self._iso
+        lo, hi, den = self._iso
+        return Fraction(lo, den), Fraction(hi, den)
 
     # -- construction helpers -------------------------------------------------
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, (_ZERO,) * self.degree)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
-    @property
-    def theta(self) -> "Scalar":
-        if self.degree == 1:
-            return self.scalar(-self.minpoly[0])
-        v = [_ZERO] * self.degree
-        v[1] = _ONE
-        return Scalar(self, tuple(v))
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -244,9 +247,11 @@ class Field:
             return value
         if isinstance(value, str):
             return parse_scalar(value, self)
-        coeffs = [_ZERO] * self.degree
-        coeffs[0] = Fraction(value)
-        return Scalar(self, tuple(coeffs))
+        zeros = (0,) * (self.degree - 1)
+        if isinstance(value, int):
+            return _scalar(self, (value,) + zeros, 1)
+        value = Fraction(value)
+        return _scalar(self, (value.numerator,) + zeros, value.denominator)
 
     def parse(self, text: str) -> "Scalar":
         return parse_scalar(text, self)
@@ -277,12 +282,27 @@ def rational_field() -> Field:
 # Scalars
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Scalar:
-    """Element of a Field, stored as an exact power-basis coefficient vector."""
+    """Element of a Field: the value (num[0] + num[1]*theta + ... +
+    num[g-1]*theta^(g-1)) / den, with integer numerators ``num``, a
+    positive integer ``den`` and gcd(den, *num) == 1.  The lowest-terms
+    form is unique, so ``==`` and ``hash`` compare tuples.
 
-    field: Field
-    coeffs: tuple[Rat, ...]
+    ``Scalar(field, coeffs)`` builds a scalar from rational power-basis
+    coefficients, which ``coeffs`` returns.  Scalars are treated as
+    immutable.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: Field, coeffs: Iterable) -> None:
+        self.field = field
+        self.num, self.den = _over_common_denominator(coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- coercion ------------------------------------------------------------
 
@@ -301,18 +321,18 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return _scalar(self.field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -324,44 +344,64 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        g = self.field.degree
+        field = self.field
+        den = self.den * o.den
+        g = field.degree
         if g == 1:
-            return Scalar(self.field, (self.coeffs[0] * o.coeffs[0],))
-        raw = [_ZERO] * (2 * g - 1)
-        for i, a in enumerate(self.coeffs):
+            return _reduced(field, (self.num[0] * o.num[0],), den)
+        raw = [0] * (2 * g - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.num):
                     if b:
                         raw[i + j] += a * b
         out = raw[:g]
-        table = self.field._powers
-        for k in range(g, 2 * g - 1):
-            c = raw[k]
-            if c:
-                red = table[k - g]
-                for j in range(g):
-                    out[j] += c * red[j]
-        return Scalar(self.field, tuple(out))
+        high = raw[g:]
+        if any(high):
+            scale = field._powers_den
+            if scale != 1:
+                out = [c * scale for c in out]
+                den *= scale
+            for c, red in zip(high, field._powers):
+                if c:
+                    for j in range(g):
+                        out[j] += c * red[j]
+        return _reduced(field, tuple(out), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZeroScalar("division by zero scalar")
-        g = self.field.degree
-        if g == 1:
-            return Scalar(self.field, (1 / self.coeffs[0],))
-        gcd, u = _poly_xgcd(list(self.coeffs), list(self.field.minpoly))
-        if len(gcd) != 1:
+        if self.field.degree == 1:
+            num = self.num[0]
+            if num < 0:
+                return _scalar(self.field, (-self.den,), -num)
+            return _scalar(self.field, (self.den,), num)
+        # x = den / (num[0] + ... + num[g-1]*theta^(g-1)) solves the integer
+        # system whose column j is T * num * theta^j, reduced by the field's
+        # table over its denominator T, with right-hand side T * den * e_0.
+        field = self.field
+        g = field.degree
+        table, scale = field._powers, field._powers_den
+        system = [[0] * (g + 1) for _ in range(g)]
+        system[0][g] = scale * self.den
+        for j in range(g):
+            for i, c in enumerate(self.num):
+                if c and i + j < g:
+                    system[i + j][j] += scale * c
+                elif c:
+                    for m, r in enumerate(table[i + j - g]):
+                        system[m][j] += c * r
+        solution = _solve_fraction_free(system)
+        if solution is None:
             # Reachable only when a reducible minpoly slipped past the
             # square-free and rational-root pre-checks: the quotient ring
             # then has zero divisors, which are not invertible.
             raise DivisionByZeroScalar(
                 "scalar is a zero divisor (reducible minimal polynomial)"
             )
-        inv = [c / gcd[0] for c in u]
-        inv += [_ZERO] * (g - len(inv))
-        return Scalar(self.field, tuple(inv[:g]))
+        return _reduced(field, *solution)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -393,69 +433,75 @@ class Scalar:
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Rat:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     # -- certified evaluation ----------------------------------------------------
 
-    def _enclosure(self, done) -> tuple[Rat, Rat]:
-        """First Horner enclosure (lo, hi) of the value with done(lo, hi),
-        refining the field's isolator in between."""
+    def _enclosure(self, done) -> tuple[int, int, int]:
+        """First Horner enclosure (lo, hi, q) of the value with
+        done(lo, hi, q), refining the field's isolator in between."""
         field = self.field
         for _ in range(_MAX_REFINE):
-            lo, hi = self._horner_interval(field._iso)
-            if done(lo, hi):
-                return lo, hi
+            lo, hi, q = self._horner_interval(field._iso)
+            if done(lo, hi, q):
+                return lo, hi, q
             field._refine()
         raise SignUndecidable(
             f"interval refinement of {self.to_expr()} failed to converge; "
             "is the minimal polynomial reducible?"
         )
 
-    def _horner_interval(self, theta: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-        lo = hi = self.coeffs[-1]
-        tlo, thi = theta
-        for c in reversed(self.coeffs[:-1]):
+    def _horner_interval(self, theta: tuple[int, int, int]) -> tuple[int, int, int]:
+        """Integers (lo, hi, q) with the value in [lo/q, hi/q] when theta
+        lies in [L/D, H/D]; after m Horner steps the partial enclosure is
+        scaled by D^m."""
+        tlo, thi, tden = theta
+        lo = hi = self.num[-1]
+        scale = 1
+        for c in reversed(self.num[:-1]):
+            scale *= tden
             products = (lo * tlo, lo * thi, hi * tlo, hi * thi)
-            lo, hi = min(products) + c, max(products) + c
-        return lo, hi
+            lo, hi = min(products) + c * scale, max(products) + c * scale
+        return lo, hi, scale * self.den
 
     def to_float(self) -> float:
-        """The double nearest to the exact value.  Rounding is monotone, so
-        once both ends of an enclosure round to the same double, that double
-        is nearest to the value; an irrational value is never a tie."""
+        """The double nearest to the exact value.  int / int rounds
+        correctly, as float(Fraction) does.  Rounding is monotone, so once
+        both ends of an enclosure round to the same double, that double is
+        nearest to the value; an irrational value is never a tie."""
         if self.is_rational():
-            return float(self.coeffs[0])
-        lo, _ = self._enclosure(lambda lo, hi: float(lo) == float(hi))
-        return float(lo)
+            return self.num[0] / self.den
+        lo, _, q = self._enclosure(lambda lo, hi, q: lo / q == hi / q)
+        return lo / q
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, certified by interval refinement."""
         if self.is_zero():
             return 0
         if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
-        lo, _ = self._enclosure(lambda lo, hi: lo > 0 or hi < 0)
+            return 1 if self.num[0] > 0 else -1
+        lo, _, _ = self._enclosure(lambda lo, hi, q: lo > 0 or hi < 0)
         return 1 if lo > 0 else -1
 
     def __lt__(self, other):
@@ -507,6 +553,63 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_expr()!r})"
+
+
+def _scalar(field: Field, num: tuple[int, ...], den: int) -> Scalar:
+    """A Scalar from numerators and a denominator already in lowest terms."""
+    s = object.__new__(Scalar)
+    s.field = field
+    s.num = num
+    s.den = den
+    return s
+
+
+def _reduced(field: Field, num: tuple[int, ...], den: int) -> Scalar:
+    """A Scalar from numerators over a positive denominator, in lowest terms."""
+    common = math.gcd(den, *num)
+    if common != 1:
+        num = tuple([c // common for c in num])
+        den //= common
+    return _scalar(field, num, den)
+
+
+def _combine(x: Scalar, y: Scalar, op) -> Scalar:
+    """x + y or x - y (op is operator.add or sub): the numerators combine
+    directly over equal denominators and cross-multiplied otherwise."""
+    a, b = x.den, y.den
+    if a == b:
+        return _reduced(x.field, tuple(map(op, x.num, y.num)), a)
+    return _reduced(x.field, tuple(map(op, [c * b for c in x.num], [c * a for c in y.num])),
+                    a * b)
+
+
+def _solve_fraction_free(system: list[list[int]]) -> tuple[tuple[int, ...], int] | None:
+    """Solve the square integer system [A | b] as numerators over a positive
+    denominator, or None when A is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss): each row operation divides exactly
+    by the previous pivot, so every entry stays an integer minor, and at the
+    end every diagonal entry equals the last pivot, +-det A.
+    """
+    g = len(system)
+    previous = 1
+    for k in range(g):
+        p = next((i for i in range(k, g) if system[i][k]), None)
+        if p is None:
+            return None
+        system[k], system[p] = system[p], system[k]
+        row = system[k]
+        pivot = row[k]
+        for i in range(g):
+            if i != k:
+                factor = system[i][k]
+                system[i] = [(pivot * x - factor * y) // previous
+                             for x, y in zip(system[i], row)]
+        previous = pivot
+    num = tuple(row[g] for row in system)
+    if previous < 0:
+        return tuple(-c for c in num), -previous
+    return num, previous
 
 
 # --------------------------------------------------------------------------

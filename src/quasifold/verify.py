@@ -82,6 +82,9 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count == 0:
+        return SampleSet(mu=np.zeros((0, data.dim)),
+                         z=np.zeros((0, data.ambient_dim), dtype=complex))
     f = data.floats
     rng = np.random.default_rng(seed)
     corners, weights = _dissection(data)

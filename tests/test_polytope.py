@@ -438,6 +438,24 @@ def test_cube8_parse_eliminates_three_times(monkeypatch):
     assert len(calls) <= 3
 
 
+def test_cube6_walk_does_no_fraction_arithmetic(monkeypatch):
+    # Scalars are integer numerators over one denominator, so enumerating
+    # the vertices of a rational polytope never multiplies, adds, subtracts
+    # or divides a Fraction.
+    p = parse_polytope(cube_document(6))
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__", "__truediv__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _original=original: calls.append(1) or _original(*args))
+    assert Fraction(1, 2) * Fraction(1, 3) - Fraction(1, 6) == 0 and len(calls) == 2
+    calls.clear()
+    vertices = polytope_module.enumerate_vertices(p)
+    monkeypatch.undo()
+    assert len(vertices) == 64
+    assert calls == []
+
+
 # --------------------------------------------------------------------------
 # Simplicity
 # --------------------------------------------------------------------------

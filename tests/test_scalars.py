@@ -15,6 +15,7 @@ from quasifold import (
     NotMonic,
     ReduciblePolynomial,
     RootNotIsolated,
+    Scalar,
     ScalarSyntaxError,
     parse_scalar,
     rational_field,
@@ -278,3 +279,141 @@ class TestEval:
         assert sqrt2_field.scalar("1/2").is_rational()
         assert not sqrt2_field.theta.is_rational()
         assert (sqrt2_field.theta ** 2).is_integer()
+
+
+# --------------------------------------------------------------------------
+# Integer representation against a Fraction reference
+# --------------------------------------------------------------------------
+
+def _ref_eval(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_mul(field, x, y):
+    """Product of two Fraction coefficient vectors: convolve, then reduce
+    theta^g, ..., theta^(2g-2) by the minimal polynomial."""
+    g = field.degree
+    table, cur = [], [-c for c in field.minpoly[:-1]]
+    for _ in range(g - 1):
+        table.append(cur)
+        cur = [Fraction(0)] + cur[:-1]
+        cur = [c + table[-1][-1] * t for c, t in zip(cur, table[0])]
+    raw = [Fraction(0)] * (2 * g - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            raw[i + j] += a * b
+    out = raw[:g]
+    for c, red in zip(raw[g:], table):
+        out = [o + c * r for o, r in zip(out, red)]
+    return tuple(out)
+
+
+def _ref_enclosure(field, x, done):
+    """Horner enclosure of the value over Fraction bisections of the
+    field's root interval, until done(lo, hi)."""
+    tlo, thi = field.root_interval
+    rising = _ref_eval(field.minpoly, thi) > 0
+    for _ in range(400):
+        lo = hi = x[-1]
+        for c in reversed(x[:-1]):
+            products = (lo * tlo, lo * thi, hi * tlo, hi * thi)
+            lo, hi = min(products) + c, max(products) + c
+        if done(lo, hi):
+            return lo, hi
+        mid = (tlo + thi) / 2
+        if (_ref_eval(field.minpoly, mid) > 0) == rising:
+            thi = mid
+        else:
+            tlo = mid
+    raise AssertionError("reference enclosure did not converge")
+
+
+def _ref_sign(field, x):
+    if all(c == 0 for c in x[1:]):
+        return (x[0] > 0) - (x[0] < 0)
+    lo, _ = _ref_enclosure(field, x, lambda lo, hi: lo > 0 or hi < 0)
+    return 1 if lo > 0 else -1
+
+
+def _ref_float(field, x):
+    if all(c == 0 for c in x[1:]):
+        return float(x[0])
+    return float(_ref_enclosure(field, x, lambda lo, hi: float(lo) == float(hi))[0])
+
+
+def _assert_canonical(s):
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+    assert len(s.num) == s.field.degree
+
+
+def _coefficient_vectors(field):
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+    return st.tuples(*[coeff] * field.degree)
+
+
+ORACLE_FIELDS = [rational_field(), SQRT2, COSF]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cos_pi_10"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_scalars_match_fraction_reference(field, data):
+    x = data.draw(_coefficient_vectors(field))
+    y = data.draw(_coefficient_vectors(field))
+    a, b = Scalar(field, x), Scalar(field, y)
+    assert a.coeffs == x and b.coeffs == y
+    one = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    results = {
+        "add": (a + b, tuple(p + q for p, q in zip(x, y))),
+        "sub": (a - b, tuple(p - q for p, q in zip(x, y))),
+        "mul": (a * b, _ref_mul(field, x, y)),
+        "pow": (a ** 3, _ref_mul(field, _ref_mul(field, x, x), x)),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == want, name
+    if not b.is_zero():
+        quotient = a / b
+        _assert_canonical(quotient)
+        assert _ref_mul(field, quotient.coeffs, y) == x
+    if not a.is_zero():
+        power = a ** -2
+        _assert_canonical(power)
+        assert _ref_mul(field, power.coeffs, _ref_mul(field, x, x)) == one
+    for s, v in ((a, x), (a - b, results["sub"][1])):
+        assert s.sign() == _ref_sign(field, v)
+        assert s.to_float() == _ref_float(field, v)
+    assert (a == b) == (x == y)
+    # Equal values reached by different routes have one representation.
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    assert (again.num, again.den) == (a.num, a.den)
+
+
+class TestRounding:
+    @pytest.mark.parametrize("value", [
+        Fraction(10**400 + 1, 10**400),
+        Fraction(1, 3 * 10**300),
+        Fraction(-(10**500) - 7, 10**500 - 3),
+    ], ids=["one-plus-tiny", "tiny", "minus-one"])
+    def test_huge_rationals_round_like_float_of_fraction(self, value):
+        for field in (rational_field(), SQRT2):
+            assert field.scalar(value).to_float() == float(value)
+
+    def test_irrational_beyond_double_range(self):
+        # Numerator and denominator far beyond double range, value near 1.
+        s = SQRT2.theta / 10**400 + 1
+        assert s.to_float() == 1.0
+        tiny = SQRT2.parse("theta/3") / 10**300
+        assert _is_nearest_double(tiny, tiny.to_float())
+
+    def test_many_bisections(self):
+        # 665857/470832 is a continued-fraction convergent of sqrt 2, so the
+        # difference is about 1.6e-12 and needs a narrow isolator.
+        field = Field(("-2", "0", "1"), (1, 2))
+        s = field.parse("theta - 665857/470832")
+        assert s.to_float() == -1.5948618246068547e-12
+        assert _is_nearest_double(s, s.to_float())

@@ -20,6 +20,7 @@ from quasifold import (
     sample_level_set,
     verify_moment_image,
 )
+import quasifold.verify as verify_module
 from quasifold.verify import _dissection
 from conftest import construct_builtin
 
@@ -54,6 +55,15 @@ class TestSampling:
     def test_zero_count(self):
         samples = sample_level_set(construct_builtin("square"), 0)
         assert len(samples) == 0
+
+    def test_zero_count_builds_no_dissection(self, monkeypatch):
+        data = construct_builtin("cube")
+        calls = []
+        monkeypatch.setattr(verify_module, "_dissection", lambda data: calls.append(data))
+        samples = sample_level_set(data, 0)
+        assert calls == []
+        assert samples.mu.shape == (0, data.dim) and samples.mu.dtype == np.float64
+        assert samples.z.shape == (0, data.ambient_dim) and samples.z.dtype == np.complex128
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
