@@ -187,7 +187,11 @@ def build_construction(p: HPolytope) -> DelzantData:
 
     # Rational points of Lie(N): common rational kernel of every power-basis
     # coefficient layer of pi, whose columns are the flattened normals.
-    n_rational_dim = d - rational_rank([flatten_vector(v) for v in p.normals])[0]
+    # Without extra generators the certificate has ranked those already.
+    normals_rank = quasilattice.certificate.rank
+    if p.extra_generators:
+        normals_rank = rational_rank([flatten_vector(v) for v in p.normals])[0]
+    n_rational_dim = d - normals_rank
 
     data = DelzantData(
         polytope=p,

@@ -5,12 +5,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from quasifold import builtin_names
+from quasifold import builtin_names, csvtext
 from quasifold.cli import _write_csv, main
 from quasifold.verify import sample_level_set
 
@@ -264,6 +268,80 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     _write_csv(tmp_path / "fast.csv", mus, phis)
     assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "oracle.csv", mus, phis)
+
+
+_SHAPES = st.tuples(st.integers(1, 300), st.integers(1, 12))
+# st.floats() includes nan, +-inf, subnormals and -0.0; raw bit patterns
+# reach every exponent.
+_FLOAT_ARRAYS = st.one_of(
+    arrays(np.float64, _SHAPES, elements=st.floats()),
+    arrays(np.uint64, _SHAPES).map(lambda bits: bits.view(np.float64)),
+)
+
+
+def _check_writer(tmp_path, values):
+    # Odd widths too: mus takes the first half of the columns, rounded up.
+    half = (values.shape[1] + 1) // 2
+    mus, phis = values[:, :half], values[:, half:]
+    _write_csv(tmp_path / "fast.csv", mus, phis)
+    assert (tmp_path / "fast.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "oracle.csv", mus, phis)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_FLOAT_ARRAYS)
+def test_csv_kernel_matches_csv_writer(tmp_path, values):
+    _check_writer(tmp_path, values)
+
+
+def _neighbours(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+# Shortest reprs of 1 to 17 significant digits.
+_DIGIT_LENGTHS = [1.0, 1.2, 1.23, 1.234, 1.2345, 1.23456, 1.234567, 1.2345678,
+                  1.23456789, 1.234567891, 1.2345678912, 1.23456789123,
+                  1.234567891234, 1.2345678912345, 1.23456789123456,
+                  1.234567891234567, 0.1 + 0.2]
+
+
+def test_csv_kernel_edge_cases(tmp_path):
+    digits = [len(repr(v).replace(".", "").strip("0")) for v in _DIGIT_LENGTHS]
+    assert digits == list(range(1, 18))
+    # 1e-14 is the double just below 10^-14 whose 17-digit rounding
+    # carries to 10^17 (at scale 10^31).
+    carry = 1e-14
+    assert Fraction(carry) < Fraction(1, 10**14)
+    # Exactly halfway between two 16-digit strings that both read back.
+    tie = 0.0009260177612304688
+    values = [*_neighbours(1e-4), 9999999999999998.0, 1e16, 0.1 + 0.2,
+              5e-324, 1.7976931348623157e308, carry, tie, *_DIGIT_LENGTHS]
+    for e in range(-14, 54):
+        values += _neighbours(2.0**e)
+    values = np.array(values + [-v for v in values])
+    _check_writer(tmp_path, values[:, None])
+    _check_writer(tmp_path, values.reshape(-1, 2))
+
+
+def test_csv_kernel_formats_nearly_every_sample(capsys, tmp_path, monkeypatch):
+    # repr formats only the lanes the kernel's argument does not cover;
+    # a quiet regression that sends more of them there shows here.
+    slow = []
+    shortest = csvtext._shortest
+
+    def recording(x):
+        result = shortest(x)
+        slow.append(result[-1])
+        return result
+
+    monkeypatch.setattr(csvtext, "_shortest", recording)
+    code, _, _ = run(capsys, "verify", "--builtin", "pentagon", "--samples", "10000",
+                     "--csv", str(tmp_path / "pairs.csv"))
+    assert code == 0
+    lanes = np.concatenate(slow)
+    assert lanes.size == 10000 * 4
+    assert np.count_nonzero(lanes) <= 0.01 * lanes.size
 
 
 # sha256 of the `verify --samples 2000 --seed 0 --csv` file for every

@@ -24,6 +24,8 @@ from quasifold import (
     vertex_structure_group,
 )
 import quasifold.construction
+import quasifold.lattices
+from quasifold.cli import main
 from quasifold.linalg import Matrix
 from conftest import construct_builtin, load_builtin
 
@@ -82,6 +84,23 @@ class TestKernel:
         assert construct_builtin("interval-sqrt2").n_rational_dim == 0
         assert construct_builtin("pentagon").n_rational_dim == 1
         assert construct_builtin("sphere").n_rational_dim == 1
+
+    @pytest.mark.parametrize("name, calls", [("pentagon", 1), ("rugby-3", 2)])
+    def test_construct_ranks_the_normals_once(self, name, calls, monkeypatch, capsys):
+        # Only rugby-k has extra quasilattice generators, so only there
+        # do the normals need a rank of their own.
+        counted = []
+        rank = quasifold.lattices.rational_rank
+
+        def counting(rows):
+            counted.append(1)
+            return rank(rows)
+
+        monkeypatch.setattr(quasifold.lattices, "rational_rank", counting)
+        monkeypatch.setattr(quasifold.construction, "rational_rank", counting)
+        assert main(["construct", "--builtin", name]) == 0
+        capsys.readouterr()
+        assert len(counted) == calls
 
     def test_n_compactness_flag(self):
         assert construct_builtin("sphere").n_compact
