@@ -94,10 +94,9 @@ def _load_document(args) -> dict:
             return corpus.builtin_document(args.builtin)
         except KeyError as exc:
             raise SchemaError(str(exc.args[0])) from None
-    text = args.input.read_text()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(args.input.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{args.input}: not valid JSON: {exc}") from None
 
 

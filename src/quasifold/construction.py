@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lattices import (
     LatticeCertificate,
-    flatten_vector,
+    integer_rows,
     quotient_order,
     rational_rank,
     span_certificate,
@@ -190,7 +190,7 @@ def build_construction(p: HPolytope) -> DelzantData:
     # Without extra generators the certificate has ranked those already.
     normals_rank = quasilattice.certificate.rank
     if p.extra_generators:
-        normals_rank = rational_rank([flatten_vector(v) for v in p.normals])[0]
+        normals_rank = rational_rank(integer_rows(p.normals)[0])[0]
     n_rational_dim = d - normals_rank
 
     data = DelzantData(
@@ -260,12 +260,9 @@ def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
     coords = list(vertex.normal_coords) + [
         tuple(dot(w, g) for w in edges) for g in p.extra_generators
     ]
-    n = data.dim
     order = None
     if all(entry.is_rational() for c in coords for entry in c):
-        order = quotient_order(
-            [tuple(entry.as_fraction() for entry in c) for c in coords], n
-        )
+        order = quotient_order(coords, data.dim)
     return VertexChart(vertex=vertex, generator_coords=tuple(coords), order=order)
 
 

@@ -3,16 +3,15 @@
 A family of vectors over Q(theta) spans a lattice (discrete subgroup of
 rank n) exactly when the Q-vector space generated by their power-basis
 coefficient vectors has dimension n.  The certificate machinery flattens
-vectors to rational coordinates, measures that rank, and on success
-returns a Hermite-form lattice basis together with the integer
-coordinates of every input vector.
+the family to integer rows over one denominator, measures their rank
+over Z, and on success returns a Hermite-form lattice basis together
+with the integer coordinates of every input vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .scalars import Field, Scalar
@@ -156,21 +155,20 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def quotient_order(coord_vectors: Sequence[Sequence[Fraction]], n: int) -> int:
-    """Order of (Z^n + sum_i Z*c_i) / Z^n for rational vectors c_i.
+def quotient_order(coord_vectors: Sequence[Sequence[Scalar]], n: int) -> int:
+    """Order of (Z^n + sum_i Z*c_i) / Z^n for rational scalar vectors c_i.
 
     Writes every c_i over a common denominator D; the group is
     Lambda / D*Z^n with Lambda generated by D*Z^n and the numerators, so
     its order is D^n divided by the product of the Smith invariant
     factors of the stacked generator matrix.
     """
-    denominators = [c.denominator for vec in coord_vectors for c in vec]
-    d_common = math.lcm(*denominators) if denominators else 1
+    d_common = math.lcm(*(c.den for vec in coord_vectors for c in vec))
     if d_common == 1:
         return 1
     stack = [[d_common if i == j else 0 for j in range(n)] for i in range(n)]
     for vec in coord_vectors:
-        stack.append([int(c * d_common) for c in vec])
+        stack.append([c.num[0] * (d_common // c.den) for c in vec])
     factors = smith_invariant_factors(stack)
     covolume = math.prod(factors)
     order, check = divmod(d_common ** n, covolume)
@@ -201,24 +199,28 @@ class LatticeCertificate:
     independent: tuple[int, ...] | None = None
 
 
-def flatten_vector(vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of every coordinate, concatenated."""
-    out: list[Fraction] = []
-    for s in vec:
-        out.extend(s.coeffs)
-    return tuple(out)
+def integer_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[IntRow], int]:
+    """(rows, D): row i holds the power-basis numerators of every
+    coordinate of vectors[i], concatenated, over the least common
+    denominator D of the whole family."""
+    den = math.lcm(*(s.den for vec in vectors for s in vec))
+    return [[c * (den // s.den) for s in vec for c in s.num] for vec in vectors], den
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[int, ...]]:
-    """Rank over Q with the indices of a greedy independent subset."""
-    pivot_rows: list[tuple[int, list[Fraction]]] = []  # (pivot column, reduced row)
+def rational_rank(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank over Q of integer rows with the indices of a greedy independent
+    subset, by fraction-free elimination that divides out each row's gcd."""
+    pivot_rows: list[tuple[int, IntRow]] = []  # (pivot column, reduced row)
     independent: list[int] = []
     for idx, row in enumerate(rows):
         cur = list(row)
         for c, prow in pivot_rows:
             if cur[c]:
-                factor = cur[c] / prow[c]
-                cur = [a - factor * b for a, b in zip(cur, prow)]
+                a, b = prow[c], cur[c]
+                cur = [a * x - b * y for x, y in zip(cur, prow)]
+                common = math.gcd(*cur)
+                if common > 1:
+                    cur = [x // common for x in cur]
         lead = next((j for j, v in enumerate(cur) if v), None)
         if lead is not None:
             pivot_rows.append((lead, cur))
@@ -237,31 +239,26 @@ def span_certificate(
     case, and the Hermite form of the denominator-cleared coefficient
     matrix then provides a basis whose Z-span contains every input.
     """
-    flat = [flatten_vector(v) for v in vectors]
-    rank, independent = rational_rank(flat)
+    rows, den = integer_rows(vectors)
+    rank, independent = rational_rank(rows)
     if rank != ambient_dim:
         return LatticeCertificate(rational=False, rank=rank, independent=independent)
 
-    mult = math.lcm(*(c.denominator for row in flat for c in row))
-    int_rows = [[int(c * mult) for c in row] for row in flat]
-    hnf_rows, pivots = hermite_normal_form(int_rows)
+    hnf_rows, pivots = hermite_normal_form(rows)
     if len(hnf_rows) != ambient_dim:
         raise AssertionError("HNF rank disagrees with rational rank")
 
     g = field.degree
-    basis = []
-    for row in hnf_rows:
-        entries = []
-        for k in range(ambient_dim):
-            coeffs = tuple(Fraction(c, mult) for c in row[k * g:(k + 1) * g])
-            entries.append(Scalar(field, coeffs))
-        basis.append(tuple(entries))
+    basis = tuple(
+        tuple(Scalar(field, row[k * g:(k + 1) * g], den) for k in range(ambient_dim))
+        for row in hnf_rows
+    )
 
     coords = []
-    for row in int_rows:
+    for row in rows:
         c = hnf_coordinates(hnf_rows, pivots, row)
         if c is None:
             raise AssertionError("input vector fell outside its own HNF lattice")
         coords.append(tuple(c))
-    return LatticeCertificate(rational=True, rank=ambient_dim, basis=tuple(basis),
+    return LatticeCertificate(rational=True, rank=ambient_dim, basis=basis,
                               coords=tuple(coords))

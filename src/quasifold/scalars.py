@@ -288,21 +288,19 @@ class Scalar:
     positive integer ``den`` and gcd(den, *num) == 1.  The lowest-terms
     form is unique, so ``==`` and ``hash`` compare tuples.
 
-    ``Scalar(field, coeffs)`` builds a scalar from rational power-basis
-    coefficients, which ``coeffs`` returns.  Scalars are treated as
-    immutable.
+    ``Scalar(field, num, den=1)`` puts integer numerators over a nonzero
+    integer denominator and brings them to that form.  Scalars are
+    treated as immutable.
     """
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: Field, coeffs: Iterable) -> None:
-        self.field = field
-        self.num, self.den = _over_common_denominator(coeffs)
-
-    @property
-    def coeffs(self) -> tuple[Rat, ...]:
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
+    def __new__(cls, field: Field, num: Iterable[int], den: int = 1) -> "Scalar":
+        if not den:
+            raise DivisionByZeroScalar("zero denominator")
+        if den < 0:
+            return _reduced(field, tuple([-c for c in num]), -den)
+        return _reduced(field, tuple(num), den)
 
     # -- coercion ------------------------------------------------------------
 
@@ -438,11 +436,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Rat:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def is_integer(self) -> bool:
         return self.den == 1 and self.is_rational()
 
@@ -533,15 +526,20 @@ class Scalar:
     def to_expr(self) -> str:
         """Canonical expression text; parse_scalar round-trips it."""
         parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        den = self.den
+        for k, c in enumerate(self.num):
+            if not c:
                 continue
-            mag = abs(c)
+            # |c|/den in lowest terms, written as str(Fraction) writes it
+            common = math.gcd(c, den)
+            mag = str(abs(c) // common)
+            if common != den:
+                mag = f"{mag}/{den // common}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = "theta" if k == 1 else f"theta^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -650,6 +648,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ScalarSyntaxError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]], field: Field) -> None:
         self.tokens = tokens
@@ -702,13 +707,13 @@ class _Parser:
         if self.peek() == "-":
             self.next()
             negate = True
-        exponent = int(self.expect("int"))
+        exponent = _integer(self.expect("int"))
         return base ** (-exponent if negate else exponent)
 
     def parse_atom(self) -> Scalar:
         kind, value = self.next()
         if kind == "int":
-            return self.field.scalar(int(value))
+            return self.field.scalar(_integer(value))
         if kind == "theta":
             return self.field.theta
         if kind == "(":

@@ -1,6 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from quasifold import Field, builtin_document, build_construction, parse_polytope, rational_field
+from quasifold import (
+    Field,
+    Scalar,
+    builtin_document,
+    build_construction,
+    parse_polytope,
+    rational_field,
+)
+from quasifold.scalars import _over_common_denominator
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +35,23 @@ def load_builtin(name):
 
 def construct_builtin(name):
     return build_construction(load_builtin(name))
+
+
+# Scalars hold integer numerators over one denominator; the tests state
+# their expectations and references in Fractions, read and built here.
+
+def coeffs(s):
+    """Power-basis coefficients of a scalar, as Fractions."""
+    return tuple(Fraction(c, s.den) for c in s.num)
+
+
+def as_fraction(s):
+    """The value of a rational scalar, as a Fraction."""
+    if not s.is_rational():
+        raise ValueError(f"{s} is not rational")
+    return Fraction(s.num[0], s.den)
+
+
+def from_coeffs(field, values):
+    """The scalar with the given rational power-basis coefficients."""
+    return Scalar(field, *_over_common_denominator(values))

@@ -30,7 +30,7 @@ from quasifold import (
     verify_moment_image,
     vertex_structure_group,
 )
-from conftest import construct_builtin, load_builtin
+from conftest import as_fraction, construct_builtin, load_builtin
 
 CONSTRUCTIBLE = [
     "sphere", "teardrop-2", "teardrop-3", "teardrop-5",
@@ -242,7 +242,7 @@ def test_criterion_05_structure_groups():
             for k in range(len(d.polytope.vertices)):
                 chart = vertex_structure_group(d, k)
                 assert chart.finite is True
-                fractions = [tuple(e.as_fraction() for e in c)
+                fractions = [tuple(as_fraction(e) for e in c)
                              for c in chart.generator_coords]
                 assert brute_force_order(fractions) == chart.order
                 orders.append(chart.order)

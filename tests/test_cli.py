@@ -103,6 +103,28 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_input_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"dimension": 1, "facets": []} \N{LATIN SMALL LETTER E WITH ACUTE}'
+                    .encode("latin-1"))
+    code, out, err = run(capsys, "construct", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("SchemaError: ") and "not valid JSON: 'utf-8' codec" in err
+    assert err.count("\n") == 1
+
+
+def test_overlong_integer_literal_exit_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "0"},
+                   {"normal": ["-1"], "offset": "-" + "1" * 5000}],
+    }))
+    code, out, err = run(capsys, "construct", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "ScalarSyntaxError: integer literal of 5000 digits is too long\n"
+
+
 def test_input_file_round_trip(capsys, tmp_path):
     from quasifold import builtin_document
     path = tmp_path / "tri.json"

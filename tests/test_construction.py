@@ -27,7 +27,7 @@ import quasifold.construction
 import quasifold.lattices
 from quasifold.cli import main
 from quasifold.linalg import Matrix
-from conftest import construct_builtin, load_builtin
+from conftest import as_fraction, construct_builtin, load_builtin
 
 CONSTRUCTIBLE = [
     "sphere", "teardrop-2", "teardrop-3", "teardrop-5",
@@ -202,7 +202,7 @@ class TestMomentMaps:
 class TestCharts:
     def test_unit_interval_fixed_points(self):
         data = construct_builtin("sphere")
-        moduli = [tuple(s.as_fraction() for s in c.squared_moduli)
+        moduli = [tuple(as_fraction(s) for s in c.squared_moduli)
                   for c in data.classification.charts]
         assert moduli == [(0, 1), (1, 0)]
 

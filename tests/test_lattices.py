@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 
 from quasifold import Field, rational_field
 from quasifold.lattices import (
-    flatten_vector,
     hermite_normal_form,
     hnf_coordinates,
     integer_det,
+    integer_rows,
     quotient_order,
     rational_rank,
     smith_invariant_factors,
     span_certificate,
     xgcd,
 )
+from conftest import as_fraction, from_coeffs
 
 RAT = rational_field()
 SQRT2 = Field(("-2", "0", "1"), (1, 2))
@@ -143,23 +144,51 @@ class TestSmith:
             assert b % a == 0
 
 
+def greedy_independent(rows):
+    """Indices of the rows that raise the Fraction-elimination rank of
+    the rows before them."""
+    return tuple(i for i in range(len(rows))
+                 if oracle_int_rank(rows[:i + 1]) > oracle_int_rank(rows[:i]))
+
+
+class TestRationalRank:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_elimination(self, data):
+        width = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 10**20]),
+                     min_size=width, max_size=width),
+            min_size=1, max_size=6))
+        want = (oracle_int_rank(rows), greedy_independent(rows))
+        assert rational_rank(rows) == want
+        scales = data.draw(st.lists(
+            st.integers(-10**12, 10**12).filter(bool), min_size=len(rows), max_size=len(rows)))
+        assert rational_rank([[k * x for x in row] for k, row in zip(scales, rows)]) == want
+
+
 # --------------------------------------------------------------------------
 # Quotient orders vs brute force
 # --------------------------------------------------------------------------
+
+def rational_vectors(vectors):
+    """Fraction vectors as vectors of rational scalars."""
+    return [tuple(from_coeffs(RAT, (x,)) for x in v) for v in vectors]
+
 
 class TestQuotientOrder:
     def test_teardrop_orders(self):
         for k in (2, 3, 5):
             c = (Fraction(-1, k),)
-            assert quotient_order([c], 1) == k
+            assert quotient_order(rational_vectors([c]), 1) == k
             assert brute_force_quotient_order([c]) == k
 
     def test_trivial(self):
-        assert quotient_order([(Fraction(1),), (Fraction(-2),)], 1) == 1
+        assert quotient_order(rational_vectors([(Fraction(1),), (Fraction(-2),)]), 1) == 1
 
     def test_product_group(self):
         gens = [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3))]
-        assert quotient_order(gens, 2) == 6
+        assert quotient_order(rational_vectors(gens), 2) == 6
         assert brute_force_quotient_order(gens) == 6
 
     @settings(max_examples=60, deadline=None)
@@ -170,7 +199,7 @@ class TestQuotientOrder:
         min_size=1, max_size=3))
     def test_matches_brute_force(self, vecs):
         gens = [tuple(v) for v in vecs]
-        assert quotient_order(gens, 2) == brute_force_quotient_order(gens)
+        assert quotient_order(rational_vectors(gens), 2) == brute_force_quotient_order(gens)
 
 
 # --------------------------------------------------------------------------
@@ -185,14 +214,14 @@ class TestSpanCertificate:
         ]
         cert = span_certificate(RAT, vecs, 2)
         assert cert.rational
-        assert [[s.as_fraction() for s in b] for b in cert.basis] == [[1, 0], [0, 1]]
+        assert [[as_fraction(s) for s in b] for b in cert.basis] == [[1, 0], [0, 1]]
         assert cert.coords == ((1, 0), (0, 1), (-1, 0), (0, -1))
 
     def test_interval_sqrt2_flatten(self):
         one, t = SQRT2.one, SQRT2.theta
-        assert flatten_vector((one,)) == (1, 0)
-        assert flatten_vector((-t,)) == (0, -1)
-        rank, independent = rational_rank([flatten_vector((one,)), flatten_vector((-t,))])
+        assert integer_rows([(one,)]) == ([[1, 0]], 1)
+        assert integer_rows([(-t,)]) == ([[0, -1]], 1)
+        rank, independent = rational_rank(integer_rows([(one,), (-t,)])[0])
         assert rank == 2
         assert independent == (0, 1)
 
@@ -221,5 +250,11 @@ class TestSpanCertificate:
         # 1/2 and 1/3 generate the lattice (1/6)Z
         cert = span_certificate(RAT, [(RAT.scalar("1/2"),), (RAT.scalar("1/3"),)], 1)
         assert cert.rational
-        assert cert.basis[0][0].as_fraction() == Fraction(1, 6)
+        assert as_fraction(cert.basis[0][0]) == Fraction(1, 6)
         assert cert.coords == ((3,), (2,))
+
+    def test_rows_share_one_denominator(self):
+        rows, den = integer_rows([(SQRT2.parse("1/2"),), (SQRT2.parse("theta/3 - 1/4"),)])
+        assert den == 12
+        assert rows == [[6, 0], [-3, 4]]
+        assert integer_rows([]) == ([], 1)

@@ -25,16 +25,18 @@ from quasifold import (
     NotRationalInput,
     SchemaError,
     UnboundedPolytope,
+    build_construction,
     builtin_document,
     builtin_names,
     check_delzant,
     check_rational,
     check_simple,
+    construction_report,
     parse_polytope,
 )
 import quasifold.polytope as polytope_module
 from quasifold.linalg import Matrix
-from conftest import load_builtin
+from conftest import as_fraction, load_builtin
 
 
 def doc(dimension, facets, field=None, extra=None):
@@ -106,7 +108,7 @@ class TestParse:
         # z >= |x|, z >= |y|: four facets meet at the apex
         with pytest.raises(UnboundedPolytope) as info:
             parse_polytope(doc(3, CONE_FACETS))
-        assert [s.as_fraction() for s in info.value.direction] == [1, 1, 1]
+        assert [as_fraction(s) for s in info.value.direction] == [1, 1, 1]
 
     def test_capped_cone_parses(self):
         p = parse_polytope(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]))
@@ -194,7 +196,7 @@ def float_vertex_oracle(document, tol=1e-8):
 class TestVertices:
     def test_unit_square_vertices(self):
         p = load_builtin("square")
-        pts = sorted(tuple(s.as_fraction() for s in v.point) for v in p.vertices)
+        pts = sorted(tuple(as_fraction(s) for s in v.point) for v in p.vertices)
         assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_triangle_vertices(self):
@@ -328,7 +330,7 @@ def test_parse_agrees_with_brute_force(case):
                        for normal, b in zip(normals, offsets)])
     if expected is None:
         p = parse_polytope(document)
-        points = [[s.as_fraction() for s in v.point] for v in p.vertices]
+        points = [[as_fraction(s) for s in v.point] for v in p.vertices]
         assert points == oracle_vertices  # in the oracle's first-subset order
         for v, point in zip(p.vertices, oracle_vertices):
             assert v.active == tuple(j for j, (x, b) in enumerate(zip(normals, offsets))
@@ -337,7 +339,7 @@ def test_parse_agrees_with_brute_force(case):
     with pytest.raises(expected) as info:
         parse_polytope(document)
     if expected is UnboundedPolytope:
-        ray = [s.as_fraction() for s in info.value.direction]
+        ray = [as_fraction(s) for s in info.value.direction]
         assert any(ray)
         assert all(_dot(x, ray) >= 0 for x in normals)
 
@@ -456,6 +458,30 @@ def test_cube6_walk_does_no_fraction_arithmetic(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("document", [
+    pytest.param(cube_document(6), id="cube6"),
+    *(pytest.param(builtin_document(name), id=name)
+      for name in ("pentagon", "teardrop-3", "rugby-3")),
+])
+def test_construct_and_report_make_no_fraction(monkeypatch, document):
+    # Past parsing, every value is integer numerators over one denominator:
+    # construction, the report and its JSON text neither build a Fraction
+    # nor do arithmetic on one.
+    p = parse_polytope(document)
+    calls = []
+    for name in ("__new__", "__mul__", "__add__", "__sub__", "__truediv__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _original=original, **kwargs:
+                            calls.append(1) or _original(*args, **kwargs))
+    assert Fraction(2, 4).denominator == 2 and len(calls) == 1
+    calls.clear()
+    report = construction_report(build_construction(p))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    monkeypatch.undo()
+    assert text and calls == []
+
+
 # --------------------------------------------------------------------------
 # Simplicity
 # --------------------------------------------------------------------------
@@ -482,7 +508,7 @@ class TestRational:
     def test_square_certificate(self):
         cert = check_rational(load_builtin("square"))
         assert cert.rational
-        assert [[s.as_fraction() for s in b] for b in cert.basis] == [[1, 0], [0, 1]]
+        assert [[as_fraction(s) for s in b] for b in cert.basis] == [[1, 0], [0, 1]]
         assert cert.coords == ((1, 0), (0, 1), (-1, 0), (0, -1))
 
     def test_pentagon_not_rational(self):

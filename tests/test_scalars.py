@@ -20,6 +20,7 @@ from quasifold import (
     parse_scalar,
     rational_field,
 )
+from conftest import as_fraction, coeffs, from_coeffs
 
 
 # --------------------------------------------------------------------------
@@ -33,7 +34,7 @@ class TestFieldCreate:
 
     def test_rational_field_is_degree_one(self, rat_field):
         assert rat_field.degree == 1
-        assert rat_field.scalar("7/3").as_fraction() == Fraction(7, 3)
+        assert as_fraction(rat_field.scalar("7/3")) == Fraction(7, 3)
 
     def test_cos_pi_10(self, cos_field):
         # 16x^4 - 20x^2 + 5 made monic is x^4 - 5/4 x^2 + 5/16; its root in
@@ -87,10 +88,10 @@ class TestFieldCreate:
 class TestParse:
     def test_rational_literal(self, sqrt2_field):
         s = parse_scalar("1/2", sqrt2_field)
-        assert s.coeffs == (Fraction(1, 2), Fraction(0))
+        assert coeffs(s) == (Fraction(1, 2), Fraction(0))
 
     def test_theta_square_reduces(self, sqrt2_field):
-        assert parse_scalar("theta^2", sqrt2_field).coeffs == (Fraction(2), Fraction(0))
+        assert coeffs(parse_scalar("theta^2", sqrt2_field)) == (Fraction(2), Fraction(0))
 
     def test_minpoly_evaluates_to_zero(self, cos_field):
         assert parse_scalar("16*theta^4 - 20*theta^2 + 5", cos_field).is_zero()
@@ -99,10 +100,10 @@ class TestParse:
         assert parse_scalar("θ", sqrt2_field) == sqrt2_field.theta
 
     def test_precedence_and_parens(self, rat_field):
-        assert rat_field.parse("1 + 2*3^2").as_fraction() == 19
-        assert rat_field.parse("(1 + 2)*3^2").as_fraction() == 27
-        assert rat_field.parse("-3^2").as_fraction() == -9
-        assert rat_field.parse("(-3)^2").as_fraction() == 9
+        assert as_fraction(rat_field.parse("1 + 2*3^2")) == 19
+        assert as_fraction(rat_field.parse("(1 + 2)*3^2")) == 27
+        assert as_fraction(rat_field.parse("-3^2")) == -9
+        assert as_fraction(rat_field.parse("(-3)^2")) == 9
 
     def test_negative_exponent(self, sqrt2_field):
         # theta^-1 = theta/2 in Q(sqrt 2)
@@ -123,6 +124,12 @@ class TestParse:
     def test_expr_round_trip(self, cos_field):
         s = cos_field.parse("3/2 - theta + 5*theta^3")
         assert cos_field.parse(s.to_expr()) == s
+
+    def test_overlong_integer_literal(self, rat_field):
+        # int() refuses more than sys.get_int_max_str_digits() digits.
+        for text in ("1" * 5000, "2^" + "1" * 5000):
+            with pytest.raises(ScalarSyntaxError, match="5000 digits is too long"):
+                rat_field.parse(text)
 
 
 # --------------------------------------------------------------------------
@@ -363,8 +370,8 @@ ORACLE_FIELDS = [rational_field(), SQRT2, COSF]
 def test_integer_scalars_match_fraction_reference(field, data):
     x = data.draw(_coefficient_vectors(field))
     y = data.draw(_coefficient_vectors(field))
-    a, b = Scalar(field, x), Scalar(field, y)
-    assert a.coeffs == x and b.coeffs == y
+    a, b = from_coeffs(field, x), from_coeffs(field, y)
+    assert coeffs(a) == x and coeffs(b) == y
     one = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
     results = {
         "add": (a + b, tuple(p + q for p, q in zip(x, y))),
@@ -374,15 +381,15 @@ def test_integer_scalars_match_fraction_reference(field, data):
     }
     for name, (got, want) in results.items():
         _assert_canonical(got)
-        assert got.coeffs == want, name
+        assert coeffs(got) == want, name
     if not b.is_zero():
         quotient = a / b
         _assert_canonical(quotient)
-        assert _ref_mul(field, quotient.coeffs, y) == x
+        assert _ref_mul(field, coeffs(quotient), y) == x
     if not a.is_zero():
         power = a ** -2
         _assert_canonical(power)
-        assert _ref_mul(field, power.coeffs, _ref_mul(field, x, x)) == one
+        assert _ref_mul(field, coeffs(power), _ref_mul(field, x, x)) == one
     for s, v in ((a, x), (a - b, results["sub"][1])):
         assert s.sign() == _ref_sign(field, v)
         assert s.to_float() == _ref_float(field, v)
@@ -391,6 +398,53 @@ def test_integer_scalars_match_fraction_reference(field, data):
     again = (a + b) - b
     assert again == a and hash(again) == hash(a)
     assert (again.num, again.den) == (a.num, a.den)
+
+
+def _fraction_to_expr(coefficients):
+    """The rendering from Fraction coefficients that to_expr replaces."""
+    parts: list[str] = []
+    for k, c in enumerate(coefficients):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            power = "theta" if k == 1 else f"theta^{k}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cos_pi_10"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_to_expr_matches_fraction_rendering(field, data):
+    numerator = st.one_of(st.just(0), st.sampled_from([1, -1]),
+                          st.integers(-10**30, 10**30))
+    denominator = st.one_of(st.just(1), st.integers(1, 10**30))
+    x = tuple(Fraction(data.draw(numerator), data.draw(denominator))
+              for _ in range(field.degree))
+    s = from_coeffs(field, x)
+    text = s.to_expr()
+    assert text == _fraction_to_expr(x)
+    assert parse_scalar(text, field) == s
+
+
+class TestConstructor:
+    def test_lowest_terms_over_a_positive_denominator(self):
+        s = Scalar(SQRT2, (4, -6), -8)
+        assert (s.num, s.den) == ((-2, 3), 4)
+        assert s == SQRT2.parse("-1/2 + 3/4*theta")
+        assert Scalar(SQRT2, [0, 0], 7) == SQRT2.zero
+        assert (Scalar(SQRT2, [0, 0], 7).den, Scalar(SQRT2, (5, 0)).den) == (1, 1)
+
+    def test_zero_denominator(self):
+        with pytest.raises(DivisionByZeroScalar):
+            Scalar(SQRT2, (1, 0), 0)
 
 
 class TestRounding:
