@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,79 @@ def _load_document(args) -> dict:
         raise SchemaError(f"{args.input}: not valid JSON: {exc}") from None
 
 
+# Per nesting depth, built on first use: the newline and indent before the
+# depth's first item, the separator before each later item, the newline
+# and indent before the closing bracket, and a C encoder with sorted keys
+# and that item separator.
+_levels: list = []
+_CONTAINERS = (dict, list, tuple)
+
+
+def _level(depth: int) -> tuple:
+    while len(_levels) <= depth:
+        inner = "\n" + "  " * (len(_levels) + 1)
+        encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                 None, ": ", "," + inner, True, False, True)
+        _levels.append((inner, "," + inner, inner[:-2], encoder))
+    return _levels[depth]
+
+
+def _encode(obj, depth: int, parts: list[str]) -> None:
+    """Append the text of the nonempty container obj, nested ``depth``
+    levels deep, to parts.  Scalars and empty containers are leaves: the C
+    encoder writes them as json does."""
+    inner, later, outer, encoder = _level(depth)
+    is_dict = isinstance(obj, dict)
+    for member in obj.values() if is_dict else obj:
+        if isinstance(member, _CONTAINERS) and member:
+            break
+    else:
+        # One C call writes the members and their separators; the
+        # brackets get their newlines here.
+        text = "".join(encoder(obj, 0))
+        parts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        return
+    separator = inner
+    if is_dict:
+        parts.append("{")
+        for key in sorted(obj):
+            member = obj[key]
+            parts += (separator, encode_basestring_ascii(key), ": ")
+            if isinstance(member, _CONTAINERS) and member:
+                _encode(member, depth + 1, parts)
+            else:
+                parts += encoder(member, 0)
+            separator = later
+        parts += (outer, "}")
+    else:
+        parts.append("[")
+        for member in obj:
+            parts.append(separator)
+            if isinstance(member, _CONTAINERS) and member:
+                _encode(member, depth + 1, parts)
+            else:
+                parts += encoder(member, 0)
+            separator = later
+        parts += (outer, "]")
+
+
+def _json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, for
+    payloads with text keys.  With an indent, that call runs Python's
+    pure-Python encoder on Python 3.11; here each container holding only
+    scalars is encoded by one C call, and only the containers above them
+    are walked in Python."""
+    if c_make_encoder is None:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    if not (isinstance(payload, _CONTAINERS) and payload):
+        return "".join(_level(0)[3](payload, 0))
+    parts: list[str] = []
+    _encode(payload, 0, parts)
+    return "".join(parts)
+
+
 def _emit_json(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -45,6 +45,12 @@ class DivisionByZeroScalar(QuasifoldError, ZeroDivisionError):
     pass
 
 
+class ScalarTooLarge(QuasifoldError, ValueError):
+    """A value too large to write out: a numerator or denominator past
+    ``sys.get_int_max_str_digits()`` digits, or a magnitude past the
+    largest double."""
+
+
 class SignUndecidable(QuasifoldError):
     """Interval refinement failed to separate a value from zero, or to
     pin down the one double nearest to it.

@@ -15,11 +15,13 @@ never by a floating epsilon.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
+    DimensionMismatch,
     DivisionByZeroScalar,
     FieldMismatch,
     NoSignChange,
@@ -27,6 +29,7 @@ from .errors import (
     ReduciblePolynomial,
     RootNotIsolated,
     ScalarSyntaxError,
+    ScalarTooLarge,
     SignUndecidable,
 )
 
@@ -288,19 +291,24 @@ class Scalar:
     positive integer ``den`` and gcd(den, *num) == 1.  The lowest-terms
     form is unique, so ``==`` and ``hash`` compare tuples.
 
-    ``Scalar(field, num, den=1)`` puts integer numerators over a nonzero
-    integer denominator and brings them to that form.  Scalars are
-    treated as immutable.
+    ``Scalar(field, num, den=1)`` puts g = field.degree integer numerators
+    over a nonzero integer denominator and brings them to that form.
+    Scalars are treated as immutable.
     """
 
     __slots__ = ("field", "num", "den")
 
     def __new__(cls, field: Field, num: Iterable[int], den: int = 1) -> "Scalar":
+        num = tuple(num)
+        if len(num) != field.degree:
+            raise DimensionMismatch(
+                f"{len(num)} numerators for a field of degree {field.degree}"
+            )
         if not den:
             raise DivisionByZeroScalar("zero denominator")
         if den < 0:
             return _reduced(field, tuple([-c for c in num]), -den)
-        return _reduced(field, tuple(num), den)
+        return _reduced(field, num, den)
 
     # -- coercion ------------------------------------------------------------
 
@@ -483,10 +491,13 @@ class Scalar:
         correctly, as float(Fraction) does.  Rounding is monotone, so once
         both ends of an enclosure round to the same double, that double is
         nearest to the value; an irrational value is never a tie."""
-        if self.is_rational():
-            return self.num[0] / self.den
-        lo, _, q = self._enclosure(lambda lo, hi, q: lo / q == hi / q)
-        return lo / q
+        try:
+            if self.is_rational():
+                return self.num[0] / self.den
+            lo, _, q = self._enclosure(lambda lo, hi, q: lo / q == hi / q)
+            return lo / q
+        except OverflowError:
+            raise ScalarTooLarge("value is past the largest double") from None
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, certified by interval refinement."""
@@ -532,9 +543,14 @@ class Scalar:
                 continue
             # |c|/den in lowest terms, written as str(Fraction) writes it
             common = math.gcd(c, den)
-            mag = str(abs(c) // common)
-            if common != den:
-                mag = f"{mag}/{den // common}"
+            try:
+                mag = str(abs(c) // common)
+                if common != den:
+                    mag = f"{mag}/{den // common}"
+            except ValueError:
+                raise ScalarTooLarge(
+                    f"value exceeds {_max_str_digits()} digits"
+                ) from None
             if k == 0:
                 body = mag
             else:
@@ -655,6 +671,11 @@ def _integer(digits: str) -> int:
         raise ScalarSyntaxError(f"integer literal of {len(digits)} digits is too long") from None
 
 
+# sys.get_int_max_str_digits() came with Python 3.10.7; before it str(int)
+# had no limit, which 0 stands for.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]], field: Field) -> None:
         self.tokens = tokens
@@ -708,7 +729,18 @@ class _Parser:
             self.next()
             negate = True
         exponent = _integer(self.expect("int"))
-        return base ** (-exponent if negate else exponent)
+        if negate:
+            exponent = -exponent
+        # Stop a runaway exponent before it runs.  In degree 1 the result
+        # has at least |e|*(bits - 1) bits, so past the limit it could not
+        # be rendered; the floor of 1 also caps |e| for 0 and ±1.  Whether
+        # any other value renders is decided in to_expr.
+        limit = _max_str_digits()
+        if limit:
+            bits = max(abs(c).bit_length() for c in (*base.num, base.den))
+            if abs(exponent) * max(bits - 1, 1) > limit * math.log2(10):
+                raise ScalarSyntaxError(f"power ^{exponent} exceeds {limit} digits")
+        return base ** exponent
 
     def parse_atom(self) -> Scalar:
         kind, value = self.next()

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasifold import builtin_names, csvtext
-from quasifold.cli import _write_csv, main
+from quasifold import builtin_names, cli, construction_report, csvtext
+from quasifold.cli import _json_text, _write_csv, main
 from quasifold.verify import sample_level_set
 
 from conftest import construct_builtin, load_builtin
@@ -123,6 +124,39 @@ def test_overlong_integer_literal_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "ScalarSyntaxError: integer literal of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("offset", ["-10^5000", "-2^300000"])
+def test_power_past_the_digit_limit_exit_2(capsys, tmp_path, command, offset):
+    # Such a power is refused before it is computed.
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "0"},
+                   {"normal": ["-1"], "offset": offset}],
+    }))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ScalarSyntaxError: power ^{offset.split('^')[1]} exceeds 4300 digits\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("offset, message", [
+    ("-10^3000*10^3000", "value exceeds 4300 digits"),
+    ("-10^3000", "value is past the largest double"),
+])
+def test_value_too_large_to_write_exit_2(capsys, tmp_path, command, offset, message):
+    # Each power parses; the value cannot be written as text or as a double.
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "0"},
+                   {"normal": ["-1"], "offset": offset}],
+    }))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ScalarTooLarge: {message}\n"
 
 
 def test_input_file_round_trip(capsys, tmp_path):
@@ -582,6 +616,81 @@ def test_plot_needs_some_output(capsys):
 def test_negative_samples_rejected(capsys):
     code, _, _ = run(capsys, "verify", "--builtin", "square", "--samples", "-3")
     assert code == 2
+
+
+# --------------------------------------------------------------------------
+# JSON text: the bytes of json.dumps(indent=2, sort_keys=True)
+# --------------------------------------------------------------------------
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\u03b8'),
+                max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _TEXT
+    | st.integers() | st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    0, -0.0, math.nan, 5e-324, 2**100, True, None, "\u03b8\"\\\n",
+    [], {}, (), [[]], ([], {}), {"a": {}, "b": [[], [{}]]}, [1, [2, [3, []]]],
+])
+def test_json_text_of_scalars_and_empty_containers(value):
+    assert _json_text(value) == _dumps(value)
+
+
+def test_json_text_deeper_than_any_report():
+    value = "leaf"
+    for depth in range(200):
+        value = [value, depth] if depth % 2 else {"k": value, "e": [], "f": 0.5}
+    assert _json_text(value) == _dumps(value)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for value in ({"a": [Fraction(1, 2)]}, [[1], Fraction(1, 2)]):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            _json_text(value)
+
+
+def test_json_text_without_the_c_accelerator(monkeypatch):
+    report = construction_report(construct_builtin("pentagon"))
+    expected = _json_text(report)
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert _json_text(report) == expected == _dumps(report)
+
+
+def test_reports_never_run_the_pure_python_encoder(capsys, monkeypatch):
+    # json.dumps(indent=...) builds its encoder with _make_iterencode.
+    calls = []
+    pure_python = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pure_python(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    for name in ("cube", "pentagon"):
+        for argv in (["analyze"], ["construct"], ["verify", "--samples", "200"]):
+            assert main([*argv, "--builtin", name]) == 0
+            assert capsys.readouterr().out.startswith("{\n")
+    assert calls == []
 
 
 # --------------------------------------------------------------------------

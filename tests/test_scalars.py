@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifold import (
+    DimensionMismatch,
     DivisionByZeroScalar,
     Field,
     FieldMismatch,
@@ -17,6 +18,7 @@ from quasifold import (
     RootNotIsolated,
     Scalar,
     ScalarSyntaxError,
+    ScalarTooLarge,
     parse_scalar,
     rational_field,
 )
@@ -130,6 +132,54 @@ class TestParse:
         for text in ("1" * 5000, "2^" + "1" * 5000):
             with pytest.raises(ScalarSyntaxError, match="5000 digits is too long"):
                 rat_field.parse(text)
+
+    @pytest.mark.parametrize("text", ["10^5000", "-2^300000", "theta^-20000", "1^20000"])
+    def test_power_past_the_digit_limit_before_computing_it(self, text, sqrt2_field):
+        # |e| times max(bits - 1, 1), bits the base's largest bit length, is
+        # refused past the bit length of sys.get_int_max_str_digits() digits.
+        with pytest.raises(ScalarSyntaxError, match="exceeds 4300 digits"):
+            parse_scalar(text, sqrt2_field)
+
+    def test_powers_within_the_digit_limit_parse(self, rat_field):
+        assert rat_field.parse("2^8000").num == (2**8000,)
+        assert rat_field.parse("(-10)^-3000").den == 10**3000
+        third = rat_field.parse("(1/3)^9000")  # a 4,295-digit denominator
+        assert third.den == 3**9000
+        assert parse_scalar(third.to_expr(), rat_field) == third
+
+    def test_no_digit_limit(self, rat_field, monkeypatch):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits().
+        monkeypatch.setattr("quasifold.scalars._max_str_digits", lambda: 0)
+        assert rat_field.parse("1^20000") == rat_field.one
+
+
+# --------------------------------------------------------------------------
+# Values too large to write out
+# --------------------------------------------------------------------------
+
+class TestTooLarge:
+    def test_product_past_the_digit_limit(self, rat_field):
+        value = rat_field.parse("10^3000*10^3000")
+        assert value.num == (10**6000,)
+        with pytest.raises(ScalarTooLarge, match="exceeds 4300 digits"):
+            value.to_expr()
+
+    def test_power_past_the_digit_limit_in_higher_degree(self):
+        # theta = sqrt(2)*10^5 has bit length 1 in the power basis, so the
+        # parser lets theta^2000 = 2^1000 * 10^10000 through.
+        field = Field(("-20000000000", "0", "1"), (141421, 141422))
+        assert field.parse("theta^800").num == (2**400 * 10**4000, 0)
+        with pytest.raises(ScalarTooLarge, match="exceeds 4300 digits"):
+            field.parse("theta^2000").to_expr()
+
+    @pytest.mark.parametrize("text", ["10^400", "-10^400", "10^400*theta", "1/(theta - 1)^2000"])
+    def test_past_the_largest_double(self, text, sqrt2_field):
+        with pytest.raises(ScalarTooLarge, match="past the largest double"):
+            parse_scalar(text, sqrt2_field).to_float()
+
+    def test_largest_double_still_converts(self, rat_field):
+        largest = rat_field.parse(str(int(1.7976931348623157e308)))
+        assert largest.to_float() == 1.7976931348623157e308
 
 
 # --------------------------------------------------------------------------
@@ -445,6 +495,12 @@ class TestConstructor:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZeroScalar):
             Scalar(SQRT2, (1, 0), 0)
+
+    @pytest.mark.parametrize("num", [(), (1,), (1, 0, 0)])
+    def test_one_numerator_per_power_basis_element(self, num):
+        # A short tuple used to make Scalar(f, (1,)) + f.theta == 1.
+        with pytest.raises(DimensionMismatch, match="for a field of degree 2"):
+            Scalar(SQRT2, num)
 
 
 class TestRounding:
