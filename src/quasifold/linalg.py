@@ -4,6 +4,10 @@ Elimination is Gauss–Jordan with a fixed pivot rule: scan columns left to
 right and take the first row with a nonzero entry.  The reduced echelon
 form is unique, so ranks, kernel bases and solutions are reproducible,
 which the golden tests rely on.
+
+Every row update x - f * a and every dot product goes through the fused
+kernels of ``quasifold.scalars``: one reduction per updated entry and per
+dot product, not one per multiply and add.
 """
 
 from __future__ import annotations
@@ -12,20 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, dot, sub_product  # noqa: F401  (dot is re-exported)
 
 Vector = tuple[Scalar, ...]
 
 
 def as_vector(field: Field, entries: Iterable) -> Vector:
     return tuple(field.scalar(e) for e in entries)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class Matrix:
                 other = work[i]
                 other[c] = zero
                 for j in live:
-                    other[j] = other[j] - factor * row[j]
+                    other[j] = sub_product(other[j], factor, row[j])
             pivots.append(c)
         return work[:len(pivots)], pivots, det
 

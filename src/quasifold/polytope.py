@@ -27,7 +27,15 @@ from .errors import (
 )
 from .lattices import LatticeCertificate, integer_det, span_certificate
 from .linalg import Matrix, Vector, dot
-from .scalars import Field, Scalar, parse_scalar, rational_field
+from .scalars import (
+    Field,
+    Scalar,
+    add_product,
+    cross_sign,
+    parse_scalar,
+    rational_field,
+    sub_product,
+)
 
 _DOCUMENT_KEYS = {"field", "dimension", "facets", "quasilattice_extra_generators"}
 _FIELD_KEYS = {"minpoly", "root_interval"}
@@ -117,13 +125,21 @@ def _parse_field_section(section) -> Field:
     return Field(coeffs, (lo, hi))
 
 
-def _parse_entry(value, fld: Field, where: str) -> Scalar:
+def _parse_entry(value, fld: Field, where: str, has_theta: bool) -> Scalar:
+    """One exact entry.  Without a field section the document is over Q,
+    whose field gives theta the value 0, so an entry naming theta is
+    refused rather than read as 0."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{where}: expected an exact expression string, got {value!r}")
     if isinstance(value, int):
         return fld.scalar(value)
     if isinstance(value, str):
-        return parse_scalar(value, fld)
+        scalar = parse_scalar(value, fld)
+        # theta and θ are the only names parse_scalar accepts
+        if not has_theta and ("theta" in value or "θ" in value):
+            raise SchemaError(f"{where}: {value!r} names theta, "
+                              "but the document has no 'field' section")
+        return scalar
     raise SchemaError(f"{where}: expected an exact expression string, got {type(value).__name__}")
 
 
@@ -143,7 +159,9 @@ def parse_polytope(document: dict) -> HPolytope:
     n = document["dimension"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "'dimension' must be a positive integer")
-    fld = _parse_field_section(document.get("field"))
+    section = document.get("field")
+    fld = _parse_field_section(section)
+    has_theta = section is not None
 
     facets = document.get("facets")
     _require(isinstance(facets, list) and len(facets) >= 1, "'facets' must be a nonempty list")
@@ -156,17 +174,17 @@ def parse_polytope(document: dict) -> HPolytope:
         normal = facet["normal"]
         _require(isinstance(normal, list) and len(normal) == n,
                  f"{where}: normal must have {n} entries")
-        vec = tuple(_parse_entry(e, fld, where) for e in normal)
+        vec = tuple(_parse_entry(e, fld, where, has_theta) for e in normal)
         if all(s.is_zero() for s in vec):
             raise SchemaError(f"{where}: zero normal vector")
         normals.append(vec)
-        offsets.append(_parse_entry(facet["offset"], fld, where))
+        offsets.append(_parse_entry(facet["offset"], fld, where, has_theta))
 
     extras: list[Vector] = []
     for k, gen in enumerate(document.get("quasilattice_extra_generators") or []):
         where = f"extra generator {k}"
         _require(isinstance(gen, list) and len(gen) == n, f"{where} must have {n} entries")
-        vec = tuple(_parse_entry(e, fld, where) for e in gen)
+        vec = tuple(_parse_entry(e, fld, where, has_theta) for e in gen)
         _require(not all(s.is_zero() for s in vec), f"{where} is zero")
         extras.append(vec)
 
@@ -238,6 +256,7 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     """
     d, n = p.facet_count, p.dim
     square = tuple(range(n))
+    zero = p.field.zero
     seen: dict[tuple, Vertex] = {}
     for subset in combinations(range(d), n):
         ech = Matrix(p.field, [p.normals[j] + (p.offsets[j],) for j in subset]).echelon()
@@ -246,7 +265,8 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
         point = tuple(row[n] for row in ech.rows)
         if point in seen:
             continue
-        slacks = tuple(p.slack(point, j) for j in range(d))
+        # point solves the equations of its subset exactly
+        slacks = tuple(zero if j in subset else p.slack(point, j) for j in range(d))
         if any((not s.is_zero()) and s.sign() < 0 for s in slacks):
             continue
         active = tuple(j for j, s in enumerate(slacks) if s.is_zero())
@@ -272,7 +292,9 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex] | None:
     first, sorted by active set; None at a non-simple vertex or an
     unbounded edge.
 
-    The first cone comes from one inversion of A_v; each new vertex from a
+    The first cone comes from one inversion of A_v; its rows of D_v for
+    the active facets are the unit rows, since A_v W_v = I, so only the
+    d - n other rows take dot products.  Each new vertex comes from a
     pivot of its neighbour's cone (_pivot).  The edge a pivot crossed needs
     no ratio test from its far end: it leads back to the vertex the pivot
     started from.  The graph of vertices and bounded edges of a pointed
@@ -281,7 +303,11 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex] | None:
     """
     inverse = Matrix(p.field, [p.normals[j] for j in first.active]).inverse().rows
     columns = tuple(zip(*inverse))
-    coords = tuple(tuple(dot(x, w) for w in columns) for x in p.normals)
+    n, zero, one = p.dim, p.field.zero, p.field.one
+    units = {j: tuple(one if i == k else zero for i in range(n))
+             for k, j in enumerate(first.active)}
+    coords = tuple(units[j] if j in units else tuple(dot(x, w) for w in columns)
+                   for j, x in enumerate(p.normals))
     start = replace(first, inverse=inverse, normal_coords=coords)
     found = {start.active: start}
     pending = [(start, None)]
@@ -307,8 +333,9 @@ def _ratio_test(v: Vertex, k: int) -> int | None:
     Along v + t*w_k the slack of facet j is s_j + t*D[j][k], so only
     facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k].  The
     denominators are positive, so ratios compare by cross-multiplying:
-    s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0.  A tie at
-    the minimum means more than n facets at the next vertex.
+    s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0, a sign
+    that cross_sign reads without reducing.  A tie at the minimum means
+    more than n facets at the next vertex.
     """
     best, tie = None, False
     for j, row in enumerate(v.normal_coords):
@@ -318,7 +345,7 @@ def _ratio_test(v: Vertex, k: int) -> int | None:
         if best is None:
             best = j
             continue
-        order = (v.slacks[j] * v.normal_coords[best][k] - v.slacks[best] * a).sign()
+        order = cross_sign(v.slacks[j], v.normal_coords[best][k], v.slacks[best], a)
         if order > 0:
             best, tie = j, False
         elif order == 0:
@@ -333,7 +360,8 @@ def _pivot(v: Vertex, k: int, entering: int, active: tuple[int, ...]) -> Vertex:
     w_k / alpha in the slot of the entering facet and
     w_i - (D[entering][i] / alpha) * w_k for the others; every row of W
     and D takes the same column operation, and zero multipliers are
-    skipped.  The step along w_k is t = s_entering / -alpha > 0.
+    skipped.  The step along w_k is t = s_entering / -alpha > 0.  Each
+    updated entry is one fused x - f*a or x + f*a, reduced once.
     """
     pivot_row = v.normal_coords[entering]
     inv = pivot_row[k].inverse()
@@ -346,13 +374,13 @@ def _pivot(v: Vertex, k: int, entering: int, active: tuple[int, ...]) -> Vertex:
         a = out.pop(k)
         if not a.is_zero():
             for i, factor in factors:
-                out[i if i < k else i - 1] = row[i] - factor * a
+                out[i if i < k else i - 1] = sub_product(row[i], factor, a)
             a = a * inv
         out.insert(slot, a)
         return tuple(out)
 
     def moved(values: Vector, along: Sequence[Scalar]) -> Vector:
-        return tuple(s if a.is_zero() else s + step * a for s, a in zip(values, along))
+        return tuple(add_product(s, step, a) for s, a in zip(values, along))
 
     return Vertex(
         point=moved(v.point, [row[k] for row in v.inverse]),

@@ -10,6 +10,15 @@ All arithmetic is exact integer arithmetic.  Every comparison against
 zero and every rounding to a double is decided by a Horner enclosure in
 integers over the field's isolating interval, refined by bisection,
 never by a floating epsilon.
+
+The fused kernels ``dot``, ``sub_product`` and ``add_product`` compute a
+dot product, x - f*a and x + f*a with one reduction each: they
+accumulate integer numerators over one denominator, fold theta^g, ...
+once through the field's reduction table, and take a single gcd at the
+end, where the same expression built from ``*``, ``+`` and ``-`` takes
+one per operation.  The lowest-terms form is unique, so each returns
+exactly the Scalar that expression returns.  ``cross_sign`` gives the
+sign of a*b - c*d from unreduced numerators, with no gcd and no Scalar.
 """
 
 from __future__ import annotations
@@ -356,23 +365,8 @@ class Scalar:
         if g == 1:
             return _reduced(field, (self.num[0] * o.num[0],), den)
         raw = [0] * (2 * g - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    if b:
-                        raw[i + j] += a * b
-        out = raw[:g]
-        high = raw[g:]
-        if any(high):
-            scale = field._powers_den
-            if scale != 1:
-                out = [c * scale for c in out]
-                den *= scale
-            for c, red in zip(high, field._powers):
-                if c:
-                    for j in range(g):
-                        out[j] += c * red[j]
-        return _reduced(field, tuple(out), den)
+        _convolve(raw, self.num, o.num, 1)
+        return _reduced(field, *_fold(field, raw, den))
 
     __rmul__ = __mul__
 
@@ -459,33 +453,6 @@ class Scalar:
 
     # -- certified evaluation ----------------------------------------------------
 
-    def _enclosure(self, done) -> tuple[int, int, int]:
-        """First Horner enclosure (lo, hi, q) of the value with
-        done(lo, hi, q), refining the field's isolator in between."""
-        field = self.field
-        for _ in range(_MAX_REFINE):
-            lo, hi, q = self._horner_interval(field._iso)
-            if done(lo, hi, q):
-                return lo, hi, q
-            field._refine()
-        raise SignUndecidable(
-            f"interval refinement of {self.to_expr()} failed to converge; "
-            "is the minimal polynomial reducible?"
-        )
-
-    def _horner_interval(self, theta: tuple[int, int, int]) -> tuple[int, int, int]:
-        """Integers (lo, hi, q) with the value in [lo/q, hi/q] when theta
-        lies in [L/D, H/D]; after m Horner steps the partial enclosure is
-        scaled by D^m."""
-        tlo, thi, tden = theta
-        lo = hi = self.num[-1]
-        scale = 1
-        for c in reversed(self.num[:-1]):
-            scale *= tden
-            products = (lo * tlo, lo * thi, hi * tlo, hi * thi)
-            lo, hi = min(products) + c * scale, max(products) + c * scale
-        return lo, hi, scale * self.den
-
     def to_float(self) -> float:
         """The double nearest to the exact value.  int / int rounds
         correctly, as float(Fraction) does.  Rounding is monotone, so once
@@ -494,19 +461,15 @@ class Scalar:
         try:
             if self.is_rational():
                 return self.num[0] / self.den
-            lo, _, q = self._enclosure(lambda lo, hi, q: lo / q == hi / q)
+            lo, _, q = _enclosure(self.field, self.num, self.den,
+                                  lambda lo, hi, q: lo / q == hi / q)
             return lo / q
         except OverflowError:
             raise ScalarTooLarge("value is past the largest double") from None
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, certified by interval refinement."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.num[0] > 0 else -1
-        lo, _, _ = self._enclosure(lambda lo, hi, q: lo > 0 or hi < 0)
-        return 1 if lo > 0 else -1
+        return _sign(self.field, self.num)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -595,6 +558,182 @@ def _combine(x: Scalar, y: Scalar, op) -> Scalar:
         return _reduced(x.field, tuple(map(op, x.num, y.num)), a)
     return _reduced(x.field, tuple(map(op, [c * b for c in x.num], [c * a for c in y.num])),
                     a * b)
+
+
+def _horner_interval(num: Sequence[int], den: int,
+                     theta: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Integers (lo, hi, q) with sum_k num[k] theta^k / den in [lo/q, hi/q]
+    when theta lies in [L/D, H/D]; after m Horner steps the partial
+    enclosure is scaled by D^m."""
+    tlo, thi, tden = theta
+    lo = hi = num[-1]
+    scale = 1
+    for c in reversed(num[:-1]):
+        scale *= tden
+        products = (lo * tlo, lo * thi, hi * tlo, hi * thi)
+        lo, hi = min(products) + c * scale, max(products) + c * scale
+    return lo, hi, scale * den
+
+
+def _enclosure(field: Field, num: Sequence[int], den: int, done) -> tuple[int, int, int]:
+    """First Horner enclosure (lo, hi, q) of sum_k num[k] theta^k / den
+    with done(lo, hi, q), refining the field's isolator in between."""
+    for _ in range(_MAX_REFINE):
+        lo, hi, q = _horner_interval(num, den, field._iso)
+        if done(lo, hi, q):
+            return lo, hi, q
+        field._refine()
+    raise SignUndecidable(
+        f"interval refinement of {_reduced(field, tuple(num), den).to_expr()} "
+        "failed to converge; is the minimal polynomial reducible?"
+    )
+
+
+def _sign(field: Field, num: Sequence[int]) -> int:
+    """Sign of sum_k num[k] theta^k, the numerator of a value over any
+    positive denominator."""
+    if not any(num[1:]):
+        return (num[0] > 0) - (num[0] < 0)
+    lo, _, _ = _enclosure(field, num, 1, lambda lo, hi, q: lo > 0 or hi < 0)
+    return 1 if lo > 0 else -1
+
+
+# --------------------------------------------------------------------------
+# Fused kernels
+# --------------------------------------------------------------------------
+
+def _check_fields(field: Field, *values: Scalar) -> None:
+    for s in values:
+        if s.field != field:
+            raise FieldMismatch("mixed-field arithmetic is rejected")
+
+
+def _convolve(raw: list[int], x: Sequence[int], y: Sequence[int], scale: int) -> None:
+    """raw[i + j] += scale * x[i] * y[j]: the product of two numerator
+    vectors as a polynomial in theta of degree up to 2g - 2."""
+    for i, a in enumerate(x):
+        if a:
+            a *= scale
+            for j, b in enumerate(y):
+                if b:
+                    raw[i + j] += a * b
+
+
+def _fold(field: Field, raw: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Power-basis numerators and a denominator of sum_k raw[k] theta^k / den
+    for k < 2g - 1, not reduced: theta^g, ..., theta^(2g-2) are replaced in
+    one pass through the field's table, over its denominator."""
+    g = field.degree
+    out = raw[:g]
+    high = raw[g:]
+    if any(high):
+        scale = field._powers_den
+        if scale != 1:
+            out = [c * scale for c in out]
+            den *= scale
+        for c, red in zip(high, field._powers):
+            if c:
+                for j in range(g):
+                    out[j] += c * red[j]
+    return tuple(out), den
+
+
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """sum_i u[i] * v[i] with one reduction.
+
+    The products accumulate as integer numerators over one running
+    denominator, which takes on each new product denominator that it is
+    not already a multiple of; theta^g, ... are folded once and one gcd
+    brings the sum to lowest terms.
+    """
+    field = u[0].field
+    den = 1
+    if field.degree == 1:
+        acc = 0
+        for a, b in zip(u, v):
+            if a.field is not field or b.field is not field:
+                _check_fields(field, a, b)
+            p = a.num[0] * b.num[0]
+            if p:
+                d = a.den * b.den
+                if d != den:
+                    if den % d:
+                        acc *= d
+                        p *= den
+                        den *= d
+                    else:
+                        p *= den // d
+                acc += p
+        return _reduced(field, (acc,), den)
+    raw = [0] * (2 * field.degree - 1)
+    for a, b in zip(u, v):
+        if a.field is not field or b.field is not field:
+            _check_fields(field, a, b)
+        if not (any(a.num) and any(b.num)):
+            continue
+        d = a.den * b.den
+        scale = 1
+        if d != den:
+            if den % d:
+                raw = [c * d for c in raw]
+                scale = den
+                den *= d
+            else:
+                scale = den // d
+        _convolve(raw, a.num, b.num, scale)
+    return _reduced(field, *_fold(field, raw, den))
+
+
+def sub_product(x: Scalar, f: Scalar, a: Scalar) -> Scalar:
+    """x - f * a with one reduction."""
+    return _fused(x, f, a, -1)
+
+
+def add_product(x: Scalar, f: Scalar, a: Scalar) -> Scalar:
+    """x + f * a with one reduction."""
+    return _fused(x, f, a, 1)
+
+
+def _fused(x: Scalar, f: Scalar, a: Scalar, sign: int) -> Scalar:
+    """x + sign * f * a: the product's numerators are folded once, put over
+    x's denominator (cross-multiplied when the two differ) and reduced
+    once; x itself when the product is zero."""
+    field = x.field
+    if f.field is not field or a.field is not field:
+        _check_fields(field, f, a)
+    xd = x.den
+    if field.degree == 1:
+        p = f.num[0] * a.num[0]
+        if not p:
+            return x
+        d = f.den * a.den
+        if d == xd:
+            return _reduced(field, (x.num[0] + sign * p,), d)
+        return _reduced(field, (x.num[0] * d + sign * p * xd,), xd * d)
+    raw = [0] * (2 * field.degree - 1)
+    _convolve(raw, f.num, a.num, sign)
+    prod, d = _fold(field, raw, f.den * a.den)
+    if not any(prod):
+        return x
+    if d == xd:
+        return _reduced(field, tuple(map(add, x.num, prod)), d)
+    return _reduced(field, tuple([c * d + p * xd for c, p in zip(x.num, prod)]), xd * d)
+
+
+def cross_sign(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> int:
+    """Sign of a*b - c*d, from the numerators of the difference over the
+    positive denominator a.den*b.den*c.den*d.den, left unreduced."""
+    field = a.field
+    if b.field is not field or c.field is not field or d.field is not field:
+        _check_fields(field, b, c, d)
+    left, right = c.den * d.den, a.den * b.den
+    if field.degree == 1:
+        value = a.num[0] * b.num[0] * left - c.num[0] * d.num[0] * right
+        return (value > 0) - (value < 0)
+    raw = [0] * (2 * field.degree - 1)
+    _convolve(raw, a.num, b.num, left)
+    _convolve(raw, c.num, d.num, -right)
+    return _sign(field, _fold(field, raw, 1)[0])
 
 
 def _solve_fraction_free(system: list[list[int]]) -> tuple[tuple[int, ...], int] | None:

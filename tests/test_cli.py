@@ -159,6 +159,30 @@ def test_value_too_large_to_write_exit_2(capsys, tmp_path, command, offset, mess
     assert err == f"ScalarTooLarge: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("document, where", [
+    ({"dimension": 1,
+      "facets": [{"normal": ["1"], "offset": "0"}, {"normal": ["-1"], "offset": "-1-theta"}]},
+     "facet 1"),
+    ({"dimension": 1,
+      "facets": [{"normal": ["theta"], "offset": "0"}, {"normal": ["-1"], "offset": "-1"}]},
+     "facet 0"),
+    ({"dimension": 1,
+      "facets": [{"normal": ["1"], "offset": "0"}, {"normal": ["-1"], "offset": "-1"}],
+      "quasilattice_extra_generators": [["2*θ"]]},
+     "extra generator 0"),
+], ids=["offset", "normal", "extra-generator"])
+def test_theta_without_a_field_exit_2(capsys, tmp_path, command, document, where):
+    # Over Q, theta would evaluate to 0: the offset -1-theta would be read
+    # as -1 and the normal theta as a zero vector.
+    path = tmp_path / "no-field.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"SchemaError: {where}: ")
+    assert err.endswith("names theta, but the document has no 'field' section\n")
+
+
 def test_input_file_round_trip(capsys, tmp_path):
     from quasifold import builtin_document
     path = tmp_path / "tri.json"

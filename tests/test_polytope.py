@@ -35,6 +35,7 @@ from quasifold import (
     parse_polytope,
 )
 import quasifold.polytope as polytope_module
+import quasifold.scalars as scalars_module
 from quasifold.linalg import Matrix
 from conftest import as_fraction, load_builtin
 
@@ -438,6 +439,42 @@ def test_cube8_parse_eliminates_three_times(monkeypatch):
     p = parse_polytope(cube_document(8))
     assert len(p.vertices) == 256
     assert len(calls) <= 3
+
+
+def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
+    # D_v of the first cone has unit rows at the n active facets (A_v W_v
+    # = I), so only the one inactive facet of the 9 takes dot products: n = 8
+    # of them, not d*n = 72.  Later cones come from pivots, with none.
+    dots, in_walk = [], []
+    dot, walk = polytope_module.dot, polytope_module._walk
+    monkeypatch.setattr(polytope_module, "dot",
+                        lambda u, v: dots.append(bool(in_walk)) or dot(u, v))
+
+    def counted_walk(p, first):
+        in_walk.append(1)
+        try:
+            return walk(p, first)
+        finally:
+            in_walk.pop()
+
+    monkeypatch.setattr(polytope_module, "_walk", counted_walk)
+    p = parse_polytope(projective_space_document(8))
+    assert len(p.vertices) == 9
+    assert dots.count(True) == 8
+
+
+def test_cube6_walk_reduces_once_per_fused_operation(monkeypatch):
+    # A dot product, a row update x - f*a and a step x + f*a each take one
+    # gcd; splitting one back into a multiply and an add reduces twice.
+    p = parse_polytope(cube_document(6))
+    calls = []
+    reduced = scalars_module._reduced
+    monkeypatch.setattr(scalars_module, "_reduced",
+                        lambda *args: calls.append(1) or reduced(*args))
+    vertices = polytope_module.enumerate_vertices(p)
+    monkeypatch.undo()
+    assert len(vertices) == 64
+    assert len(calls) <= 507
 
 
 def test_cube6_walk_does_no_fraction_arithmetic(monkeypatch):

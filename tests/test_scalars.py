@@ -22,6 +22,7 @@ from quasifold import (
     parse_scalar,
     rational_field,
 )
+from quasifold.scalars import add_product, cross_sign, dot, sub_product
 from conftest import as_fraction, coeffs, from_coeffs
 
 
@@ -448,6 +449,48 @@ def test_integer_scalars_match_fraction_reference(field, data):
     again = (a + b) - b
     assert again == a and hash(again) == hash(a)
     assert (again.num, again.den) == (a.num, a.den)
+
+
+def _kernel_entries(field):
+    """Zero, and values with mixed denominators and signs."""
+    zero = (Fraction(0),) * field.degree
+    return st.one_of(st.just(zero), _coefficient_vectors(field)).map(
+        lambda x: from_coeffs(field, x))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cos_pi_10"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fused_kernels_match_unfused_arithmetic(field, data):
+    # Each kernel reduces once; the lowest-terms form is unique, so it
+    # returns exactly what the chain of *, + and - returns.
+    length = data.draw(st.integers(1, 6))
+    u = data.draw(st.lists(_kernel_entries(field), min_size=length, max_size=length))
+    v = data.draw(st.lists(_kernel_entries(field), min_size=length, max_size=length))
+    x, f, a, b = (data.draw(_kernel_entries(field)) for _ in range(4))
+    unfused = u[0] * v[0]
+    for p, q in zip(u[1:], v[1:]):
+        unfused = unfused + p * q
+    for got, want in ((dot(u, v), unfused),
+                      (sub_product(x, f, a), x - f * a),
+                      (add_product(x, f, a), x + f * a)):
+        _assert_canonical(got)
+        assert (got.num, got.den) == (want.num, want.den)
+    assert cross_sign(x, f, a, b) == (x * f - a * b).sign()
+
+
+def test_fused_kernels_reject_mixed_fields():
+    q, s = rational_field().one, SQRT2.theta
+    calls = [
+        lambda: dot([s, s], [s, q]),
+        lambda: dot([q], [s]),
+        lambda: sub_product(s, q, s),
+        lambda: add_product(q, q, s),
+        lambda: cross_sign(s, s, s, COSF.theta),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 def _fraction_to_expr(coefficients):
