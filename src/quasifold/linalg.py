@@ -13,16 +13,12 @@ dot product, not one per multiply and add.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch
 from .scalars import Field, Scalar, dot, sub_product  # noqa: F401  (dot is re-exported)
 
 Vector = tuple[Scalar, ...]
-
-
-def as_vector(field: Field, entries: Iterable) -> Vector:
-    return tuple(field.scalar(e) for e in entries)
 
 
 @dataclass(frozen=True)
@@ -34,11 +30,13 @@ class Echelon:
 
 
 class Matrix:
-    """Immutable dense matrix over one Field."""
+    """Immutable dense matrix over one Field, whose entries are Scalars of
+    that field."""
 
-    def __init__(self, field: Field, rows: Sequence[Sequence], cols: int | None = None) -> None:
+    def __init__(self, field: Field, rows: Sequence[Sequence[Scalar]],
+                 cols: int | None = None) -> None:
         self.field = field
-        self.rows = tuple(as_vector(field, row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -124,17 +122,17 @@ class Matrix:
             basis.append(tuple(v))
         return tuple(basis)
 
-    def solve(self, rhs: Sequence) -> Vector | None:
+    def solve(self, rhs: Sequence[Scalar]) -> Vector | None:
         """Exact solution of self @ x = rhs, or None when inconsistent.
 
         Underdetermined systems return the particular solution whose free
         coordinates are zero.
         """
-        b = as_vector(self.field, rhs)
+        b = tuple(rhs)
         m, n = self.shape
         if len(b) != m:
             raise DimensionMismatch(f"rhs of length {len(b)} against {m} rows")
-        augmented = Matrix(self.field, [list(row) + [b[i]] for i, row in enumerate(self.rows)])
+        augmented = Matrix(self.field, [row + (b[i],) for i, row in enumerate(self.rows)])
         ech = augmented.echelon()
         if n in ech.pivots:
             return None
@@ -156,11 +154,12 @@ class Matrix:
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("inverse of a non-square matrix")
+        zero, one = self.field.zero, self.field.one
         augmented = Matrix(self.field, [
-            list(row) + [1 if i == j else 0 for j in range(n)]
+            row + tuple(one if i == j else zero for j in range(n))
             for i, row in enumerate(self.rows)
         ])
         ech = augmented.echelon()
-        if len(ech.pivots) != n or list(ech.pivots) != list(range(n)):
+        if ech.pivots != tuple(range(n)):
             return None
         return Matrix(self.field, [row[n:] for row in ech.rows])

@@ -2,17 +2,17 @@
 
 A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
-here is exact: vertex enumeration walks the edge graph from the first
-vertex with one pivot per vertex, and falls back to solving n-subsets of
-facet equations on input that is not simple, not bounded or empty;
-boundedness and full dimension are read off the vertex active sets, and
-rationality of the normal family is certified (or refuted) over Q.
+here is exact: vertex enumeration scans n-subsets of facet equations for
+a first feasible basis, then walks the feasible bases with one pivot
+each, following every facet tied in a ratio test and reporting the first
+unbounded edge it meets; full dimension is read off the vertex active
+sets, and rationality of the normal family is certified (or refuted)
+over Q.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -46,12 +46,12 @@ class Vertex:
     """A vertex with its facet slacks <v, X_j> - lambda_j and the full set
     of facet indices active (zero slack) at it.
 
-    A vertex the edge walk reaches also carries its cone.  ``inverse`` is
-    W_v = A_v^-1 by rows, where row k of A_v is the normal of facet
-    active[k]; column k of W_v is the direction w_k of the edge that
-    leaves facet active[k].  ``normal_coords`` is D_v, whose row j holds
-    <X_j, w_k> over k: the coordinates of X_j in the basis of the active
-    normals.  Both are None on a vertex of the subset scan.
+    A simple vertex also carries its cone.  ``inverse`` is W_v = A_v^-1
+    by rows, where row k of A_v is the normal of facet active[k]; column
+    k of W_v is the direction w_k of the edge that leaves facet
+    active[k].  ``normal_coords`` is D_v, whose row j holds <X_j, w_k>
+    over k: the coordinates of X_j in the basis of the active normals.
+    Both are None on a non-simple vertex.
     """
 
     point: Vector
@@ -134,12 +134,11 @@ def _parse_entry(value, fld: Field, where: str, has_theta: bool) -> Scalar:
     if isinstance(value, int):
         return fld.scalar(value)
     if isinstance(value, str):
-        scalar = parse_scalar(value, fld)
         # theta and θ are the only names parse_scalar accepts
         if not has_theta and ("theta" in value or "θ" in value):
             raise SchemaError(f"{where}: {value!r} names theta, "
                               "but the document has no 'field' section")
-        return scalar
+        return parse_scalar(value, fld)
     raise SchemaError(f"{where}: expected an exact expression string, got {type(value).__name__}")
 
 
@@ -180,8 +179,10 @@ def parse_polytope(document: dict) -> HPolytope:
         normals.append(vec)
         offsets.append(_parse_entry(facet["offset"], fld, where, has_theta))
 
+    generators = document.get("quasilattice_extra_generators", [])
+    _require(isinstance(generators, list), "'quasilattice_extra_generators' must be a list")
     extras: list[Vector] = []
-    for k, gen in enumerate(document.get("quasilattice_extra_generators") or []):
+    for k, gen in enumerate(generators):
         where = f"extra generator {k}"
         _require(isinstance(gen, list) and len(gen) == n, f"{where} must have {n} entries")
         vec = tuple(_parse_entry(e, fld, where, has_theta) for e in gen)
@@ -201,105 +202,75 @@ def parse_polytope(document: dict) -> HPolytope:
 # Vertex enumeration
 # --------------------------------------------------------------------------
 
-def _assert_bounded(p: HPolytope, vertices: Sequence[Vertex]) -> None:
-    """Raise UnboundedPolytope when the nonempty feasible set has an
-    unbounded edge.
-
-    The normals span R^n, so the feasible set is pointed, and an unbounded
-    pointed polyhedron has an unbounded edge at some vertex (Ziegler,
-    Lectures on Polytopes, 1995).  That edge lies on n-1 independent
-    facets active at its vertex and at no other vertex, so only an
-    (n-1)-subset of active facets that a single vertex holds is tested:
-    its kernel ray, either sign, against every facet.  A subset two
-    vertices share cuts out a bounded edge.
-    """
-    d, n = p.facet_count, p.dim
-    holders = Counter(s for v in vertices for s in combinations(v.active, n - 1))
-    for subset, count in holders.items():
-        if count > 1:
-            continue
-        kernel = Matrix(p.field, [p.normals[j] for j in subset], cols=n).kernel()
-        if len(kernel) != 1:
-            continue
-        ray = kernel[0]
-        for candidate in (ray, tuple(-s for s in ray)):
-            if all(dot(p.normals[j], candidate).sign() >= 0 for j in range(d)):
-                rendered = ", ".join(s.to_expr() for s in candidate)
-                raise UnboundedPolytope(
-                    f"recession direction ({rendered})", direction=candidate
-                )
-
-
 def enumerate_vertices(p: HPolytope) -> list[Vertex]:
-    """All vertices, exactly, in deterministic facet-subset order.
+    """All vertices, exactly, in the order in which a scan of the facet
+    n-subsets would first meet them.
 
-    Candidates come from invertible n-subsets of facet equations, in
-    lexicographic order; each is kept when every remaining slack is
-    certified nonnegative.  Exactly equal candidate points are merged, and
-    the recorded active set lists every facet with zero slack (more than n
-    of them at a non-simple vertex).
+    A basis is an n-subset of facets with independent normals; it is
+    feasible when the common point of its hyperplanes satisfies every
+    facet inequality, and that point is a vertex.  The scan, in
+    lexicographic order, runs only until the first feasible basis; the
+    normals span R^n, so a nonempty feasible set has a vertex, and no
+    feasible basis means LowerDimensional.  The walk (_walk) finds the
+    rest, or raises UnboundedPolytope.  Each active set lists every facet
+    with zero slack, more than n of them at a non-simple vertex.
 
-    That scan runs only until the first vertex.  When the first vertex is
-    simple, the edge walk (_walk) takes over and finds the rest with one
-    pivot each; it returns them sorted by active set, which for a simple
-    vertex is the one subset at which the scan finds it, so the list is
-    the scan's.  A walk that ends has seen every vertex simple and every
-    edge bounded, so the polytope is bounded and full dimensional.  When
-    the walk meets a non-simple vertex or an unbounded edge, the scan
-    resumes after the first vertex's subset.
-
-    The normals span R^n, so a nonempty feasible set has a vertex: no
-    vertex means LowerDimensional.  Boundedness is then tested on the
-    active sets (_assert_bounded).  A bounded polytope is the hull of its
-    vertices, so it lies in the hyperplane of facet j, and is not full
-    dimensional, exactly when j is active at every vertex.
+    A bounded polytope is the hull of its vertices, so it lies in the
+    hyperplane of facet j, and is not full dimensional, exactly when j is
+    active at every vertex.
     """
     d, n = p.facet_count, p.dim
     square = tuple(range(n))
     zero = p.field.zero
-    seen: dict[tuple, Vertex] = {}
     for subset in combinations(range(d), n):
         ech = Matrix(p.field, [p.normals[j] + (p.offsets[j],) for j in subset]).echelon()
         if ech.pivots != square:
             continue
         point = tuple(row[n] for row in ech.rows)
-        if point in seen:
-            continue
         # point solves the equations of its subset exactly
         slacks = tuple(zero if j in subset else p.slack(point, j) for j in range(d))
-        if any((not s.is_zero()) and s.sign() < 0 for s in slacks):
-            continue
-        active = tuple(j for j, s in enumerate(slacks) if s.is_zero())
-        vertex = Vertex(point=point, active=active, slacks=slacks)
-        if not seen and len(active) == n:
-            walked = _walk(p, vertex)
-            if walked is not None:
-                return walked
-        seen[point] = vertex
-
-    vertices = list(seen.values())
-    if not vertices:
+        if all(s.is_zero() or s.sign() > 0 for s in slacks):
+            break
+    else:
         raise LowerDimensional("feasible set is empty")
-    _assert_bounded(p, vertices)
+    vertices = _walk(p, Vertex(point=point, active=subset, slacks=slacks))
     common = set(vertices[0].active).intersection(*(v.active for v in vertices[1:]))
     if common:
         raise LowerDimensional(f"facet {min(common)} is active at every vertex")
     return vertices
 
 
-def _walk(p: HPolytope, first: Vertex) -> list[Vertex] | None:
-    """Every vertex by a walk over the edge graph from the simple vertex
-    first, sorted by active set; None at a non-simple vertex or an
-    unbounded edge.
+def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
+    """Every vertex, by a walk over the feasible bases from first, each
+    listed once at its least basis, in that order.
 
-    The first cone comes from one inversion of A_v; its rows of D_v for
-    the active facets are the unit rows, since A_v W_v = I, so only the
-    d - n other rows take dot products.  Each new vertex comes from a
-    pivot of its neighbour's cone (_pivot).  The edge a pivot crossed needs
-    no ratio test from its far end: it leads back to the vertex the pivot
-    started from.  The graph of vertices and bounded edges of a pointed
-    polyhedron is connected, so the walk reaches every vertex unless an
-    edge on the way is unbounded.
+    The walk's records are Vertex tableaux whose ``active`` is their basis
+    B, with W = A_B^-1 and D = X W.  The first comes from one inversion of
+    A_B; its rows of D at the facets of B are the unit rows, since
+    A_B W = I, so only the d - n other rows take dot products.  Edge k of
+    a basis leads to every facet tied at the least step along w_k
+    (_ratio_test), and each enters by one pivot (_pivot); a zero step is
+    a degenerate pivot to another basis of the same vertex.  A simple
+    vertex has one basis, its active set, and keeps its record's cone; a
+    non-simple one is listed without a cone.
+
+    These are the simplex method's pivots, and each can be taken back.
+    Pushing the facets outside one feasible basis B out by distinct
+    infinitesimals makes the polytope simple, with B and a basis of every
+    vertex among its vertices and each of its edges one of these pivots.
+    Its edge graph is connected, so the walk meets every vertex, unless it
+    meets an unbounded edge first.  If the polytope is bounded and full
+    dimensional, two such perturbations on either side of one circuit
+    share the bases of a vertex off that circuit, so the walk meets every
+    feasible basis (as in the reverse search of Avis and Fukuda, Discrete
+    Comput. Geom. 8, 1992), and a vertex's least basis is the subset at
+    which a scan of all subsets first meets it.
+
+    The edge a pivot crossed needs no ratio test from its far end when the
+    pivot left a simple vertex: the way back then ties only the facet it
+    left, and leads to the one basis it came from.  From a non-simple
+    vertex it also ties the other facets active there, and leads to
+    further bases of it.
     """
     inverse = Matrix(p.field, [p.normals[j] for j in first.active]).inverse().rows
     columns = tuple(zip(*inverse))
@@ -310,64 +281,76 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex] | None:
                    for j, x in enumerate(p.normals))
     start = replace(first, inverse=inverse, normal_coords=coords)
     found = {start.active: start}
+    actives = {}
     pending = [(start, None)]
     while pending:
         v, back = pending.pop()
-        for k in range(len(v.active)):
+        active = actives[v.active] = tuple(j for j, s in enumerate(v.slacks) if s.is_zero())
+        for k in range(n):
             if k == back:
                 continue
-            entering = _ratio_test(v, k)
-            if entering is None:
-                return None
-            active = tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,)))
-            if active not in found:
-                found[active] = _pivot(v, k, entering, active)
-                pending.append((found[active], active.index(entering)))
-    return [found[active] for active in sorted(found)]
+            for entering in _ratio_test(v, k):
+                basis = tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,)))
+                if basis not in found:
+                    found[basis] = _pivot(v, k, entering, basis)
+                    pending.append((found[basis],
+                                    basis.index(entering) if len(active) == n else None))
+    vertices: dict[tuple[int, ...], Vertex] = {}
+    for basis in sorted(found):
+        v, active = found[basis], actives[basis]
+        if active not in vertices:
+            vertices[active] = v if len(active) == n else Vertex(v.point, active, v.slacks)
+    return list(vertices.values())
 
 
-def _ratio_test(v: Vertex, k: int) -> int | None:
-    """The facet that edge k of the simple vertex v runs into, or None
-    when the edge is unbounded or ends on more than one new facet.
+def _ratio_test(v: Vertex, k: int) -> list[int]:
+    """Every facet that edge k of the basis v runs into first, i.e. tied at
+    the least step; UnboundedPolytope, with direction w_k, when no facet
+    bounds the edge.
 
     Along v + t*w_k the slack of facet j is s_j + t*D[j][k], so only
-    facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k].  The
-    denominators are positive, so ratios compare by cross-multiplying:
+    facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k]; that
+    step is 0 for a facet active at v outside the basis.  The denominators
+    are positive, so ratios compare by cross-multiplying:
     s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0, a sign
-    that cross_sign reads without reducing.  A tie at the minimum means
-    more than n facets at the next vertex.
+    that cross_sign reads without reducing.
     """
-    best, tie = None, False
+    tied: list[int] = []
     for j, row in enumerate(v.normal_coords):
         a = row[k]
         if a.is_zero() or a.sign() > 0:
             continue
-        if best is None:
-            best = j
+        if not tied:
+            tied = [j]
             continue
+        best = tied[0]
         order = cross_sign(v.slacks[j], v.normal_coords[best][k], v.slacks[best], a)
         if order > 0:
-            best, tie = j, False
+            tied = [j]
         elif order == 0:
-            tie = True
-    return None if tie else best
+            tied.append(j)
+    if not tied:
+        direction = tuple(row[k] for row in v.inverse)
+        rendered = ", ".join(s.to_expr() for s in direction)
+        raise UnboundedPolytope(f"recession direction ({rendered})", direction=direction)
+    return tied
 
 
-def _pivot(v: Vertex, k: int, entering: int, active: tuple[int, ...]) -> Vertex:
-    """The neighbour of v across edge k, which enters facet ``entering``.
+def _pivot(v: Vertex, k: int, entering: int, basis: tuple[int, ...]) -> Vertex:
+    """The basis across edge k of v, which facet ``entering`` enters.
 
     With alpha = D[entering][k] < 0, the new edge directions are
     w_k / alpha in the slot of the entering facet and
     w_i - (D[entering][i] / alpha) * w_k for the others; every row of W
     and D takes the same column operation, and zero multipliers are
-    skipped.  The step along w_k is t = s_entering / -alpha > 0.  Each
+    skipped.  The step along w_k is t = s_entering / -alpha >= 0.  Each
     updated entry is one fused x - f*a or x + f*a, reduced once.
     """
     pivot_row = v.normal_coords[entering]
     inv = pivot_row[k].inverse()
     factors = [(i, a * inv) for i, a in enumerate(pivot_row) if i != k and not a.is_zero()]
     step = -(v.slacks[entering] * inv)
-    slot = active.index(entering)
+    slot = basis.index(entering)
 
     def column_op(row: Vector) -> Vector:
         out = list(row)
@@ -384,7 +367,7 @@ def _pivot(v: Vertex, k: int, entering: int, active: tuple[int, ...]) -> Vertex:
 
     return Vertex(
         point=moved(v.point, [row[k] for row in v.inverse]),
-        active=active,
+        active=basis,
         slacks=moved(v.slacks, [row[k] for row in v.normal_coords]),
         inverse=tuple(column_op(row) for row in v.inverse),
         normal_coords=tuple(column_op(row) for row in v.normal_coords),

@@ -183,6 +183,37 @@ def test_theta_without_a_field_exit_2(capsys, tmp_path, command, document, where
     assert err.endswith("names theta, but the document has no 'field' section\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+def test_theta_power_without_a_field_names_the_facet_exit_2(capsys, tmp_path, command):
+    # The theta name is checked before the entry is evaluated, so the
+    # error names the facet, not the size of theta^100000.
+    path = tmp_path / "no-field.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "theta^100000"},
+                   {"normal": ["-1"], "offset": "-1"}],
+    }))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("SchemaError: facet 0: 'theta^100000' names theta, "
+                   "but the document has no 'field' section\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("extras", [0, False, "", {}, "ab", None],
+                         ids=["zero", "false", "empty-string", "empty-object", "string", "null"])
+def test_extra_generators_must_be_a_list_exit_2(capsys, tmp_path, command, extras):
+    path = tmp_path / "extras.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "0"}, {"normal": ["-1"], "offset": "-1"}],
+        "quasilattice_extra_generators": extras,
+    }))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "SchemaError: 'quasilattice_extra_generators' must be a list\n"
+
+
 def test_input_file_round_trip(capsys, tmp_path):
     from quasifold import builtin_document
     path = tmp_path / "tri.json"

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifold import DimensionMismatch, Field, Matrix, rational_field
-from quasifold.linalg import as_vector
 from conftest import as_fraction
 
 RAT = rational_field()
@@ -27,8 +26,13 @@ def rat_matrix(rows):
     return Matrix(RAT, [[RAT.scalar(x) for x in r] for r in rows])
 
 
+def rat_vector(values):
+    return tuple(RAT.scalar(x) for x in values)
+
+
 def identity(field, n):
-    return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return Matrix(field, [[field.one if i == j else field.zero for j in range(n)]
+                          for i in range(n)])
 
 
 def mat_vec(m, v):
@@ -140,21 +144,28 @@ class TestPinned:
 
     def test_solve_inconsistent(self):
         m = rat_matrix([[1, 1], [1, 1]])
-        assert m.solve(as_vector(RAT, [0, 1])) is None
+        assert m.solve(rat_vector([0, 1])) is None
 
     def test_solve_underdetermined_sets_free_to_zero(self):
         m = rat_matrix([[1, 1]])
-        assert m.solve(as_vector(RAT, [3])) == (RAT.scalar(3), RAT.zero)
+        assert m.solve(rat_vector([3])) == (RAT.scalar(3), RAT.zero)
 
     def test_dimension_mismatch(self):
         m = rat_matrix([[1, 2], [3, 4]])
         with pytest.raises(DimensionMismatch):
-            m.solve(as_vector(RAT, [1, 2, 3]))
+            m.solve(rat_vector([1, 2, 3]))
 
     def test_det_and_inverse(self):
         m = rat_matrix([[2, 1], [7, 4]])
         assert as_fraction(m.det()) == 1
         assert same(matmul(m.inverse(), m), identity(RAT, 2))
+
+    def test_ragged_rows_and_wrong_width_rejected(self):
+        one = RAT.one
+        with pytest.raises(DimensionMismatch, match="ragged rows"):
+            Matrix(RAT, [[one, one], [one]])
+        with pytest.raises(DimensionMismatch, match="cols=3"):
+            Matrix(RAT, [[one, one]], cols=3)
 
     def test_zero_row_matrix_keeps_columns(self):
         m = Matrix(RAT, [], cols=3)

@@ -1,11 +1,11 @@
 """Polytope parsing, vertex enumeration, simplicity, rationality, integrality.
 
 Vertex enumeration is cross-checked against an independent float-based
-enumerator (numpy solves over all facet subsets) on every builtin, the
-edge walk against the subset scan it replaces on simple input, and
-the boundedness and full-dimension verdicts against exact brute-force
-oracles (a recession scan over all (n-1)-subsets of facets and the rank
-of the vertex differences) on random H-representations.
+enumerator (numpy solves over all facet subsets) on every builtin, and
+the walk over feasible bases against an exact brute-force oracle (a scan
+of all n-subsets of facets, a recession scan over all (n-1)-subsets and
+the rank of the vertex differences) on simple and non-simple polytopes
+and on random H-representations.
 """
 
 import itertools
@@ -106,10 +106,14 @@ class TestParse:
             ]))
 
     def test_cone_with_non_simple_apex_is_unbounded(self):
-        # z >= |x|, z >= |y|: four facets meet at the apex
+        # z >= |x|, z >= |y|: four facets meet at the apex.  The witness is
+        # the first unbounded edge the walk meets, a positive multiple of
+        # one of the cone's four edges (+-1, +-1, 1).
         with pytest.raises(UnboundedPolytope) as info:
             parse_polytope(doc(3, CONE_FACETS))
-        assert [as_fraction(s) for s in info.value.direction] == [1, 1, 1]
+        ray = [as_fraction(s) for s in info.value.direction]
+        assert ray == [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)]
+        assert ray[2] > 0 and all(abs(x) == ray[2] for x in ray)
 
     def test_capped_cone_parses(self):
         p = parse_polytope(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]))
@@ -250,18 +254,19 @@ class TestVertices:
 # --------------------------------------------------------------------------
 
 def _rref(rows, width):
-    """Reduced row echelon form over Q: (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over an exact field (Fractions, or Scalars
+    of one field): (nonzero rows, pivot columns)."""
+    m = [list(row) for row in rows]
     pivots = []
     for c in range(width):
         r = len(pivots)
-        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        k = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if k is None:
             continue
         m[r], m[k] = m[k], m[r]
         m[r] = [x / m[r][c] for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c]:
+            if i != r and m[i][c] != 0:
                 m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
@@ -275,7 +280,8 @@ def brute_force_outcome(normals, offsets, n):
     """(exception type or None, vertex points) by exhaustive subset scans:
     vertices from every n-subset of facets, in the order of the first
     subset that gives each, a recession ray from every (n-1)-subset, then
-    the rank of the vertex differences."""
+    the rank of the vertex differences.  Entries are Fractions, or Scalars
+    of one field."""
     d = len(normals)
     if len(_rref(normals, n)[1]) < n:
         return NormalsDontSpan, []
@@ -318,15 +324,33 @@ def h_representations(draw):
     return n, normals, offsets
 
 
-@settings(max_examples=200, deadline=None)
-@given(h_representations())
+@st.composite
+def cut_boxes(draw):
+    """The box [0, 2]^n cut by 1-4 supporting hyperplanes <X, x> >= the
+    least <X, c> over the box's corners c (sometimes 1 more), facets
+    shuffled: bounded, and mostly not simple."""
+    n = draw(st.integers(2, 4))
+    facets = [([sign if k == i else 0 for k in range(n)], 0 if sign > 0 else -2)
+              for sign in (1, -1) for i in range(n)]
+    corners = list(itertools.product((0, 2), repeat=n))
+    normal = st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any)
+    for x in draw(st.lists(normal, min_size=1, max_size=4)):
+        facets.append((x, min(_dot(x, c) for c in corners) + draw(st.integers(0, 1))))
+    normals, offsets = zip(*draw(st.permutations(facets)))
+    return n, list(normals), list(offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(h_representations(), cut_boxes()))
 @example((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1]))     # square
 @example((2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, -1]))      # segment
 @example((2, [[1, 0], [-1, 0], [0, 1], [1, 1]], [1, 0, 0, 0]))        # empty, with a ray
 @example((3, [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]], [0, 0, 0, 0]))  # cone
 def test_parse_agrees_with_brute_force(case):
     n, normals, offsets = case
-    expected, oracle_vertices = brute_force_outcome(normals, offsets, n)
+    expected, oracle_vertices = brute_force_outcome(
+        [[Fraction(x) for x in normal] for normal in normals],
+        [Fraction(b) for b in offsets], n)
     document = doc(n, [([str(x) for x in normal], str(b))
                        for normal, b in zip(normals, offsets)])
     if expected is None:
@@ -346,7 +370,7 @@ def test_parse_agrees_with_brute_force(case):
 
 
 # --------------------------------------------------------------------------
-# The edge walk against the subset scan
+# The walk over feasible bases against the exhaustive scan
 # --------------------------------------------------------------------------
 
 def _unit(n, i, value="1"):
@@ -369,8 +393,8 @@ def pentagon_squared_document():
     return doc(4, facets, field=pentagon["field"])
 
 
-# A square pyramid: its first vertex (0, 0, 0) is simple, so the walk
-# starts, and stops at the apex, where four facets meet.
+# A square pyramid: its first vertex (0, 0, 0) is simple, and four facets
+# meet at the apex.
 PYRAMID = doc(3, [
     (["0", "0", "1"], "0"), (["2", "0", "-1"], "0"), (["0", "2", "-1"], "0"),
     (["-2", "0", "-1"], "-2"), (["0", "-2", "-1"], "-2"),
@@ -390,29 +414,38 @@ SCANNED = [
 ]
 
 
-def _scan(document, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(polytope_module, "_walk", lambda p, first: None)
-        return parse_polytope(document).vertices
-
-
-def _facts(vertices):
-    return [(v.point, v.active, v.slacks) for v in vertices]
+def _parse_against_the_scan(document):
+    """Parse, and check the vertices against brute_force_outcome: its
+    points in its first-subset order, each active set the facets of zero
+    slack and each slack <v, X_j> - lambda_j; a cone on exactly the simple
+    vertices."""
+    p = parse_polytope(document)
+    exact = as_fraction if p.field.degree == 1 else (lambda s: s)
+    expected, points = brute_force_outcome([[exact(x) for x in normal] for normal in p.normals],
+                                           [exact(b) for b in p.offsets], p.dim)
+    assert expected is None
+    assert [list(v.point) for v in p.vertices] == points
+    for v in p.vertices:
+        slacks = tuple(p.slack(v.point, j) for j in range(p.facet_count))
+        assert v.slacks == slacks
+        assert v.active == tuple(j for j, s in enumerate(slacks) if s.is_zero())
+        simple = len(v.active) == p.dim
+        assert (v.inverse is not None, v.normal_coords is not None) == (simple, simple)
+    return p
 
 
 @pytest.mark.parametrize("document", WALKED)
-def test_walk_gives_the_scan_vertices(document, monkeypatch):
-    walked = parse_polytope(document).vertices
-    assert all(v.inverse is not None for v in walked)
-    assert _facts(walked) == _facts(_scan(document, monkeypatch))
+def test_walk_gives_the_scan_vertices(document):
+    p = _parse_against_the_scan(document)
+    assert all(len(v.active) == p.dim for v in p.vertices)
 
 
 @pytest.mark.parametrize("document", SCANNED)
-def test_non_simple_input_takes_the_scan(document, monkeypatch):
-    vertices = parse_polytope(document).vertices
-    assert all(v.inverse is None for v in vertices)
-    assert any(len(v.active) > document["dimension"] for v in vertices)
-    assert _facts(vertices) == _facts(_scan(document, monkeypatch))
+def test_non_simple_input_takes_the_scan(document):
+    # Non-simple input: the walk lists each vertex once, at its least
+    # basis, as the exhaustive scan does.
+    p = _parse_against_the_scan(document)
+    assert any(len(v.active) > p.dim for v in p.vertices)
 
 
 @pytest.mark.parametrize("document", WALKED)
@@ -438,6 +471,19 @@ def test_cube8_parse_eliminates_three_times(monkeypatch):
     monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
     p = parse_polytope(cube_document(8))
     assert len(p.vertices) == 256
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("document", SCANNED[:2])
+def test_non_simple_parse_eliminates_three_times(document, monkeypatch):
+    # The walk follows every facet tied in a ratio test, so degenerate
+    # vertices need no elimination beyond the rank test, the first subset
+    # and the inversion of the first cone; a scan of all subsets would
+    # eliminate C(8, 3) = 56 for the octahedron.
+    calls = []
+    reduce = Matrix._reduce
+    monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
+    parse_polytope(document)
     assert len(calls) <= 3
 
 
