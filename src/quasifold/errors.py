@@ -86,7 +86,18 @@ class UnboundedPolytope(InvalidPolytope):
 
 
 class LowerDimensional(InvalidPolytope):
-    """Feasible set is empty or its affine hull has dimension < n."""
+    """Feasible set is empty or its affine hull has dimension < n.
+
+    An empty set carries ``certificate``, one exact Scalar y_j per facet
+    with y >= 0, sum y_j X_j = 0 and sum y_j lambda_j > 0 (Farkas); a
+    set inside the hyperplane of a facet carries that facet's index as
+    ``facet``, the least facet active at every vertex.
+    """
+
+    def __init__(self, message: str, certificate=None, facet=None):
+        super().__init__(message)
+        self.certificate = certificate
+        self.facet = facet
 
 
 class NormalsDontSpan(InvalidPolytope):

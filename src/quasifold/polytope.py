@@ -2,8 +2,8 @@
 
 A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
-here is exact: vertex enumeration scans n-subsets of facet equations for
-a first feasible basis, then walks the feasible bases with one pivot
+here is exact: vertex enumeration reaches a first feasible basis by one
+elimination and pivots, then walks the feasible bases with one pivot
 each, following every facet tied in a ratio test and reporting the first
 unbounded edge it meets; full dimension is read off the vertex active
 sets, and rationality of the normal family is certified (or refuted)
@@ -13,9 +13,8 @@ over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import (
@@ -145,8 +144,8 @@ def _parse_entry(value, fld: Field, where: str, has_theta: bool) -> Scalar:
 def parse_polytope(document: dict) -> HPolytope:
     """Validate a polytope document and return the exact H-representation.
 
-    Raises SchemaError for malformed documents, NormalsDontSpan when the
-    normals fail to span R^n, and, from vertex enumeration,
+    Raises SchemaError for malformed documents and, from vertex
+    enumeration, NormalsDontSpan when the normals fail to span R^n,
     LowerDimensional when the feasible set is empty, UnboundedPolytope
     when it is unbounded, and LowerDimensional when it lies in a facet
     hyperplane.
@@ -189,9 +188,6 @@ def parse_polytope(document: dict) -> HPolytope:
         _require(not all(s.is_zero() for s in vec), f"{where} is zero")
         extras.append(vec)
 
-    if Matrix(fld, normals).rank() < n:
-        raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
-
     poly = HPolytope(field=fld, dim=n, normals=tuple(normals), offsets=tuple(offsets),
                      extra_generators=tuple(extras))
     poly.vertices  # enforce bounded / full-dimensional at parse time
@@ -206,37 +202,47 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     """All vertices, exactly, in the order in which a scan of the facet
     n-subsets would first meet them.
 
-    A basis is an n-subset of facets with independent normals; it is
-    feasible when the common point of its hyperplanes satisfies every
-    facet inequality, and that point is a vertex.  The scan, in
-    lexicographic order, runs only until the first feasible basis; the
-    normals span R^n, so a nonempty feasible set has a vertex, and no
-    feasible basis means LowerDimensional.  The walk (_walk) finds the
-    rest, or raises UnboundedPolytope.  Each active set lists every facet
+    A basis is an n-subset of facets with independent normals; it is feasible
+    when the common point of its hyperplanes satisfies every facet inequality,
+    and that point is a vertex.  One elimination of [P | I], the columns of P
+    being the normals, gives the least basis B (its pivots; one in the I
+    block: NormalsDontSpan), D (its left block) and W = A_B^-1 (its right
+    block, transposed).  While a facet is violated, phase 1 takes the least,
+    r, leaves B along the least edge k with D[r][k] > 0 and enters the least
+    facet tied in _ratio_test: the simplex method with Bland's rule (Math.
+    Oper. Res. 2, 1977) raising s_r over the facets already satisfied, so it
+    cannot cycle.  With no such k, y_r = 1, y_{B_k} = -D[r][k] certify that
+    the feasible set is empty (LowerDimensional): y >= 0, sum y_j X_j = 0 and
+    sum y_j lambda_j = -s_r > 0.  The walk (_walk) finds every vertex from
+    there, or raises UnboundedPolytope.  Each active set lists every facet
     with zero slack, more than n of them at a non-simple vertex.
 
     A bounded polytope is the hull of its vertices, so it lies in the
     hyperplane of facet j, and is not full dimensional, exactly when j is
     active at every vertex.
     """
-    d, n = p.facet_count, p.dim
-    square = tuple(range(n))
-    zero = p.field.zero
-    for subset in combinations(range(d), n):
-        ech = Matrix(p.field, [p.normals[j] + (p.offsets[j],) for j in subset]).echelon()
-        if ech.pivots != square:
-            continue
-        point = tuple(row[n] for row in ech.rows)
-        # point solves the equations of its subset exactly
-        slacks = tuple(zero if j in subset else p.slack(point, j) for j in range(d))
-        if all(s.is_zero() or s.sign() > 0 for s in slacks):
-            break
-    else:
-        raise LowerDimensional("feasible set is empty")
-    vertices = _walk(p, Vertex(point=point, active=subset, slacks=slacks))
+    d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
+    ech = Matrix(p.field, [tuple(x[i] for x in p.normals) + (zero,) * i + (one,)
+                           + (zero,) * (n - 1 - i) for i in range(n)]).echelon()
+    if ech.pivots[-1] >= d:
+        raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
+    inverse = tuple(zip(*(row[d:] for row in ech.rows)))
+    point = tuple(dot(w, [p.offsets[j] for j in ech.pivots]) for w in inverse)
+    v = Vertex(point, ech.pivots,
+               tuple(zero if j in ech.pivots else p.slack(point, j) for j in range(d)),
+               inverse, tuple(zip(*(row[:d] for row in ech.rows))))
+    while (r := next((j for j, s in enumerate(v.slacks) if s.sign() < 0), None)) is not None:
+        k = next((k for k, a in enumerate(v.normal_coords[r]) if a.sign() > 0), None)
+        if k is None:
+            y = {b: -a for b, a in zip(v.active, v.normal_coords[r])} | {r: one}
+            raise LowerDimensional("feasible set is empty",
+                                   certificate=tuple(y.get(j, zero) for j in range(d)))
+        entering = min(_ratio_test(v, k, r))
+        v = _pivot(v, k, entering, tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,))))
+    vertices = _walk(p, v)
     common = set(vertices[0].active).intersection(*(v.active for v in vertices[1:]))
     if common:
-        raise LowerDimensional(f"facet {min(common)} is active at every vertex")
+        raise LowerDimensional(f"facet {min(common)} is active at every vertex", facet=min(common))
     return vertices
 
 
@@ -245,9 +251,7 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
     listed once at its least basis, in that order.
 
     The walk's records are Vertex tableaux whose ``active`` is their basis
-    B, with W = A_B^-1 and D = X W.  The first comes from one inversion of
-    A_B; its rows of D at the facets of B are the unit rows, since
-    A_B W = I, so only the d - n other rows take dot products.  Edge k of
+    B, with W = A_B^-1 and D = X W, the first one's from phase 1.  Edge k of
     a basis leads to every facet tied at the least step along w_k
     (_ratio_test), and each enters by one pivot (_pivot); a zero step is
     a degenerate pivot to another basis of the same vertex.  A simple
@@ -272,17 +276,10 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
     vertex it also ties the other facets active there, and leads to
     further bases of it.
     """
-    inverse = Matrix(p.field, [p.normals[j] for j in first.active]).inverse().rows
-    columns = tuple(zip(*inverse))
-    n, zero, one = p.dim, p.field.zero, p.field.one
-    units = {j: tuple(one if i == k else zero for i in range(n))
-             for k, j in enumerate(first.active)}
-    coords = tuple(units[j] if j in units else tuple(dot(x, w) for w in columns)
-                   for j, x in enumerate(p.normals))
-    start = replace(first, inverse=inverse, normal_coords=coords)
-    found = {start.active: start}
+    n = p.dim
+    found = {first.active: first}
     actives = {}
-    pending = [(start, None)]
+    pending = [(first, None)]
     while pending:
         v, back = pending.pop()
         active = actives[v.active] = tuple(j for j, s in enumerate(v.slacks) if s.is_zero())
@@ -303,30 +300,33 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
     return list(vertices.values())
 
 
-def _ratio_test(v: Vertex, k: int) -> list[int]:
+def _ratio_test(v: Vertex, k: int, r: int | None = None) -> list[int]:
     """Every facet that edge k of the basis v runs into first, i.e. tied at
     the least step; UnboundedPolytope, with direction w_k, when no facet
     bounds the edge.
 
     Along v + t*w_k the slack of facet j is s_j + t*D[j][k], so only
     facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k]; that
-    step is 0 for a facet active at v outside the basis.  The denominators
-    are positive, so ratios compare by cross-multiplying:
+    step is 0 for a facet active at v outside the basis.  Phase 1 counts
+    its target r, at t = -s_r / D[r][k], and skips other violated facets.
+    The denominators are positive, so ratios compare by cross-multiplying:
     s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0, a sign
     that cross_sign reads without reducing.
     """
-    tied: list[int] = []
+    tied, least = ([], None) if r is None else ([r], (-v.slacks[r], -v.normal_coords[r][k]))
     for j, row in enumerate(v.normal_coords):
         a = row[k]
         if a.is_zero() or a.sign() > 0:
             continue
-        if not tied:
-            tied = [j]
+        s = v.slacks[j]
+        if r is not None and s.sign() < 0:
             continue
-        best = tied[0]
-        order = cross_sign(v.slacks[j], v.normal_coords[best][k], v.slacks[best], a)
+        if not tied:
+            tied, least = [j], (s, a)
+            continue
+        order = cross_sign(s, least[1], least[0], a)
         if order > 0:
-            tied = [j]
+            tied, least = [j], (s, a)
         elif order == 0:
             tied.append(j)
     if not tied:

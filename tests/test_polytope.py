@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (
+    HPolytope,
     LowerDimensional,
     NormalsDontSpan,
     NotRationalInput,
@@ -33,6 +34,7 @@ from quasifold import (
     check_simple,
     construction_report,
     parse_polytope,
+    rational_field,
 )
 import quasifold.polytope as polytope_module
 import quasifold.scalars as scalars_module
@@ -80,6 +82,15 @@ class TestParse:
         with pytest.raises(NormalsDontSpan):
             parse_polytope(doc(2, [(["1", "0"], "0"), (["-1", "0"], "0")]))
 
+    def test_strip_built_directly_normals_do_not_span(self):
+        # The strip 0 <= x <= 1 is nonempty; its normals only fail to span.
+        f = rational_field()
+        p = HPolytope(field=f, dim=2,
+                      normals=((f.one, f.zero), (-f.one, f.zero)),
+                      offsets=(f.zero, -f.one))
+        with pytest.raises(NormalsDontSpan):
+            p.vertices
+
     def test_unbounded_quadrant(self):
         with pytest.raises(UnboundedPolytope) as info:
             parse_polytope(doc(2, [(["1", "0"], "0"), (["0", "1"], "0")]))
@@ -92,18 +103,23 @@ class TestParse:
     def test_empty_feasible_set_with_recession_ray(self):
         # x >= 1, -x >= 0, y >= 0: empty, although every constraint allows
         # the ray (0, 1); emptiness is decided first
-        with pytest.raises(LowerDimensional, match="feasible set is empty"):
+        with pytest.raises(LowerDimensional, match="feasible set is empty") as info:
             parse_polytope(doc(2, [
                 (["1", "0"], "1"), (["-1", "0"], "0"), (["0", "1"], "0"),
             ]))
+        # x >= 1 plus -x >= 0 reads 0 >= 1
+        assert [as_fraction(y) for y in info.value.certificate] == [1, 1, 0]
+        assert info.value.facet is None
 
     def test_lower_dimensional_slab(self):
         # x = 0 slab crossed with [0,1]: nonempty but affinely 1-dimensional
-        with pytest.raises(LowerDimensional, match="facet 0 is active at every vertex"):
+        with pytest.raises(LowerDimensional, match="facet 0 is active at every vertex") as info:
             parse_polytope(doc(2, [
                 (["1", "0"], "0"), (["-1", "0"], "0"),
                 (["0", "1"], "0"), (["0", "-1"], "-1"),
             ]))
+        assert info.value.facet == 0
+        assert info.value.certificate is None
 
     def test_cone_with_non_simple_apex_is_unbounded(self):
         # z >= |x|, z >= |y|: four facets meet at the apex.  The witness is
@@ -340,12 +356,33 @@ def cut_boxes(draw):
     return n, list(normals), list(offsets)
 
 
+def _parse_keeping_satisfied_facets(document):
+    """parse_polytope, checking that no pivot violates a facet that was
+    satisfied before it: phase 1's progress, and the walk's feasibility."""
+    pivot = polytope_module._pivot
+
+    def checked(v, *args):
+        after = pivot(v, *args)
+        violated = {j for j, s in enumerate(v.slacks) if s.sign() < 0}
+        assert all(s.sign() >= 0 for j, s in enumerate(after.slacks) if j not in violated)
+        return after
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope_module, "_pivot", checked)
+        return parse_polytope(document)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(h_representations(), cut_boxes()))
 @example((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1]))     # square
 @example((2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, -1]))      # segment
 @example((2, [[1, 0], [-1, 0], [0, 1], [1, 1]], [1, 0, 0, 0]))        # empty, with a ray
 @example((3, [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]], [0, 0, 0, 0]))  # cone
+# The first basis of independent normals is infeasible, so phase 1 pivots:
+# the square with the cut -x-y >= -3/2 listed first, and an empty box.
+@example((2, [[-1, -1], [1, 0], [0, 1], [-1, 0], [0, -1]], [Fraction(-3, 2), 0, 0, -1, -1]))
+@example((3, [[1, 1, 1], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1], [1, 0, 0], [0, 0, 1]],
+          [4, -1, 0, -1, -1, 0, 0]))
 def test_parse_agrees_with_brute_force(case):
     n, normals, offsets = case
     expected, oracle_vertices = brute_force_outcome(
@@ -354,7 +391,7 @@ def test_parse_agrees_with_brute_force(case):
     document = doc(n, [([str(x) for x in normal], str(b))
                        for normal, b in zip(normals, offsets)])
     if expected is None:
-        p = parse_polytope(document)
+        p = _parse_keeping_satisfied_facets(document)
         points = [[as_fraction(s) for s in v.point] for v in p.vertices]
         assert points == oracle_vertices  # in the oracle's first-subset order
         for v, point in zip(p.vertices, oracle_vertices):
@@ -362,11 +399,20 @@ def test_parse_agrees_with_brute_force(case):
                                      if _dot(x, point) == b)
         return
     with pytest.raises(expected) as info:
-        parse_polytope(document)
+        _parse_keeping_satisfied_facets(document)
     if expected is UnboundedPolytope:
         ray = [as_fraction(s) for s in info.value.direction]
         assert any(ray)
         assert all(_dot(x, ray) >= 0 for x in normals)
+    elif expected is LowerDimensional and not oracle_vertices:
+        # Farkas: y >= 0 and sum y_j X_j = 0, yet sum y_j lambda_j > 0
+        y = [as_fraction(s) for s in info.value.certificate]
+        assert len(y) == len(normals) and all(y_j >= 0 for y_j in y)
+        assert all(_dot(y, column) == 0 for column in zip(*normals))
+        assert _dot(y, offsets) > 0
+    elif expected is LowerDimensional:
+        facet = info.value.facet
+        assert all(_dot(normals[facet], v) == offsets[facet] for v in oracle_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -462,35 +508,59 @@ def test_walk_cone_inverts_the_active_normals(document):
             assert v.normal_coords[j] == tuple(f.one if i == k else f.zero for i in range(n))
 
 
-def test_cube8_parse_eliminates_three_times(monkeypatch):
-    # One rank test, the first subset of the scan and the inversion of the
-    # first cone; the scan alone would eliminate all C(16, 8) = 12,870
-    # subsets.
+def _count_eliminations(monkeypatch):
     calls = []
     reduce = Matrix._reduce
     monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
+    return calls
+
+
+def test_cube8_parse_eliminates_three_times(monkeypatch):
+    # Phase 1's elimination of [P | I] ranks the normals and gives the
+    # first cone; a scan of the facet subsets would eliminate up to
+    # C(16, 8) = 12,870 of them.
+    calls = _count_eliminations(monkeypatch)
     p = parse_polytope(cube_document(8))
     assert len(p.vertices) == 256
-    assert len(calls) <= 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("document", SCANNED[:2])
 def test_non_simple_parse_eliminates_three_times(document, monkeypatch):
     # The walk follows every facet tied in a ratio test, so degenerate
-    # vertices need no elimination beyond the rank test, the first subset
-    # and the inversion of the first cone; a scan of all subsets would
-    # eliminate C(8, 3) = 56 for the octahedron.
-    calls = []
-    reduce = Matrix._reduce
-    monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
+    # vertices need no elimination beyond phase 1's one; a scan of all
+    # subsets would eliminate C(8, 3) = 56 for the octahedron.
+    calls = _count_eliminations(monkeypatch)
     parse_polytope(document)
-    assert len(calls) <= 3
+    assert len(calls) == 1
+
+
+def test_pentagon2_parse_eliminates_once(monkeypatch):
+    # The scan for a first basis eliminated 18 singular subsets here.
+    calls = _count_eliminations(monkeypatch)
+    p = parse_polytope(pentagon_squared_document())
+    assert len(p.vertices) == 25
+    assert len(calls) == 1
+
+
+def test_empty_cube8_is_refused_after_one_elimination(monkeypatch):
+    # Phase 1 pivots to a Farkas certificate; a scan would eliminate all
+    # C(17, 8) = 24,310 subsets to show that none is feasible.
+    document = cube_document(8)
+    document["facets"].append({"normal": ["1"] * 8, "offset": "80"})
+    calls = _count_eliminations(monkeypatch)
+    with pytest.raises(LowerDimensional, match="feasible set is empty") as info:
+        parse_polytope(document)
+    assert len(calls) == 1
+    y = [as_fraction(s) for s in info.value.certificate]
+    assert y[16] > 0 and all(y_j >= 0 for y_j in y)
 
 
 def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
-    # D_v of the first cone has unit rows at the n active facets (A_v W_v
-    # = I), so only the one inactive facet of the 9 takes dot products: n = 8
-    # of them, not d*n = 72.  Later cones come from pivots, with none.
+    # Phase 1's elimination gives the first cone, D and W = A_v^-1; only
+    # its point (n = 8 dot products) and the slack of the one facet
+    # outside the basis take dot products.  The walk reaches every later
+    # cone by a pivot, with none.
     dots, in_walk = [], []
     dot, walk = polytope_module.dot, polytope_module._walk
     monkeypatch.setattr(polytope_module, "dot",
@@ -506,7 +576,7 @@ def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
     monkeypatch.setattr(polytope_module, "_walk", counted_walk)
     p = parse_polytope(projective_space_document(8))
     assert len(p.vertices) == 9
-    assert dots.count(True) == 8
+    assert dots == [False] * 9
 
 
 def test_cube6_walk_reduces_once_per_fused_operation(monkeypatch):
