@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -180,6 +181,12 @@ def _emit_json(payload: dict, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _check_sampling(args) -> None:
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value < 0:
+            raise SchemaError(f"{flag} must be nonnegative")
+
+
 def _write_csv(path: Path, mus: np.ndarray, phis: np.ndarray) -> None:
     # The bytes match csv.writer fed repr(float) fields.  The kernel is
     # imported here: compiling it costs commands without --csv about 2 ms.
@@ -286,8 +293,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 0:
-        raise SchemaError("--samples must be nonnegative")
+    _check_sampling(args)
+    for flag, tol in (("--tol-roundtrip", args.tol_roundtrip), ("--tol-rank", args.tol_rank)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise SchemaError(f"{flag} must be a finite nonnegative number, got {tol}")
     poly = parse_polytope(_load_document(args))
     data = build_construction(poly)
     report = run_verification(
@@ -308,8 +317,7 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     if args.svg is None and args.csv is None:
         raise SchemaError("plot needs --svg and/or --csv")
-    if args.samples < 0:
-        raise SchemaError("--samples must be nonnegative")
+    _check_sampling(args)
     poly = parse_polytope(_load_document(args))
     data = build_construction(poly)
     if args.svg is not None and data.dim != 2:
@@ -328,9 +336,15 @@ def cmd_plot(args) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
+# Built once per process: parse_args keeps no state between calls (each
+# makes a fresh Namespace, and help reads the terminal width when printed),
+# so repeated in-process calls of main share it.  Each subcommand's func
+# is bound here, at import.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -24,6 +24,9 @@ from .errors import StepOutOfRange
 HAMILTONIAN_STEP = 1e-5
 HAMILTONIAN_PAIRS = 100
 INVARIANCE_SAMPLES = 64
+# Bytes of the (samples, d - n, d) product the rank-margin check holds at
+# once; it and its Gram stack are evaluated over sample chunks this size.
+RANK_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -148,13 +151,21 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
     J J^T = 4 B diag(|z|^2) B^T, so the squared singular values of J are
     the eigenvalues of the (d-n, d-n) Gram matrix B diag(|z|^2) B^T up to
     the factor 4, which the ratio drops, as it drops the phases.  Rounding
-    can push the smallest eigenvalue below zero; it is clipped to 0."""
+    can push the smallest eigenvalue below zero; it is clipped to 0.
+
+    The samples are taken RANK_CHUNK_BYTES of product at a time.
+    eigvalsh factors each matrix on its own, so the margins do not
+    depend on the chunk size."""
     if not len(samples):
         return math.inf
     kernel = data.floats.kernel
-    gram = (kernel[None, :, :] * np.abs(samples.z)[:, None, :] ** 2) @ kernel.T
-    eig = np.linalg.eigvalsh(gram)
-    margins = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
+    chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
+    margins = np.empty(len(samples))
+    for start in range(0, len(samples), chunk):
+        moduli = np.abs(samples.z[start:start + chunk]) ** 2
+        gram = (kernel[None, :, :] * moduli[:, None, :]) @ kernel.T
+        eig = np.linalg.eigvalsh(gram)
+        margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
     return float(np.min(margins))
 
 

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report shapes, artifact files."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -671,6 +672,78 @@ def test_plot_needs_some_output(capsys):
 def test_negative_samples_rejected(capsys):
     code, _, _ = run(capsys, "verify", "--builtin", "square", "--samples", "-3")
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "64"])
+def test_negative_seed_rejected_before_any_work(capsys, tmp_path, samples):
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "pairs.csv"
+    for argv in (["verify", "--out", str(out_json), "--csv", str(out_csv)],
+                 ["plot", "--svg", str(tmp_path / "plot.svg"), "--csv", str(out_csv)]):
+        code, out, err = run(capsys, *argv, "--builtin", "square",
+                             "--samples", samples, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "SchemaError: --seed must be nonnegative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-roundtrip"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path, flag, value):
+    out_json = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--builtin", "square", "--samples", "32",
+                         "--out", str(out_json), f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"SchemaError: {flag} must be a finite nonnegative number")
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("flag, key", [("--tol-rank", "rank_margin"),
+                                       ("--tol-roundtrip", "roundtrip")])
+def test_zero_tolerance_is_allowed(capsys, flag, key):
+    code, out, _ = run(capsys, "verify", "--builtin", "square", "--samples", "32", flag, "0")
+    assert code in (0, 3)
+    assert json.loads(out)["tolerances"][key] == 0.0
+
+
+# --------------------------------------------------------------------------
+# One parser per process
+# --------------------------------------------------------------------------
+
+def test_repeated_calls_build_no_parser(capsys, monkeypatch):
+    assert main(["analyze", "--builtin", "square"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["analyze"], ["construct"], ["verify", "--samples", "32"]):
+        assert main([*argv, "--builtin", "square"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_forgets_the_last_csv(capsys, tmp_path):
+    out_csv = tmp_path / "pairs.csv"
+    code, _, _ = run(capsys, "verify", "--builtin", "square", "--samples", "16",
+                     "--csv", str(out_csv))
+    assert code == 0
+    out_csv.unlink()
+    code, _, _ = run(capsys, "verify", "--builtin", "square", "--samples", "16")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_leaves_the_shared_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: quasifold construct")
+    code, out, err = run(capsys, "construct", "--builtin", "pentagon")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["pentagon"][1]
 
 
 # --------------------------------------------------------------------------

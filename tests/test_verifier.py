@@ -4,6 +4,7 @@ Hamiltonian identity, invariance, and report determinism."""
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ from conftest import construct_builtin
 
 VERIFY_NAMES = ["sphere", "teardrop-3", "rugby-2", "interval-sqrt2",
                 "cp2", "triangle-sqrt2", "square", "pentagon", "cube"]
+
+
+def parabola_polygon(m):
+    """The hull of (t, t^2) for t = 0..m: m + 1 facets in the plane, so a
+    (m - 1)-dimensional kernel."""
+    facets = [{"normal": [str(-(2 * t + 1)), "1"], "offset": str(-t * (t + 1))}
+              for t in range(m)]
+    facets.append({"normal": [str(m), "-1"], "offset": "0"})
+    return build_construction(parse_polytope({"dimension": 2, "facets": facets}))
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +239,30 @@ class TestRegularValue:
     def test_empty_is_infinite(self):
         data = construct_builtin("square")
         assert math.isinf(check_regular_value(data, sample_level_set(data, 0)))
+
+    @pytest.mark.parametrize("name", VERIFY_NAMES + ["parabola-41"])
+    def test_margin_does_not_depend_on_chunk_size(self, name, monkeypatch):
+        data = parabola_polygon(40) if name == "parabola-41" else construct_builtin(name)
+        samples = sample_level_set(data, 2000, seed=4)
+        monkeypatch.setattr(verify_module, "RANK_CHUNK_BYTES", 2**40)
+        whole = check_regular_value(data, samples)
+        per_sample = data.floats.kernel.nbytes
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(verify_module, "RANK_CHUNK_BYTES", chunk * per_sample)
+            assert check_regular_value(data, samples) == whole
+
+    def test_peak_memory_is_bounded_by_the_chunk_budget(self):
+        # 2000 samples of the 41-gon take a 25.6 MB product and a 24.3 MB
+        # Gram stack at once without chunks (tracemalloc peak 47.6 MiB).
+        data = parabola_polygon(40)
+        samples = sample_level_set(data, 2000, seed=0)
+        tracemalloc.start()
+        try:
+            check_regular_value(data, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * verify_module.RANK_CHUNK_BYTES
 
 
 # --------------------------------------------------------------------------
