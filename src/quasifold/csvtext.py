@@ -5,33 +5,50 @@ For a lane with a = |x| in [1e-4, 1e16), repr writes the shortest digit
 string that reads back as x (nearest to x among the shortest), in
 positional notation.  The kernel finds the same digits as follows.
 
-* Exact scaling.  With k = 16 - floor(log10 a), bumped by one where
-  a * 10^k < 1e16, the scaled value V = a * 10^k lies in [1e16, 1e18).
-  10^k is an exact double (k <= 22), and Dekker's TwoProduct with a
-  Veltkamp split gives V = hi + lo exactly.  hi >= 2^53 is an integer,
-  so V = N + f with the integer N = hi + floor(lo) and f = lo - floor(lo)
-  in [0, 1), both exact.  Half an ulp of a at the same scale is
-  H = 2^(e - 54) * 10^k (a = m * 2^e, m in [0.5, 1)), also exact, and
-  H > V * 2^-54 > 0.5.
+* Exact scaling.  With a = m * 2^e (m in [0.5, 1)), k0 = 16 -
+  floor(log10 2^(e - 1)) puts a * 10^k0 in [1e16, 2e17); k is k0, or
+  k0 - 1 where that product reaches 1e17, so the scaled value
+  V = a * 10^k lies in [1e16, 1e17).  10^k is an exact double (k0 <= 21),
+  and Dekker's TwoProduct with a Veltkamp split gives V = hi + lo
+  exactly.  hi >= 2^53 is an integer, so V = N + f with the integer
+  N = hi + floor(lo) and f = lo - floor(lo) in [0, 1), both exact.  Half
+  an ulp of a at the same scale is H = 2^(e - 54) * 10^k, also exact, and
+  0.5 < V * 2^-54 < H < 11.2.
 * Shortest digits.  Let C_j be V rounded to a multiple of 10^j.  The
   reals that read back as x form an interval of half-width H about V
   (symmetric when m != 0.5).  A multiple of 10^j lies inside exactly when
   C_j does, and then a multiple of every smaller power does too, so
   repr's digits are C_j for the largest j with |C_j - V| < H.  j = 0
-  always succeeds, and the live lanes shrink as j grows.  The distances
-  to the two candidates, r + f and (10^j - r) - f with r = N mod 10^j, are
+  always succeeds.  The search tests j = 1, 2, ... only on the lanes that
+  passed the step before, held as an index array that each step shrinks
+  with ``np.flatnonzero`` and integer gathers; on sampled data about half
+  of the lanes pass j = 1 and a few percent j = 2.  The distances to the
+  two candidates, r + f and (10^j - r) - f with r = N mod 10^j, are
   rounded to doubles; rounding is monotonic and H is a double, so a
   strict comparison with H is exact and only equality is in doubt.
 * Fallback.  repr itself formats every lane this argument does not cover:
   0 and -0, nan, +-inf and subnormals; |x| outside [1e-4, 1e16);
-  significand 2^52, whose interval is asymmetric; and exact ties, where
-  |C_j - V| == H or V lies halfway between two candidates.  Correctness
-  never depends on copying the tie rules of repr's dtoa.
-* Layout.  Each value becomes a fixed-width field that holds the digits
-  of C twice: the integer part shows from the first copy and the fraction
-  from the second, so no digit moves.  A precomputed mask row, chosen by
-  k, the digit count of C, its trailing zeros (the final j) and whether
-  the field ends a row, picks the bytes repr would write.
+  significand 2^52 (m == 0.5), whose interval is asymmetric; and exact
+  ties, where |C_j - V| == H or V lies halfway between two candidates (at
+  distance 10^j / 2, below H only for j = 1).  These lanes get H = 0, so
+  the search drops them at once.  Correctness never depends on copying
+  the tie rules of repr's dtoa.
+* Layout.  Each value becomes a fixed-width field that holds the 17
+  digits of C (C < 10^17; a C that rounded up to 10^17 becomes 10^16 at
+  scale k - 1) twice: the integer part shows from the first copy and the
+  fraction from the second, so no digit moves.  Both copies are written
+  in 4-digit groups from a table of 10^4 uint32 words.  The '.' and the
+  separator are written over the first hidden digit after the integer
+  part and after the fraction, so a field shows two runs of bytes (the
+  integer part and '.'; the fraction and separator), as boolean
+  compaction costs per run; the sign joins the first run when |x| < 1.
+  A precomputed mask row, chosen by k and the trailing zeros of C (the
+  final j), picks the bytes repr would write.
+* Memory.  A chunk of n values holds the fields (n x 44 bytes, one buffer
+  reused by every chunk of a call), the digit search's arrays (at most
+  about 100 bytes a value, each freed once used), then the mask (n x 44
+  bytes) and the compacted text.  8192 values per chunk keep the
+  tracemalloc peak of a 10,000 x 12 array near 1.3 MiB.
 """
 
 from __future__ import annotations
@@ -40,46 +57,52 @@ from typing import Iterator
 
 import numpy as np
 
-# Values per chunk, whatever the row width: the chunk's int64 temporaries
-# stay near 32 KiB each.
-_CHUNK_VALUES = 4096
+# Values per chunk, whatever the row width.
+_CHUNK_VALUES = 8192
 
-# Field bytes: 0 '-', 1 '0', 2..19 the 18 digits of C, 20 '.', 21 pad,
-# 22..25 '0000' (fraction digits ahead of C when k > 18), 26..43 the
-# digits of C again, 44..45 ',' and pad or '\r\n'.  Digit pairs are
-# written through a uint16 view, so every pair starts at an even byte.
-_WIDTH = 46
-_REPR_MAX = 24  # longest repr of a float64, '-2.2250738585072014e-308'
+# Field bytes: 0 pad, 1 '-', 2 '0', 3..19 the 17 digits of C, 20..22
+# '000' (fraction digits ahead of C when k > 17), 23..39 the digits of C
+# again, 40..41 room for ',' or '\r\n' after a fraction that hides no
+# digit, 42..43 pad.  Digits 4..19 and 24..39 are written through a uint32
+# view, so every group starts at a multiple of 4.
+_WIDTH = 44
+_REPR_MAX = 26  # repr and separator, longest '-2.2250738585072014e-308\r\n'
+_TEMPLATE = np.frombuffer(b"\0-0" + b"\0" * 17 + b"000" + b"\0" * 21, dtype=np.uint8)
 
-_POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
-_POW10_INT = np.array([10**i for i in range(19)], dtype=np.int64)
+_POW10 = 10.0 ** np.arange(22)  # exact doubles
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-_SIGNIFICAND = np.uint64((1 << 52) - 1)
+# k0 by binary exponent e, for the exponents -13..54 of [1e-4, 1e16).
+_E_MIN = -13
+_K0 = 16 - np.floor(np.arange(_E_MIN - 1, 54) * np.log10(2)).astype(np.int64)
+
+_DIGITS = np.arange(48, 58, dtype=np.uint8)
+# The four ASCII digits of 0..9999, one native uint32 each.
+_GROUPS = np.stack(np.meshgrid(_DIGITS, _DIGITS, _DIGITS, _DIGITS, indexing="ij"),
+                   axis=-1).view(np.uint32).ravel()
 
 
-def _pairs(text: bytes) -> np.ndarray:
-    return np.frombuffer(text, dtype=np.uint16)
+def _point(k):
+    """The column of the '.': after '0' for |x| < 1, else after the
+    integer part in the first copy."""
+    return 20 - np.minimum(k, 17)
 
 
-_DIGIT_PAIRS = _pairs(b"".join(b"%02d" % i for i in range(100)))
-_TEMPLATE = _pairs(b"-0" + b"\0" * 18 + b".\0" + b"0" * 4 + b"\0" * 18 + b",\0")
-_CRLF = _pairs(b"\r\n")[0]
+def _separator(k, j):
+    """The column of ',' or '\\r': after the last fraction digit shown, or
+    after the one fraction digit '0' of an integer value."""
+    return np.maximum(41 - k, 40 - j)
 
 
 def _visibility() -> np.ndarray:
-    """Rows of shown bytes, by ((k * 2 + z) * 19 + j) * 2 + last: k the
-    scale, z whether C has 17 digits, j its trailing zeros, last whether
-    the field ends a row."""
+    """Rows of shown bytes, by k * 17 + j: k the scale, j the trailing
+    zeros of C.  The sign and the '\\n' that ends a row are not in them."""
     col = np.arange(_WIDTH)
-    k = np.arange(23)[:, None, None, None, None]
-    z = np.arange(2)[None, :, None, None, None]
-    j = np.arange(19)[None, None, :, None, None]
-    last = np.arange(2)[None, None, None, :, None]
-    integer = np.where(k <= 17, (col >= 2 + np.minimum(z, 17 - k)) & (col <= 19 - k),
-                       col == 1)
-    fraction = (col >= 44 - k) & (col <= np.maximum(44 - k, 43 - j))
-    shown = (integer | (col == 20) | fraction | (col == 44) | ((col == 45) & (last == 1)))
-    return shown.reshape(-1, _WIDTH)
+    k = np.arange(21)[:, None, None]
+    j = np.arange(17)[None, :, None]
+    integer = (col >= np.where(k >= 17, 2, 3)) & (col <= _point(k))
+    fraction = (col >= 40 - k) & (col <= _separator(k, j))
+    return (integer | fraction).reshape(-1, _WIDTH)
 
 
 _VISIBLE = _visibility()
@@ -102,79 +125,107 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     format it.
     """
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16) & ((x.view(np.uint64) & _SIGNIFICAND) != 0)
-    a = np.where(fast, a, 1.5)  # any covered value; these lanes are repr's
-    k = 16 - np.floor(np.log10(a)).astype(np.int64)
-    k += a * _POW10[k] < 1e16
+    m, e = np.frexp(a)
+    slow = ~((a >= 1e-4) & (a < 1e16)) | (m == 0.5)
+    del m
+    if slow.any():
+        a[slow] = 1.5  # any covered value; these lanes are repr's
+        e[slow] = 1  # its exponent
+    k = _K0[e - _E_MIN]
+    k -= a * _POW10[k] >= 1e17
     scale = _POW10[k]
     hi = a * scale
     a_high, a_low = _split(a)
-    s_high, s_low = _POW10_HIGH[k], _POW10_LOW[k]
-    lo = ((a_high * s_high - hi) + a_high * s_low + a_low * s_high) + a_low * s_low
+    del a
+    lo = a_high * _POW10_HIGH[k]
+    lo -= hi
+    lo += a_high * _POW10_LOW[k]
+    lo += a_low * _POW10_HIGH[k]
+    lo += a_low * _POW10_LOW[k]
+    del a_high, a_low
     whole = np.floor(lo)
     n = hi.astype(np.int64) + whole.astype(np.int64)
     f = lo - whole
-    half_ulp = np.ldexp(scale, np.frexp(a)[1] - 54)
+    h = np.ldexp(scale, e - 54)
+    h[slow] = 0
+    del hi, lo, whole, scale, e
 
     c = n + (f > 0.5)  # j = 0: |C_0 - V| <= 1/2 < H
-    slow = ~fast | (f == 0.5)
-    zeros = np.zeros(x.size, dtype=np.intp)
+    slow |= f == 0.5
+    zeros = np.zeros(x.size, dtype=np.int8)
     live = np.arange(x.size)
-    lanes = (n, f, half_ulp)
-    for j in range(1, 19):
-        cj, inside, unsure = _nearest(*lanes, _POW10_INT[j])
-        slow[live[unsure]] = True
-        keep = inside & ~slow[live]
-        live = live[keep]
-        if live.size == 0:
+    for j in range(1, 18):
+        p = _POW10_INT[j]
+        q = n // p
+        down = n - q * p
+        up = p - down
+        down = down + f
+        up = up - f
+        near = np.minimum(down, up)
+        inside = near < h
+        unsure = near == h
+        if j == 1:  # a tie lies 10^j / 2 from V, outside H for j > 1
+            unsure |= (down == up) & inside
+        if unsure.any():
+            slow[live[unsure]] = True
+            inside &= ~unsure
+        keep = np.flatnonzero(inside)
+        if keep.size == 0:
             break
-        c[live] = cj[keep]
+        live = live[keep]
+        c[live] = (q + (up < down))[keep] * p
         zeros[live] = j
-        lanes = tuple(v[keep] for v in lanes)
+        del q, down, up, near, inside, unsure
+        n, f, h = n[keep], f[keep], h[keep]
     return c, k, zeros, slow
 
 
-def _nearest(n, f, h, p):
-    """V = n + f rounded to a multiple of p, whether it lies within h of V,
-    and whether a tie or an equality with h leaves the lane to repr."""
-    q = n // p
-    r = n - q * p
-    down = r + f
-    up = (p - r) - f
-    near = np.minimum(down, up)
-    inside = near < h
-    unsure = (near == h) | ((down == up) & inside)
-    return (q + (up < down)) * p, inside, unsure
-
-
-def _fields(x: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width fields of the lanes of ``x`` and the mask of shown bytes;
-    ``last`` marks the lanes that end a row."""
+def _format(x: np.ndarray, text: np.ndarray, width: int) -> bytes:
+    """The CSV text of the lanes of ``x``, ``width`` to a row, written
+    through ``text``, a field buffer that holds the template bytes."""
     c, k, zeros, slow = _shortest(x)
-    buf = np.empty((x.size, _WIDTH // 2), dtype=np.uint16)
-    buf[:] = _TEMPLATE
-    buf[last, -1] = _CRLF
-    value = c
-    for col in range(9, 0, -1):
-        rest = value // 100
-        pair = _DIGIT_PAIRS[value - rest * 100]
-        buf[:, col] = pair
-        buf[:, col + 12] = pair
-        value = rest
-    text = buf.view(np.uint8)
+    carried = np.flatnonzero(c >= 10**17)  # V rounded up to 10^17
+    if carried.size:
+        c[carried] //= 10
+        k[carried] -= 1
+        zeros[carried] -= 1
 
-    row = ((k * 2 + (c < _POW10_INT[17])) * 19 + zeros) * 2 + last
-    mask = np.take(_VISIBLE, row, axis=0)
-    mask[:, 0] = np.signbit(x)
+    words = text.view(np.uint32)
+    for col in (4, 3, 2, 1):
+        rest = c // 10000
+        group = _GROUPS[c - rest * 10000]
+        words[:, col] = group
+        words[:, col + 5] = group
+        c = rest
+    text[:, 3] = text[:, 23] = c + 48
+    del c, rest, group
+
+    starts = np.arange(0, text.size, _WIDTH)
+    flat = text.reshape(-1)
+    flat[starts + _point(k)] = ord(".")
+    separators = starts + _separator(k, zeros)
+    del starts
+    flat[separators] = ord(",")
+    newlines = separators[width - 1::width] + 1
+    del separators
+    flat[newlines - 1] = ord("\r")
+    flat[newlines] = ord("\n")
+
+    mask = np.take(_VISIBLE, k * 17 + zeros, axis=0)
+    del k, zeros
+    mask[:, 1] = np.signbit(x)
+    mask.reshape(-1)[newlines] = True
 
     slow_lanes = np.flatnonzero(slow)
     if slow_lanes.size:
-        reprs = [repr(v).encode() for v in x[slow_lanes].tolist()]
+        seps = np.where(slow_lanes % width == width - 1, "\r\n", ",")
+        reprs = [(repr(v) + sep).encode() for v, sep in zip(x[slow_lanes].tolist(), seps)]
         text[slow_lanes, :_REPR_MAX] = np.array(reprs, dtype=f"S{_REPR_MAX}").view(
             np.uint8).reshape(-1, _REPR_MAX)
-        widths = np.array([len(s) for s in reprs])
-        mask[slow_lanes, :_WIDTH - 2] = np.arange(_WIDTH - 2) < widths[:, None]
-    return text, mask
+        mask[slow_lanes] = np.arange(_WIDTH) < np.array([len(s) for s in reprs])[:, None]
+    chunk = text[mask].tobytes()
+    text[slow_lanes, :_REPR_MAX] = _TEMPLATE[:_REPR_MAX]  # for the next chunk
+    return chunk
 
 
 def csv_chunks(rows: np.ndarray) -> Iterator[bytes]:
@@ -182,8 +233,8 @@ def csv_chunks(rows: np.ndarray) -> Iterator[bytes]:
     after each row, in chunks of about ``_CHUNK_VALUES`` values."""
     width = rows.shape[1]
     step = max(1, _CHUNK_VALUES // width)
+    text = np.empty((min(step, len(rows)) * width, _WIDTH), dtype=np.uint8)
+    text[:] = _TEMPLATE
     for start in range(0, len(rows), step):
         x = rows[start:start + step].ravel()
-        last = np.arange(x.size) % width == width - 1
-        text, mask = _fields(x, last)
-        yield text[mask].tobytes()
+        yield _format(x, text[:x.size], width)

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,6 +437,48 @@ def test_csv_kernel_edge_cases(tmp_path):
     _check_writer(tmp_path, values.reshape(-1, 2))
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_FLOAT_ARRAYS)
+def test_csv_kernel_matches_csv_writer_across_chunks(tmp_path, monkeypatch, values):
+    # Small chunks: each example spans several, and the chunks of one call
+    # share the field buffer.
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 64)
+    _check_writer(tmp_path, values)
+
+
+def test_csv_chunks_of_disjoint_scales(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 64)
+    rng = np.random.default_rng(18)
+    signs = rng.choice([-1.0, 1.0], 64)
+    # Chunks of 64 values (16 rows of 4): every lane left to repr; small
+    # fractions and one 14-digit integer left to repr; values near 1e15
+    # (15 and 16 integer digits); powers of two and their neighbours; the
+    # doubles around powers of ten, where the scale k steps.
+    only_repr = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.0**46], 64)
+    small = signs * rng.uniform(1e-4, 1e-2, 64)
+    small[7] = 2.0**46
+    near_1e15 = signs * (1e15 + rng.uniform(-2e14, 2e14, 64))
+    twos = [v for e in range(-13, 51, 3) for v in _neighbours(2.0**e)][:64]
+    tens = np.resize([v for m in range(-4, 17) for v in _neighbours(float(f"1e{m}"))], 64)
+    values = np.concatenate([only_repr, small, near_1e15, twos, tens]).reshape(-1, 4)
+    _check_writer(tmp_path, values)
+
+
+def test_csv_chunks_peak_memory():
+    # Fields, mask and the digit search's arrays of one 8192-value chunk;
+    # the field buffer is shared by the chunks.
+    rows = np.random.default_rng(0).standard_normal((10000, 12))
+    tracemalloc.start()
+    try:
+        for _ in csvtext.csv_chunks(rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_csv_kernel_formats_nearly_every_sample(capsys, tmp_path, monkeypatch):
     # repr formats only the lanes the kernel's argument does not cover;
     # a quiet regression that sends more of them there shows here.
@@ -846,6 +889,26 @@ for argv in (
     if code:
         sys.exit(f"{argv[0]} exited {code}")
 """
+
+
+# A fresh interpreter imports the CLI and runs analyze and construct; the
+# CSV kernel is for --csv alone, so neither imports it.
+WITHOUT_CSV = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from quasifold.cli import main
+loaded = "quasifold.csvtext" in sys.modules
+for argv in (["analyze", "--builtin", "pentagon"], ["construct", "--builtin", "pentagon"]):
+    main(argv)
+    loaded = loaded or "quasifold.csvtext" in sys.modules
+sys.exit("quasifold.csvtext was imported" if loaded else 0)
+"""
+
+
+def test_commands_without_csv_leave_out_the_kernel():
+    result = subprocess.run([sys.executable, "-c", WITHOUT_CSV, str(SRC)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_commands_run_without_scipy(tmp_path):
