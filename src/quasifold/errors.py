@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Grouped here so the CLI can map whole families to exit codes without
-importing every module up front.
+Every error the package raises on purpose derives from QuasifoldError, so
+the CLI maps all of them to exit code 2 with one handler.  The sections
+below follow the modules that raise them.
 """
 
 from __future__ import annotations

@@ -222,6 +222,8 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     active at every vertex.
     """
     d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
+    if d < n:  # the normals cannot span; refused before [P | I] is built
+        raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
     ech = Matrix(p.field, [tuple(x[i] for x in p.normals) + (zero,) * i + (one,)
                            + (zero,) * (n - 1 - i) for i in range(n)]).echelon()
     if ech.pivots[-1] >= d:

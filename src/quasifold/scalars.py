@@ -87,15 +87,9 @@ def _poly_divmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Ra
     return q, _poly_trim(a[: len(b) - 1])
 
 
-def _poly_gcd(a: Sequence[Rat], b: Sequence[Rat]) -> list[Rat]:
-    """gcd(a, b) by Euclid's algorithm, trimmed (not made monic)."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    while r1:
-        r0, r1 = r1, _poly_divmod(r0, r1)[1]
-    return r0
-
-
 def _sturm_chain(p: list[Rat]) -> list[list[Rat]]:
+    """Sturm chain of p by Euclid's algorithm on (p, p'): its last entry is
+    gcd(p, p') up to a constant factor."""
     chain = [list(p), _poly_deriv(p)]
     while chain[-1]:
         _, rem = _poly_divmod(chain[-2], chain[-1])
@@ -169,9 +163,12 @@ class Field:
         self.degree = len(coeffs) - 1
         self.root_interval = (lo, hi)
 
+        self._minpoly_num = _over_common_denominator(coeffs)[0]
         if self.degree > 1:
-            self._reject_reducible(p)
             chain = _sturm_chain(p)
+            if len(chain[-1]) > 1:
+                raise ReduciblePolynomial("minimal polynomial is not square-free")
+            self._reject_rational_root(p)
             roots = _sign_variations(chain, lo) - _sign_variations(chain, hi)
             if roots != 1:
                 raise RootNotIsolated(
@@ -185,7 +182,6 @@ class Field:
         (lo_num, hi_num), iso_den = _over_common_denominator((lo, hi))
         self._iso = (lo_num, hi_num, iso_den)
         self._sign_lo = 1 if plo > 0 else -1
-        self._minpoly_num = _over_common_denominator(coeffs)[0]
         self._powers, self._powers_den = self._reduction_table()
 
         zeros = (0,) * (self.degree - 1)
@@ -196,12 +192,10 @@ class Field:
         else:
             self.theta = _scalar(self, (0, 1) + zeros[1:], 1)
 
-    def _reject_reducible(self, p: list[Rat]) -> None:
-        if len(_poly_gcd(p, _poly_deriv(p))) > 1:
-            raise ReduciblePolynomial("minimal polynomial is not square-free")
+    def _reject_rational_root(self, p: list[Rat]) -> None:
         # Monic with rational coefficients: clear denominators and test every
         # candidate rational root num/den with num | constant, den | leading.
-        ints = _over_common_denominator(p)[0]
+        ints = self._minpoly_num
         if ints[0] == 0:
             raise ReduciblePolynomial("zero is a rational root of the minimal polynomial")
         for den in _int_divisors(ints[-1]):
@@ -779,9 +773,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # exactly the digits int() reads
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j

@@ -132,8 +132,8 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
         roundtrip = 0.0
         containment = 0.0
     gaps = []
-    for chart, target in zip(data.classification.charts, f.vertices):
-        moduli = np.array([max(s.to_float(), 0.0) for s in chart.squared_moduli])
+    for vertex, target in zip(data.polytope.vertices, f.vertices):
+        moduli = np.array([max(s.to_float(), 0.0) for s in vertex.slacks])
         z_vertex = np.sqrt(moduli).astype(complex)
         image = induced_moment(z_vertex, data, tol=None)
         gaps.append(float(np.max(np.abs(image - target))))
@@ -271,44 +271,28 @@ def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> Invarianc
 class VerificationReport:
     sample_count: int
     seed: int
-    hamiltonian_step: float
     tolerances: dict
-    max_level_residual: float = 0.0
-    max_roundtrip_error: float = 0.0
-    min_containment_slack: float = 0.0
-    vertex_attainment_gaps: list = dc_field(default_factory=list)
-    min_rank_margin: float = math.inf
-    max_hamiltonian_residual: float = 0.0
-    invariance: dict = dc_field(default_factory=dict)
-    effectiveness_index: int | None = None
-    failures: list = dc_field(default_factory=list)
-    passed: bool = True
+    metrics: dict
+    effectiveness_index: int | None
+    failures: list
     # The level-set samples every check saw and Phi of each (N, n); not
     # part of the JSON report.
-    sample_set: SampleSet | None = dc_field(default=None, init=False, repr=False,
-                                            compare=False)
-    phi: np.ndarray | None = dc_field(default=None, init=False, repr=False,
-                                      compare=False)
+    sample_set: SampleSet = dc_field(repr=False, compare=False)
+    phi: np.ndarray = dc_field(repr=False, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def as_dict(self) -> dict:
         return {
             "sample_count": self.sample_count,
             "seed": self.seed,
-            "hamiltonian_step": self.hamiltonian_step,
-            "tolerances": dict(self.tolerances),
-            "metrics": {
-                "max_level_residual": self.max_level_residual,
-                "max_roundtrip_error": self.max_roundtrip_error,
-                "min_containment_slack": self.min_containment_slack,
-                "vertex_attainment_gaps": list(self.vertex_attainment_gaps),
-                "min_rank_margin": (
-                    None if math.isinf(self.min_rank_margin) else self.min_rank_margin
-                ),
-                "max_hamiltonian_residual": self.max_hamiltonian_residual,
-                "invariance": dict(self.invariance),
-            },
+            "hamiltonian_step": HAMILTONIAN_STEP,
+            "tolerances": self.tolerances,
+            "metrics": self.metrics,
             "effectiveness_index": self.effectiveness_index,
-            "failures": list(self.failures),
+            "failures": self.failures,
             "passed": self.passed,
         }
 
@@ -322,8 +306,10 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     tol_roundtrip, rank margin tol_rank, Hamiltonian residual 1e-6 at step
     HAMILTONIAN_STEP on the first HAMILTONIAN_PAIRS samples, torus
     invariance 1e-9, kernel-group invariance 1e-8, vertex attainment 1e-9.
+    Without samples the rank margin is None and skipped, and no
+    effectiveness witness is asked for.
     """
-    tolerances = {
+    tol = {
         "level_residual": 1e-9,
         "roundtrip": tol_roundtrip,
         "containment": tol_roundtrip,
@@ -333,53 +319,45 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
         "kernel_invariance": 1e-8,
         "vertex_attainment": 1e-9,
     }
-    report = VerificationReport(sample_count=samples, seed=seed,
-                                hamiltonian_step=HAMILTONIAN_STEP, tolerances=tolerances)
     sample_set = sample_level_set(data, samples, seed=seed)
-    report.sample_set = sample_set
-
-    if len(sample_set):
-        level = kernel_moment(sample_set.z, data)
-        report.max_level_residual = float(np.max(np.abs(level)))
+    sampled = len(sample_set) > 0
+    level = float(np.max(np.abs(kernel_moment(sample_set.z, data)))) if sampled else 0.0
     image = verify_moment_image(data, sample_set)
-    report.phi = image.phi
-    report.max_roundtrip_error = image.max_roundtrip_error
-    report.min_containment_slack = image.min_containment_slack
-    report.vertex_attainment_gaps = list(image.vertex_gaps)
-    report.min_rank_margin = check_regular_value(data, sample_set)
-
+    margin = check_regular_value(data, sample_set)
+    margin = None if math.isinf(margin) else margin
+    hamiltonian = 0.0
     pairs = min(HAMILTONIAN_PAIRS, len(sample_set))
     if pairs:
-        dir_rng = np.random.default_rng([seed, 1])
-        directions = dir_rng.standard_normal((pairs, data.dim))
-        residuals = _hamiltonian_residuals(data, sample_set.z[:pairs], directions,
-                                           HAMILTONIAN_STEP)
-        report.max_hamiltonian_residual = float(np.max(residuals))
+        directions = np.random.default_rng([seed, 1]).standard_normal((pairs, data.dim))
+        hamiltonian = float(np.max(_hamiltonian_residuals(
+            data, sample_set.z[:pairs], directions, HAMILTONIAN_STEP)))
     invariance = check_invariance(data, sample_set, seed=[seed, 2])
-    report.invariance = {
-        "torus": invariance.torus_residual,
-        "kernel_group": invariance.kernel_group_residual,
-    }
-    report.effectiveness_index = invariance.effectiveness_index
+    witness = invariance.effectiveness_index
 
-    checks = [
-        ("max_level_residual", report.max_level_residual <= tolerances["level_residual"]),
-        ("max_roundtrip_error", report.max_roundtrip_error <= tolerances["roundtrip"]),
-        ("min_containment_slack",
-         report.min_containment_slack >= -tolerances["containment"]),
-        ("min_rank_margin",
-         not len(sample_set) or report.min_rank_margin > tolerances["rank_margin"]),
-        ("max_hamiltonian_residual",
-         report.max_hamiltonian_residual <= tolerances["hamiltonian"]),
-        ("torus_invariance",
-         report.invariance["torus"] <= tolerances["torus_invariance"]),
-        ("kernel_invariance",
-         report.invariance["kernel_group"] <= tolerances["kernel_invariance"]),
-        ("vertex_attainment",
-         all(g <= tolerances["vertex_attainment"] for g in report.vertex_attainment_gaps)),
-    ]
-    if len(sample_set) and report.effectiveness_index is None:
-        checks.append(("effectiveness_witness", False))
-    report.failures = [name for name, ok in checks if not ok]
-    report.passed = not report.failures
-    return report
+    checks = (
+        ("max_level_residual", level <= tol["level_residual"]),
+        ("max_roundtrip_error", image.max_roundtrip_error <= tol["roundtrip"]),
+        ("min_containment_slack", image.min_containment_slack >= -tol["containment"]),
+        ("min_rank_margin", margin is None or margin > tol["rank_margin"]),
+        ("max_hamiltonian_residual", hamiltonian <= tol["hamiltonian"]),
+        ("torus_invariance", invariance.torus_residual <= tol["torus_invariance"]),
+        ("kernel_invariance", invariance.kernel_group_residual <= tol["kernel_invariance"]),
+        ("vertex_attainment", all(g <= tol["vertex_attainment"] for g in image.vertex_gaps)),
+        ("effectiveness_witness", not sampled or witness is not None),
+    )
+    return VerificationReport(
+        sample_count=samples, seed=seed, tolerances=tol,
+        metrics={
+            "max_level_residual": level,
+            "max_roundtrip_error": image.max_roundtrip_error,
+            "min_containment_slack": image.min_containment_slack,
+            "vertex_attainment_gaps": list(image.vertex_gaps),
+            "min_rank_margin": margin,
+            "max_hamiltonian_residual": hamiltonian,
+            "invariance": {"torus": invariance.torus_residual,
+                           "kernel_group": invariance.kernel_group_residual},
+        },
+        effectiveness_index=witness,
+        failures=[name for name, passes in checks if not passes],
+        sample_set=sample_set, phi=image.phi,
+    )

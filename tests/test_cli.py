@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -214,6 +215,19 @@ def test_extra_generators_must_be_a_list_exit_2(capsys, tmp_path, command, extra
     code, out, err = run(capsys, command, "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "SchemaError: 'quasilattice_extra_generators' must be a list\n"
+
+
+def test_one_facet_document_refused_quickly(capsys, tmp_path):
+    n = 3000
+    path = tmp_path / "one-facet.json"
+    path.write_text(json.dumps({
+        "dimension": n, "facets": [{"normal": ["1"] + ["0"] * (n - 1), "offset": "0"}],
+    }))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"NormalsDontSpan: facet normals span a proper subspace of R^{n}\n"
 
 
 def test_input_file_round_trip(capsys, tmp_path):
@@ -613,12 +627,25 @@ def test_verify_zero_samples_csv_is_header_only(capsys, tmp_path):
     assert out_csv.read_bytes() == b"mu_1,mu_2,mu_3,phi_1,phi_2,phi_3\r\n"
 
 
-def test_verify_threshold_failure_exit_3(capsys):
-    code, out, err = run(capsys, "verify", "--builtin", "square",
-                         "--samples", "32", "--tol-roundtrip", "1e-30")
+@pytest.mark.parametrize("option, failure", [
+    (("--tol-roundtrip", "1e-30"), "max_roundtrip_error"),
+    # The rank margin is a ratio of singular values, at most 1.
+    (("--tol-rank", "1"), "min_rank_margin"),
+], ids=["roundtrip", "rank"])
+def test_verify_threshold_failure_exit_3(capsys, option, failure):
+    code, out, err = run(capsys, "verify", "--builtin", "square", "--samples", "32", *option)
     assert code == 3
-    assert "max_roundtrip_error" in err
-    assert json.loads(out)["passed"] is False
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert failure in payload["failures"]
+    assert err == "verification failed: " + ", ".join(payload["failures"]) + "\n"
+
+
+def test_verify_without_samples_skips_the_rank_check(capsys):
+    code, out, _ = run(capsys, "verify", "--builtin", "square", "--samples", "0",
+                       "--tol-rank", "1")
+    assert code == 0
+    assert json.loads(out)["metrics"]["min_rank_margin"] is None
 
 
 def test_verify_stdout_byte_stable(capsys):

@@ -11,6 +11,7 @@ and on random H-representations.
 import itertools
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +91,18 @@ class TestParse:
                       offsets=(f.zero, -f.one))
         with pytest.raises(NormalsDontSpan):
             p.vertices
+
+    def test_one_facet_in_high_dimension_refused_before_elimination(self):
+        # One normal cannot span R^3000; that is decided before the
+        # 3000 x 3001 matrix [P | I] is built and eliminated.
+        f = rational_field()
+        n = 3000
+        p = HPolytope(field=f, dim=n, normals=((f.one,) + (f.zero,) * (n - 1),),
+                      offsets=(f.zero,))
+        start = time.perf_counter()
+        with pytest.raises(NormalsDontSpan, match=f"proper subspace of R\\^{n}$"):
+            p.vertices
+        assert time.perf_counter() - start < 0.5
 
     def test_unbounded_quadrant(self):
         with pytest.raises(UnboundedPolytope) as info:

@@ -67,8 +67,14 @@ class TestFieldCreate:
     def test_reducible_rejected(self):
         with pytest.raises(ReduciblePolynomial):
             Field(("-1", "0", "1"), ("1/2", 2))  # rational roots +-1
-        with pytest.raises(ReduciblePolynomial):
-            Field(("2", "-3", "0", "1"), (-3, 0))  # (x-1)^2 (x+2) not square-free
+        with pytest.raises(ReduciblePolynomial, match="not square-free"):
+            Field(("2", "-3", "0", "1"), (-3, 0))  # (x-1)^2 (x+2)
+
+    def test_square_free_check_alone_refuses(self):
+        # (x^2-2)^2 (x^2-3) has no rational root and one root, sqrt 3, in
+        # the interval: only the square-free check can refuse it.
+        with pytest.raises(ReduciblePolynomial, match="not square-free"):
+            Field(("-12", "0", "16", "0", "-7", "0", "1"), ("17/10", "9/5"))
 
     def test_squarefree_reducible_slips_through_until_division(self):
         # (x^2-2)(x^2-3) has no rational roots and is square-free, so the
@@ -127,6 +133,16 @@ class TestParse:
     def test_expr_round_trip(self, cos_field):
         s = cos_field.parse("3/2 - theta + 5*theta^3")
         assert cos_field.parse(s.to_expr()) == s
+
+    def test_digit_runs_are_decimal_characters(self, rat_field):
+        # str.isdigit() holds for superscripts and circled digits, which
+        # int() refuses; digit runs read exactly the characters it accepts.
+        for text, position in (("2\u00b2", 1), ("\u2460", 0)):
+            with pytest.raises(ScalarSyntaxError,
+                               match=f"unexpected character '{text[position]}' "
+                                     f"at position {position}"):
+                rat_field.parse(text)
+        assert as_fraction(rat_field.parse("\u0663")) == 3  # Arabic-Indic three
 
     def test_overlong_integer_literal(self, rat_field):
         # int() refuses more than sys.get_int_max_str_digits() digits.
