@@ -617,6 +617,41 @@ def test_verify_json_bytes_match_golden_digests(capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the JSON stdout and of the --csv file of `verify --samples 2000
+# --seed 0` on CP^n, n = 4..6, given as a document: the corpus holds no
+# entry with more than three dimensions.
+VERIFY_PROJECTIVE_DIGESTS = {
+    4: ("b0290d1a7b2d6a9af19b5048856aac91ec18131485f9268250f32e99dc529d4e",
+        "d8671093d215abc614ee3cad97d7aea6dfcb1a11359d7958a4f556dea32f6e69"),
+    5: ("aa207c4afa32a45899ad2feb01506cd78af6733effd4d58a8ce98f51b9641ac4",
+        "fa47573bb8dc2040ddd8f8e2077a2712601f1e7bb27dd9a6e1142ee072c6f28d"),
+    6: ("cb6120777359317f4ddf6b6546b39bec3b7c783045b0ada469f5643087871c63",
+        "ddc776af51801bf186be24bef3c2f58bd44f6ad8c60be161e45da73948fe22b1"),
+}
+
+
+def _projective_space(n):
+    """The standard n-simplex, the moment polytope of CP^n."""
+    return {
+        "dimension": n,
+        "facets": [{"normal": [str(int(i == j)) for j in range(n)], "offset": "0"}
+                   for i in range(n)]
+        + [{"normal": ["-1"] * n, "offset": "-1"}],
+    }
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_PROJECTIVE_DIGESTS))
+def test_verify_projective_space_bytes_match_golden_digests(capsys, tmp_path, n):
+    document = tmp_path / "cp.json"
+    document.write_text(json.dumps(_projective_space(n)))
+    out_csv = tmp_path / "pairs.csv"
+    code, out, err = run(capsys, "verify", "--input", str(document), "--samples", "2000",
+                         "--seed", "0", "--csv", str(out_csv))
+    assert (code, err) == (0, "")
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(out_csv.read_bytes()).hexdigest()) == VERIFY_PROJECTIVE_DIGESTS[n]
+
+
 def test_verify_zero_samples_csv_is_header_only(capsys, tmp_path):
     out_csv = tmp_path / "pairs.csv"
     code, _, _ = run(capsys, "verify", "--builtin", "cube", "--samples", "0",
