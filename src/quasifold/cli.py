@@ -196,7 +196,7 @@ def _write_csv(path: Path, mus: np.ndarray, phis: np.ndarray) -> None:
     header = ",".join([f"mu_{i + 1}" for i in range(n)] + [f"phi_{i + 1}" for i in range(n)])
     with path.open("wb") as handle:
         handle.write(header.encode() + b"\r\n")
-        for chunk in csv_chunks(np.hstack([mus, phis])):
+        for chunk in csv_chunks(mus, phis):
             handle.write(chunk)
 
 

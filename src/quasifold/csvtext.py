@@ -44,11 +44,12 @@ positional notation.  The kernel finds the same digits as follows.
   compaction costs per run; the sign joins the first run when |x| < 1.
   A precomputed mask row, chosen by k and the trailing zeros of C (the
   final j), picks the bytes repr would write.
-* Memory.  A chunk of n values holds the fields (n x 44 bytes, one buffer
-  reused by every chunk of a call), the digit search's arrays (at most
-  about 100 bytes a value, each freed once used), then the mask (n x 44
+* Memory.  A chunk of n values holds its rows (n x 8 bytes) and the
+  fields (n x 44 bytes), two buffers reused by every chunk of a call, so
+  the blocks are never stacked whole; then the digit search's arrays (at
+  most about 100 bytes a value, each freed once used), the mask (n x 44
   bytes) and the compacted text.  8192 values per chunk keep the
-  tracemalloc peak of a 10,000 x 12 array near 1.3 MiB.
+  tracemalloc peak of a 10,000 x 12 array near 1.4 MiB.
 """
 
 from __future__ import annotations
@@ -228,13 +229,19 @@ def _format(x: np.ndarray, text: np.ndarray, width: int) -> bytes:
     return chunk
 
 
-def csv_chunks(rows: np.ndarray) -> Iterator[bytes]:
-    """The CSV lines of a 2-d float64 array, ',' between fields and CRLF
-    after each row, in chunks of about ``_CHUNK_VALUES`` values."""
-    width = rows.shape[1]
+def csv_chunks(*blocks: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines of 2-d float64 arrays with equal row counts, set side
+    by side (the rows of ``np.hstack(blocks)``), ',' between fields and CRLF
+    after each row, in chunks of about ``_CHUNK_VALUES`` values.  Each
+    chunk's rows are copied into one reused buffer, not the whole stack."""
+    count = len(blocks[0])
+    width = sum(block.shape[1] for block in blocks)
     step = max(1, _CHUNK_VALUES // width)
-    text = np.empty((min(step, len(rows)) * width, _WIDTH), dtype=np.uint8)
+    rows = np.empty((min(step, count), width))
+    text = np.empty((rows.size, _WIDTH), dtype=np.uint8)
     text[:] = _TEMPLATE
-    for start in range(0, len(rows), step):
-        x = rows[start:start + step].ravel()
+    for start in range(0, count, step):
+        chunk = rows[:min(step, count - start)]
+        np.concatenate([block[start:start + step] for block in blocks], axis=1, out=chunk)
+        x = chunk.ravel()
         yield _format(x, text[:x.size], width)

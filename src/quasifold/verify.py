@@ -6,12 +6,17 @@ polytope into simplices, determines the moduli
 |z_j|^2 = <mu, X_j> - lambda_j, and phases are uniform.  All
 randomness flows through one seeded generator per check, so reports are
 bitwise reproducible for equal seeds.
+
+The checks avoid repeated passes over a sample set: |z|^2 is computed
+once (``SampleSet.moduli``) for the level residual, Phi and the rank
+margin, and the effectiveness witness is searched from the first rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +43,12 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """|z|^2 (N, d), computed on first use; the level residual, Phi and
+        the rank margin all read it."""
+        return np.abs(self.z) ** 2
 
 
 def _pulling_dissection(active: Sequence[frozenset], face: Sequence[int],
@@ -96,13 +107,28 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
     pick = np.minimum(pick, len(weights) - 1)  # the product can round up to the total
     barycentric = rng.exponential(size=(count, data.dim + 1))
     barycentric /= barycentric.sum(axis=1, keepdims=True)
+    # mu = sum_k barycentric_k * corner_k, one corner column at a time;
+    # np.take gathers a column faster than corners[pick, k] indexes it,
+    # and the product is formed in the gathered copy.
     mu = np.zeros((count, data.dim))
     for k in range(data.dim + 1):
-        mu += barycentric[:, k:k + 1] * corners[pick, k]
+        term = np.take(corners[:, k], pick, axis=0)
+        term *= barycentric[:, k:k + 1]
+        mu += term
     # Clipping absorbs the float rounding of points on a facet.
-    slack = np.maximum(mu @ f.stack.T - f.lam, 0.0)
+    slack = mu @ f.stack.T
+    slack -= f.lam
+    np.maximum(slack, 0.0, out=slack)
+    # z = sqrt(slack) * exp(2 pi i phases), built in place: the same bits
+    # as that expression, without its three complex temporaries.
     phases = rng.uniform(0.0, 1.0, size=(count, data.ambient_dim))
-    z = np.sqrt(slack) * np.exp(2j * np.pi * phases)
+    phases *= 2 * np.pi
+    z = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=z.real)
+    np.sin(phases, out=z.imag)
+    np.sqrt(slack, out=slack)
+    np.multiply(z.real, slack, out=z.real)
+    np.multiply(z.imag, slack, out=z.imag)
     return SampleSet(mu=mu, z=z)
 
 
@@ -124,7 +150,8 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
     must hit the vertex itself (fixed points are exact)."""
     f = data.floats
     if len(samples):
-        phi = induced_moment(samples.z, data, tol=None)
+        # induced_moment(z, tol=None), from the moduli
+        phi = (samples.moduli + f.lam) @ f.pinv_stack.T
         roundtrip = float(np.max(np.abs(phi - samples.mu)))
         containment = float(np.min(phi @ f.stack.T - f.lam))
     else:
@@ -155,16 +182,17 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
 
     The samples are taken RANK_CHUNK_BYTES of product at a time.
     eigvalsh factors each matrix on its own, so the margins do not
-    depend on the chunk size."""
+    depend on the chunk size.  A 1x1 Gram matrix (d - n = 1) is its own
+    eigenvalue, as LAPACK returns it, so no eigensolver runs there."""
     if not len(samples):
         return math.inf
     kernel = data.floats.kernel
     chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
     margins = np.empty(len(samples))
     for start in range(0, len(samples), chunk):
-        moduli = np.abs(samples.z[start:start + chunk]) ** 2
+        moduli = samples.moduli[start:start + chunk]
         gram = (kernel[None, :, :] * moduli[:, None, :]) @ kernel.T
-        eig = np.linalg.eigvalsh(gram)
+        eig = gram[:, 0] if len(kernel) == 1 else np.linalg.eigvalsh(gram)
         margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
     return float(np.min(margins))
 
@@ -231,8 +259,9 @@ class InvarianceCheck:
 def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> InvarianceCheck:
     """Psi under random full-torus elements, Phi under random elements of
     the kernel subgroup, on the first INVARIANCE_SAMPLES samples, plus a
-    free-orbit witness (a sample with every modulus positive, where the
-    torus action is effective)."""
+    free-orbit witness (the first sample with every modulus positive,
+    where the torus action is effective), searched INVARIANCE_SAMPLES
+    rows at a time."""
     rng = np.random.default_rng(seed)
     k = min(INVARIANCE_SAMPLES, len(samples))
     z = samples.z[:k]
@@ -254,11 +283,12 @@ def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> Invarianc
         torus = 0.0
         kernel_res = 0.0
     effectiveness = None
-    if len(samples):
-        positive = np.min(np.abs(samples.z), axis=1) > 0.0
-        hits = np.nonzero(positive)[0]
+    for start in range(0, len(samples), INVARIANCE_SAMPLES):
+        block = samples.z[start:start + INVARIANCE_SAMPLES]
+        hits = np.flatnonzero(np.min(np.abs(block), axis=1) > 0.0)
         if hits.size:
-            effectiveness = int(hits[0])
+            effectiveness = start + int(hits[0])
+            break
     return InvarianceCheck(torus_residual=torus, kernel_group_residual=kernel_res,
                            effectiveness_index=effectiveness)
 
@@ -321,7 +351,10 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     }
     sample_set = sample_level_set(data, samples, seed=seed)
     sampled = len(sample_set) > 0
-    level = float(np.max(np.abs(kernel_moment(sample_set.z, data)))) if sampled else 0.0
+    f = data.floats
+    level = 0.0
+    if sampled:  # the largest |kernel_moment(z)|, from the moduli
+        level = float(np.max(np.abs((sample_set.moduli + f.lam) @ f.kernel.T)))
     image = verify_moment_image(data, sample_set)
     margin = check_regular_value(data, sample_set)
     margin = None if math.isinf(margin) else margin

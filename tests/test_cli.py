@@ -479,6 +479,21 @@ def test_csv_chunks_of_disjoint_scales(tmp_path, monkeypatch):
     _check_writer(tmp_path, values)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2503])
+def test_csv_of_two_blocks_matches_the_stacked_array(tmp_path, monkeypatch, rows):
+    # Chunks of 10 rows of 6 values, the last one partial: each chunk's
+    # rows of mu and Phi are copied side by side into one reused buffer.
+    monkeypatch.setattr(csvtext, "_CHUNK_VALUES", 64)
+    rng = np.random.default_rng(20)
+    mus = rng.standard_normal((rows, 3))
+    phis = rng.standard_normal((rows, 3))
+    _write_csv(tmp_path / "pairs.csv", mus, phis)
+    stacked = b"".join(csvtext.csv_chunks(np.hstack([mus, phis])))
+    header = b"mu_1,mu_2,mu_3,phi_1,phi_2,phi_3\r\n"
+    assert (tmp_path / "pairs.csv").read_bytes() == header + stacked
+    assert stacked.count(b"\r\n") == rows
+
+
 def test_csv_chunks_peak_memory():
     # Fields, mask and the digit search's arrays of one 8192-value chunk;
     # the field buffer is shared by the chunks.

@@ -11,6 +11,7 @@ import pytest
 
 from quasifold import (
     StepOutOfRange,
+    builtin_names,
     check_hamiltonian_identity,
     check_invariance,
     check_regular_value,
@@ -22,11 +23,22 @@ from quasifold import (
     verify_moment_image,
 )
 import quasifold.verify as verify_module
-from quasifold.verify import _dissection
+from quasifold.verify import SampleSet, _dissection
 from conftest import construct_builtin
 
 VERIFY_NAMES = ["sphere", "teardrop-3", "rugby-2", "interval-sqrt2",
                 "cp2", "triangle-sqrt2", "square", "pentagon", "cube"]
+
+
+# Every corpus entry but the octahedron, which is not simple, and CP^4..CP^6.
+CONSTRUCTIBLE = [name for name in builtin_names() if name != "octahedron"]
+PROJECTIVE = {"CP4": 4, "CP5": 5, "CP6": 6}
+
+
+def construct_named(name):
+    if name in PROJECTIVE:
+        return build_construction(parse_polytope(_projective_space(PROJECTIVE[name])))
+    return construct_builtin(name)
 
 
 def parabola_polygon(m):
@@ -61,6 +73,27 @@ class TestSampling:
         assert np.min(slack) >= -1e-12
         assert np.max(np.abs(kernel_moment(samples.z, data))) <= 1e-9
         assert np.allclose(np.abs(samples.z) ** 2, slack, atol=1e-12)
+
+    @pytest.mark.parametrize("name", CONSTRUCTIBLE + sorted(PROJECTIVE))
+    def test_z_is_the_complex_exponential_of_the_phases(self, name):
+        # The formula z = sqrt(slack) exp(2 pi i phases), rebuilt from a
+        # generator that repeats the sampler's three draws.
+        data = construct_named(name)
+        count = 2000
+        samples = sample_level_set(data, count, seed=7)
+        rng = np.random.default_rng(7)
+        rng.random(count)
+        rng.exponential(size=(count, data.dim + 1))
+        phases = rng.uniform(0.0, 1.0, size=(count, data.ambient_dim))
+        f = data.floats
+        slack = np.maximum(samples.mu @ f.stack.T - f.lam, 0.0)
+        assert np.array_equal(samples.z, np.sqrt(slack) * np.exp(2j * np.pi * phases))
+
+    def test_moduli_are_computed_once(self):
+        samples = run_verification(construct_builtin("pentagon"), samples=500).sample_set
+        moduli = samples.moduli
+        assert samples.moduli is moduli
+        assert np.array_equal(moduli, np.abs(samples.z) ** 2)
 
     def test_zero_count(self):
         samples = sample_level_set(construct_builtin("square"), 0)
@@ -251,6 +284,31 @@ class TestRegularValue:
             monkeypatch.setattr(verify_module, "RANK_CHUNK_BYTES", chunk * per_sample)
             assert check_regular_value(data, samples) == whole
 
+    @pytest.mark.parametrize("name", [  # every simplex and interval: d - n = 1
+        name for name in CONSTRUCTIBLE + sorted(PROJECTIVE)
+        if name not in ("square", "pentagon", "cube")])
+    def test_one_dimensional_kernel_runs_no_eigensolver(self, name, monkeypatch):
+        data = construct_named(name)
+        assert data.floats.kernel.shape[0] == 1
+        samples = sample_level_set(data, 2000, seed=4)
+        # A sample with every modulus 0 has the margin 0/0, NaN, both ways.
+        degenerate = SampleSet(mu=samples.mu[:1], z=np.zeros_like(samples.z[:1]))
+        kernel = data.floats.kernel
+        expected = []
+        for sample_set in (samples, degenerate):
+            gram = (kernel[None, :, :] * (np.abs(sample_set.z) ** 2)[:, None, :]) @ kernel.T
+            with np.errstate(invalid="ignore"):
+                eig = np.linalg.eigvalsh(gram)
+                expected.append(float(np.min(np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1]))))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert check_regular_value(data, samples) == expected[0]
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(check_regular_value(data, degenerate))
+        assert math.isnan(expected[1])
+        assert calls == []
+
     def test_peak_memory_is_bounded_by_the_chunk_budget(self):
         # 2000 samples of the 41-gon take a 25.6 MB product and a 24.3 MB
         # Gram stack at once without chunks (tracemalloc peak 47.6 MiB).
@@ -326,6 +384,23 @@ class TestInvariance:
                 induced_moment(moved, data) - induced_moment(samples.z, data)
             )) <= 1e-8
 
+    @pytest.mark.parametrize("count, blanked", [
+        (300, 0), (300, 63), (300, 64), (300, 65), (300, 130), (300, 300), (130, 130)])
+    def test_effectiveness_witness_is_the_first_free_orbit(self, count, blanked):
+        # The first `blanked` samples each get one zero modulus; the witness
+        # is the index the whole-array formula gives, None when no row has
+        # every modulus positive.
+        data = construct_builtin("cube")
+        samples = sample_level_set(data, count, seed=11)
+        z = samples.z.copy()
+        rows = np.arange(blanked)
+        z[rows, rows % data.ambient_dim] = 0.0
+        hits = np.nonzero(np.min(np.abs(z), axis=1) > 0.0)[0]
+        expected = int(hits[0]) if hits.size else None
+        assert expected == (blanked if blanked < count else None)
+        inv = check_invariance(data, SampleSet(mu=samples.mu, z=z), seed=12)
+        assert inv.effectiveness_index == expected
+
     def test_empty_sample_residuals(self):
         data = construct_builtin("square")
         inv = check_invariance(data, sample_level_set(data, 0))
@@ -361,6 +436,19 @@ class TestReport:
         payload = report.as_dict()
         assert payload["metrics"]["min_rank_margin"] is None
         json.dumps(payload)  # strict JSON, no Infinity
+
+    def test_peak_memory_of_ten_thousand_samples(self):
+        # CP^6 at the benchmark's sample count: the run holds mu, z, |z|^2
+        # and Phi (2.5 MiB) plus the sampler's real temporaries; one more
+        # complex (N, d) array (1.1 MiB) would pass the bound.
+        data = build_construction(parse_polytope(_projective_space(6)))
+        tracemalloc.start()
+        try:
+            run_verification(data, samples=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * 2**20
 
     def test_report_fields(self):
         report = run_verification(construct_builtin("sphere"), samples=100, seed=1)
