@@ -125,12 +125,23 @@ class _FloatData:
     """Float mirror of the exact construction data (Scalar.to_float of
     each entry)."""
 
-    def __init__(self, stack, lam, kernel, pinv_stack, vertices):
+    def __init__(self, stack, lam, kernel, pinv_stack, vertices, exact_vertices):
         self.stack = stack          # (d, n), row j is X_j
         self.lam = lam              # (d,)
         self.kernel = kernel        # (d-n, d), rows span Lie(N)
         self.pinv_stack = pinv_stack  # (n, d), least-squares inverse of stack
         self.vertices = vertices    # (V, n), in vertex order
+        self._exact_vertices = exact_vertices
+
+    @cached_property
+    def vertex_moduli(self) -> np.ndarray:
+        """(V, d) |z|^2 on the fiber over each vertex, in vertex order: the
+        float slacks, clipped at 0.  Computed on first use; the vertex
+        attainment check and the rank margin both read it."""
+        return np.array(
+            [[max(s.to_float(), 0.0) for s in v.slacks] for v in self._exact_vertices],
+            dtype=float,
+        )
 
     @classmethod
     def build(cls, data: "DelzantData") -> "_FloatData":
@@ -143,14 +154,17 @@ class _FloatData:
             [[s.to_float() for s in vec] for vec in data.kernel_basis],
             dtype=float,
         ).reshape(len(data.kernel_basis), data.polytope.facet_count)
-        svals = np.linalg.svd(stack, compute_uv=False)
+        u, svals, vt = np.linalg.svd(stack, full_matrices=False)
         if svals[-1] <= svals[0] * 1e-13:
             raise IllConditioned("facet normal matrix is numerically rank-deficient")
+        # np.linalg.pinv(stack) from the same factors, in its operations:
+        # every singular value is past pinv's 1e-15 relative cutoff here.
+        pinv_stack = vt.T @ ((1.0 / svals)[:, None] * u.T)
         vertices = np.array(
             [[s.to_float() for s in v.point] for v in data.polytope.vertices],
             dtype=float,
         )
-        return cls(stack, lam, kernel, np.linalg.pinv(stack), vertices)
+        return cls(stack, lam, kernel, pinv_stack, vertices, data.polytope.vertices)
 
 
 # --------------------------------------------------------------------------

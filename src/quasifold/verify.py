@@ -8,8 +8,19 @@ randomness flows through one seeded generator per check, so reports are
 bitwise reproducible for equal seeds.
 
 The checks avoid repeated passes over a sample set: |z|^2 is computed
-once (``SampleSet.moduli``) for the level residual, Phi and the rank
-margin, and the effectiveness witness is searched from the first rows.
+once (``SampleSet.moduli``) for the level residual and Phi, and the
+effectiveness witness is searched from the first rows.
+
+The rank margin, which shows that 0 is a regular value of the level map
+Psi, is evaluated at the V vertex fibers, not at the samples.  At a
+moment-map point mu it is sqrt(lambda_min / lambda_max) of
+G(mu) = B diag(s(mu)) B^T, where s_j(mu) = <mu, X_j> - lambda_j is affine
+in mu.  So lambda_min is concave on the polytope and lambda_max convex,
+and for t >= 0 the set {lambda_min >= t lambda_max} is convex: the margin
+is quasiconcave, and its minimum over the polytope lies at a vertex.  The
+phases drop out of G, so that is also its minimum over the level set.  A
+sampled margin can only approach it from above; the samples serve as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -22,16 +33,22 @@ from typing import Sequence
 import numpy as np
 
 from .construction import DelzantData, induced_moment, kernel_moment
-from .errors import StepOutOfRange
+from .errors import InternalInconsistency, StepOutOfRange
 
 # Finite-difference step and (sample, direction) pair count of the
 # Hamiltonian check; samples moved by the invariance check.
 HAMILTONIAN_STEP = 1e-5
 HAMILTONIAN_PAIRS = 100
 INVARIANCE_SAMPLES = 64
-# Bytes of the (samples, d - n, d) product the rank-margin check holds at
-# once; it and its Gram stack are evaluated over sample chunks this size.
+# Bytes of the (points, d - n, d) product a rank-margin evaluation holds
+# at once; it and its Gram stack are evaluated over point chunks this size.
 RANK_CHUNK_BYTES = 16 * 2**20
+# How far, in units of d * machine epsilon, a sampled squared rank margin
+# may fall below the vertex minimum's square before the two are called
+# inconsistent.  eigvalsh's error in each eigenvalue is about eps *
+# lambda_max.  The square's sampled margins sit 7e-16 below its vertex
+# value 1.0, which is 1.5 d * eps once squared.
+RANK_ROUNDING = 16
 
 
 @dataclass(frozen=True)
@@ -47,7 +64,7 @@ class SampleSet:
     @cached_property
     def moduli(self) -> np.ndarray:
         """|z|^2 (N, d), computed on first use; the level residual, Phi and
-        the rank margin all read it."""
+        check_regular_value all read it."""
         return np.abs(self.z) ** 2
 
 
@@ -159,14 +176,32 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
         roundtrip = 0.0
         containment = 0.0
     gaps = []
-    for vertex, target in zip(data.polytope.vertices, f.vertices):
-        moduli = np.array([max(s.to_float(), 0.0) for s in vertex.slacks])
+    for moduli, target in zip(f.vertex_moduli, f.vertices):
         z_vertex = np.sqrt(moduli).astype(complex)
         image = induced_moment(z_vertex, data, tol=None)
         gaps.append(float(np.max(np.abs(image - target))))
     return ImageCheck(max_roundtrip_error=roundtrip,
                       min_containment_slack=containment,
                       vertex_gaps=tuple(gaps), phi=phi)
+
+
+def _rank_margins(kernel: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """sqrt(lambda_min / lambda_max) of the Gram matrix B diag(m) B^T for
+    each row m of moduli (P, d), as a (P,) array.
+
+    The rows are taken RANK_CHUNK_BYTES of product at a time.  eigvalsh
+    factors each matrix on its own, so the margins do not depend on the
+    chunk size.  Rounding can push the smallest eigenvalue below zero; it
+    is clipped to 0.  A 1x1 Gram matrix (d - n = 1) is its own
+    eigenvalue, as LAPACK returns it, so no eigensolver runs there."""
+    chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
+    margins = np.empty(len(moduli))
+    for start in range(0, len(moduli), chunk):
+        block = moduli[start:start + chunk]
+        gram = (kernel[None, :, :] * block[:, None, :]) @ kernel.T
+        eig = gram[:, 0] if len(kernel) == 1 else np.linalg.eigvalsh(gram)
+        margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
+    return margins
 
 
 def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
@@ -177,24 +212,27 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
 
     J J^T = 4 B diag(|z|^2) B^T, so the squared singular values of J are
     the eigenvalues of the (d-n, d-n) Gram matrix B diag(|z|^2) B^T up to
-    the factor 4, which the ratio drops, as it drops the phases.  Rounding
-    can push the smallest eigenvalue below zero; it is clipped to 0.
-
-    The samples are taken RANK_CHUNK_BYTES of product at a time.
-    eigvalsh factors each matrix on its own, so the margins do not
-    depend on the chunk size.  A 1x1 Gram matrix (d - n = 1) is its own
-    eigenvalue, as LAPACK returns it, so no eigensolver runs there."""
+    the factor 4, which the ratio drops, as it drops the phases.  The
+    minimum over the whole level set lies at a vertex fiber (see the
+    module docstring); run_verification reports that one and calls this
+    on a prefix of the samples as a cross-check."""
     if not len(samples):
         return math.inf
-    kernel = data.floats.kernel
-    chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
-    margins = np.empty(len(samples))
-    for start in range(0, len(samples), chunk):
-        moduli = samples.moduli[start:start + chunk]
-        gram = (kernel[None, :, :] * moduli[:, None, :]) @ kernel.T
-        eig = gram[:, 0] if len(kernel) == 1 else np.linalg.eigvalsh(gram)
-        margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
-    return float(np.min(margins))
+    return float(np.min(_rank_margins(data.floats.kernel, samples.moduli)))
+
+
+def _check_sampled_margins(data: DelzantData, vertex_margin: float,
+                           samples: SampleSet) -> None:
+    """Raise InternalInconsistency when some sample's squared rank margin
+    falls below vertex_margin**2 by more than RANK_ROUNDING * d * eps.
+    The vertex minimum is the minimum over the level set, so such a
+    sample means wrong vertex slacks or a wrong kernel."""
+    sampled = check_regular_value(data, samples)
+    allowance = RANK_ROUNDING * data.ambient_dim * np.finfo(float).eps
+    if sampled ** 2 < vertex_margin ** 2 - allowance:
+        raise InternalInconsistency(
+            f"sampled rank margin {sampled!r} below the vertex minimum {vertex_margin!r}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +376,12 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     invariance 1e-9, kernel-group invariance 1e-8, vertex attainment 1e-9.
     Without samples the rank margin is None and skipped, and no
     effectiveness witness is asked for.
+
+    The rank margin is the minimum over the vertex fibers: the margin is
+    quasiconcave in mu (see the module docstring), so that is its minimum
+    over the level set, and it does not depend on the seed or the sample
+    count.  The first INVARIANCE_SAMPLES samples cross-check it: a sampled
+    margin below it beyond rounding raises InternalInconsistency.
     """
     tol = {
         "level_residual": 1e-9,
@@ -353,11 +397,15 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     sampled = len(sample_set) > 0
     f = data.floats
     level = 0.0
-    if sampled:  # the largest |kernel_moment(z)|, from the moduli
+    margin = None
+    if sampled:
+        # the largest |kernel_moment(z)|, from the moduli
         level = float(np.max(np.abs((sample_set.moduli + f.lam) @ f.kernel.T)))
+        margin = float(np.min(_rank_margins(f.kernel, f.vertex_moduli)))
+        prefix = SampleSet(mu=sample_set.mu[:INVARIANCE_SAMPLES],
+                           z=sample_set.z[:INVARIANCE_SAMPLES])
+        _check_sampled_margins(data, margin, prefix)
     image = verify_moment_image(data, sample_set)
-    margin = check_regular_value(data, sample_set)
-    margin = None if math.isinf(margin) else margin
     hamiltonian = 0.0
     pairs = min(HAMILTONIAN_PAIRS, len(sample_set))
     if pairs:

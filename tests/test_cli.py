@@ -568,7 +568,7 @@ VERIFY_JSON_DIGESTS = {
         "982ea2d9e37ba1ff7dc0a89ee1f4db187323b7d266d85e7605f722912dd55fb8",
     ),
     "cube": (
-        "7ecaa399d22e72dc0a4683a06479f5e419aeda3d940e34f225014c40ee082c0a",
+        "a1dd958b519fef2dc37970adce4fc68a9adff5971748acfdc35c92005c1ecf48",
         "b7d929bb1658516dfa5fd321ffd54f8e3d1f33a095a4796d110840f6bb5cc0af",
     ),
     "interval-sqrt2": (
@@ -576,7 +576,7 @@ VERIFY_JSON_DIGESTS = {
         "88f8f129804a6fff0c11bd383e54da473de229d0acd383484e6d0436d8eca805",
     ),
     "pentagon": (
-        "653faadb9c10e74409b0ccf941aa628f64c6e12205a58c55c8f86b35e4630e77",
+        "107b4bc79b5d1577b1212c5cbce052fab1dc632d7c60ea865190357f6cff88a8",
         "0bea86957873a7a25a5798a435e973cedea6d5400c4da107c0a8423bbe77f83b",
     ),
     "rugby-2": (
@@ -596,7 +596,7 @@ VERIFY_JSON_DIGESTS = {
         "0dce031ad6a1e1b556d8da38e5bae9601acf3a3e4cb995bdfde0e5a2f1e8450f",
     ),
     "square": (
-        "2c7e5b61feb2853623a98c74a6d5142a27e6e54381eb10d1c841c47d024d50f3",
+        "be9861bfa8ca8ded4d0ba147b440fc4dcdc82bd54fbef967e42e128e52ba442c",
         "1db3999c4c5a23738d1407b5c36b4b32602cae8af33acb593f9d37259387b2eb",
     ),
     "teardrop-2": (

@@ -195,6 +195,22 @@ class TestMomentMaps:
         induced_moment(np.array([10.0, 0, 0, 0], complex), data, tol=None)
 
 
+    @pytest.mark.parametrize("name", CONSTRUCTIBLE)
+    def test_float_mirror_takes_one_svd(self, name, monkeypatch):
+        # np.linalg.pinv calls svd through numpy's own module, so a second
+        # factorization there would be counted too.
+        data = construct_builtin(name)
+        calls = []
+        svd = np.linalg.svd
+        counted = lambda *args, **kwargs: calls.append(args[0].shape) or svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        floats = quasifold.construction._FloatData.build(data)
+        assert calls == [(data.ambient_dim, data.dim)]
+        monkeypatch.undo()
+        assert np.array_equal(floats.pinv_stack, np.linalg.pinv(floats.stack))
+
+
 # --------------------------------------------------------------------------
 # Fixed points and structure groups
 # --------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasifold import (
+    InternalInconsistency,
     StepOutOfRange,
     builtin_names,
     check_hamiltonian_identity,
@@ -321,6 +324,132 @@ class TestRegularValue:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * verify_module.RANK_CHUNK_BYTES
+
+
+def vertex_margins(data):
+    """The rank margin at every vertex fiber, as run_verification takes it."""
+    f = data.floats
+    return verify_module._rank_margins(f.kernel, f.vertex_moduli)
+
+
+def lattice_polygon(points):
+    """The hull of integer points (monotone chain, collinear points
+    dropped) as a document with inward edge normals, or None when the hull
+    has fewer than three vertices."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:
+        return None
+    facets = []
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        normal = (y0 - y1, x1 - x0)  # inward for a counterclockwise hull
+        facets.append({"normal": [str(normal[0]), str(normal[1])],
+                       "offset": str(normal[0] * x0 + normal[1] * y0)})
+    return {"dimension": 2, "facets": facets}
+
+
+def assert_no_sample_below_the_vertex_minimum(data, count, seed):
+    samples = sample_level_set(data, count, seed=seed)
+    verify_module._check_sampled_margins(data, float(np.min(vertex_margins(data))), samples)
+
+
+class TestVertexRankMargin:
+    """run_verification reports the rank margin at the vertex fibers, where
+    the quasiconcave margin has its minimum over the level set."""
+
+    def test_41_gon_margin_does_not_depend_on_the_samples(self):
+        data = parabola_polygon(40)
+        margins = {run_verification(data, samples=count, seed=seed).metrics["min_rank_margin"]
+                   for count, seed in ((100, 0), (100, 1), (100, 2), (10_000, 0))}
+        assert margins == {1.3444914490050584e-05}
+        # Oracle: the SVD of the full real (d - n, 2d) Jacobian 2*B*(x, y)
+        # at each vertex fiber, z = sqrt(slacks) with zero phases.  The
+        # Gram route squares the conditioning, so its relative error is
+        # about eps / margin**2.
+        f = data.floats
+        x = 2.0 * f.kernel * np.sqrt(f.vertex_moduli)[:, None, :]
+        jac = np.concatenate([x, np.zeros_like(x)], axis=2)
+        svals = np.linalg.svd(jac, compute_uv=False)
+        oracle = svals[:, -1] / svals[:, 0]
+        assert int(np.argmin(oracle)) == 39
+        assert int(np.argmin(vertex_margins(data))) == 39
+        assert margins.pop() == pytest.approx(
+            float(np.min(oracle)), rel=np.finfo(float).eps / float(np.min(oracle)) ** 2)
+
+    @pytest.mark.parametrize("name, expected, vertex", [
+        ("pentagon", 0.278486511314638, 3), ("square", 1.0, 0), ("cube", 1.0, 0)])
+    def test_corpus_margins(self, name, expected, vertex):
+        data = construct_builtin(name)
+        assert run_verification(data, samples=300, seed=5).metrics["min_rank_margin"] == expected
+        assert int(np.argmin(vertex_margins(data))) == vertex
+
+    def test_101_gon_fails_the_rank_check_at_every_seed(self):
+        # Its vertex minimum is 8.07e-7, below tol_rank = 1e-6.  The
+        # minimum over 10,000 samples is 1.1e-5, 3.3e-6 and 1.7e-5 at
+        # seeds 0, 1 and 2, so a check over the samples would pass.
+        data = parabola_polygon(100)
+        for seed in (0, 1, 2):
+            report = run_verification(data, samples=2000, seed=seed)
+            assert report.failures == ["min_rank_margin"], seed
+            assert report.metrics["min_rank_margin"] == pytest.approx(8.07e-7, rel=1e-3)
+
+    @pytest.mark.parametrize("name", CONSTRUCTIBLE + sorted(PROJECTIVE))
+    def test_no_sample_below_the_vertex_minimum(self, name):
+        assert_no_sample_below_the_vertex_minimum(construct_named(name), 10_000, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                           min_size=3, max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_no_sample_below_the_vertex_minimum_on_lattice_polygons(self, points, seed):
+        document = lattice_polygon(points)
+        assume(document is not None)
+        data = build_construction(parse_polytope(document))
+        assert_no_sample_below_the_vertex_minimum(data, 10_000, seed)
+
+    def test_wrong_vertex_slacks_raise(self, monkeypatch):
+        # Every vertex fiber given vertex 0's slacks: the "vertex minimum"
+        # becomes 0.786, above what the first samples show (0.316).
+        data = construct_builtin("pentagon")
+        f = data.floats
+        wrong = np.repeat(f.vertex_moduli[:1], len(f.vertex_moduli), axis=0)
+        monkeypatch.setattr(f, "vertex_moduli", wrong)
+        with pytest.raises(InternalInconsistency, match="below the vertex minimum"):
+            run_verification(data, samples=500, seed=0)
+
+    @pytest.mark.parametrize("name", ["pentagon", "parabola-41"])
+    def test_eigensolves_are_bounded_by_the_vertex_count(self, name, monkeypatch):
+        data = parabola_polygon(40) if name == "parabola-41" else construct_builtin(name)
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: matrices.append(len(a)) or eigvalsh(a))
+        run_verification(data, samples=10_000, seed=0)
+        assert 0 < sum(matrices) <= (len(data.polytope.vertices)
+                                     + verify_module.INVARIANCE_SAMPLES)
+
+    def test_peak_memory_of_the_41_gon(self):
+        # 10,000 samples.  A margin at every sample would hold a 16 MiB
+        # product chunk plus its Gram stack (peak 57.3 MiB); the vertex
+        # route holds V + 64 Gram matrices.
+        data = parabola_polygon(40)
+        tracemalloc.start()
+        try:
+            run_verification(data, samples=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 # --------------------------------------------------------------------------
