@@ -2,10 +2,11 @@
 
 A family of vectors over Q(theta) spans a lattice (discrete subgroup of
 rank n) exactly when the Q-vector space generated by their power-basis
-coefficient vectors has dimension n.  The certificate machinery flattens
-the family to integer rows over one denominator, measures their rank
-over Z, and on success returns a Hermite-form lattice basis together
-with the integer coordinates of every input vector.
+coefficient vectors has dimension n.  The family is flattened to integer
+rows over one denominator, and their Hermite normal form answers every
+question: its pivots on the transposed rows give the rank and a witness,
+its rows a lattice basis holding every input, and alternated on rows and
+columns it gives the Smith invariant factors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import InternalInconsistency
 from .scalars import Field, Scalar
 
 IntRow = list[int]
@@ -54,6 +56,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ..
         for i in range(r + 1, m):
             if work[i][c]:
                 a, b = work[r][c], work[i][c]
+                if b % a == 0:
+                    # the pivot row stays as it is; smith_invariant_factors needs that
+                    work[i] = [q - (b // a) * p for p, q in zip(work[r], work[i])]
+                    continue
                 g, x, y = xgcd(a, b)
                 # 2x2 unimodular transform: new rows (x*R + y*I, -b/g*R + a/g*I)
                 rr = [x * p + y * q for p, q in zip(work[r], work[i])]
@@ -87,48 +93,22 @@ def hnf_coordinates(hnf_rows: list[IntRow], pivots: list[int], target: Sequence[
 
 
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        entries = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
-        if not entries:
-            break
-        while True:
-            _, pi, pj = min(entries)
-            a[t], a[pi] = a[pi], a[t]
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            dirty = False
-            for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [p - q * s for p, s in zip(a[i], a[t])]
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j]:
-                    dirty = True
-            if not dirty:
-                # pivot divides every remaining entry, or absorb one and retry
-                bad = next(
-                    ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                     if a[i][j] % a[t][t]),
-                    None,
-                )
-                if bad is None:
-                    break
-                a[t] = [p + s for p, s in zip(a[t], a[bad[0]])]
-            entries = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
-        factors.append(abs(a[t][t]))
-        t += 1
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Row and column Hermite forms alternate until the matrix is diagonal,
+    and gcd/lcm exchanges make the diagonal a divisibility chain.  From
+    the second form on, the leading pivot is the gcd of the leading row
+    before: it drops strictly unless it divides that row, and then the
+    form clears its row and column (see hermite_normal_form) and leaves
+    the rest to go on alone.  So the alternation ends."""
+    a, _ = hermite_normal_form(rows)
+    while any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
+        a, _ = hermite_normal_form(list(zip(*a)))
+    factors = [row[i] for i, row in enumerate(a)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
     return tuple(factors)
 
 
@@ -173,7 +153,7 @@ def quotient_order(coord_vectors: Sequence[Sequence[Scalar]], n: int) -> int:
     covolume = math.prod(factors)
     order, check = divmod(d_common ** n, covolume)
     if check:
-        raise AssertionError("quotient order computation lost integrality")
+        raise InternalInconsistency("quotient order computation lost integrality")
     return order
 
 
@@ -208,25 +188,10 @@ def integer_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[IntRow], int
 
 
 def rational_rank(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank over Q of integer rows with the indices of a greedy independent
-    subset, by fraction-free elimination that divides out each row's gcd."""
-    pivot_rows: list[tuple[int, IntRow]] = []  # (pivot column, reduced row)
-    independent: list[int] = []
-    for idx, row in enumerate(rows):
-        cur = list(row)
-        for c, prow in pivot_rows:
-            if cur[c]:
-                a, b = prow[c], cur[c]
-                cur = [a * x - b * y for x, y in zip(cur, prow)]
-                common = math.gcd(*cur)
-                if common > 1:
-                    cur = [x // common for x in cur]
-        lead = next((j for j, v in enumerate(cur) if v), None)
-        if lead is not None:
-            pivot_rows.append((lead, cur))
-            pivot_rows.sort(key=lambda t: t[0])
-            independent.append(idx)
-    return len(pivot_rows), tuple(independent)
+    """Rank over Q of integer rows and the indices of the rows independent of
+    those before them: the pivot columns of the transposed rows' Hermite form."""
+    pivots = hermite_normal_form(list(zip(*rows)))[1]
+    return len(pivots), pivots
 
 
 def span_certificate(
@@ -246,7 +211,7 @@ def span_certificate(
 
     hnf_rows, pivots = hermite_normal_form(rows)
     if len(hnf_rows) != ambient_dim:
-        raise AssertionError("HNF rank disagrees with rational rank")
+        raise InternalInconsistency("HNF rank disagrees with rational rank")
 
     g = field.degree
     basis = tuple(
@@ -258,7 +223,7 @@ def span_certificate(
     for row in rows:
         c = hnf_coordinates(hnf_rows, pivots, row)
         if c is None:
-            raise AssertionError("input vector fell outside its own HNF lattice")
+            raise InternalInconsistency("input vector fell outside its own HNF lattice")
         coords.append(tuple(c))
     return LatticeCertificate(rational=True, rank=ambient_dim, basis=basis,
                               coords=tuple(coords))

@@ -166,15 +166,11 @@ def verify_moment_image(data: DelzantData, samples: SampleSet) -> ImageCheck:
     polytope; also evaluates the fiber over every vertex, whose image
     must hit the vertex itself (fixed points are exact)."""
     f = data.floats
-    if len(samples):
-        # induced_moment(z, tol=None), from the moduli
-        phi = (samples.moduli + f.lam) @ f.pinv_stack.T
-        roundtrip = float(np.max(np.abs(phi - samples.mu)))
-        containment = float(np.min(phi @ f.stack.T - f.lam))
-    else:
-        phi = np.zeros((0, data.dim))
-        roundtrip = 0.0
-        containment = 0.0
+    # induced_moment(z, tol=None), from the moduli
+    phi = (samples.moduli + f.lam) @ f.pinv_stack.T
+    roundtrip = float(np.max(np.abs(phi - samples.mu), initial=0.0))
+    # no samples read 0.0; an initial value for np.min would clamp a positive minimum
+    containment = float(np.min(phi @ f.stack.T - f.lam)) if len(samples) else 0.0
     gaps = []
     for moduli, target in zip(f.vertex_moduli, f.vertices):
         z_vertex = np.sqrt(moduli).astype(complex)
@@ -216,9 +212,7 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
     minimum over the whole level set lies at a vertex fiber (see the
     module docstring); run_verification reports that one and calls this
     on a prefix of the samples as a cross-check."""
-    if not len(samples):
-        return math.inf
-    return float(np.min(_rank_margins(data.floats.kernel, samples.moduli)))
+    return float(np.min(_rank_margins(data.floats.kernel, samples.moduli), initial=math.inf))
 
 
 def _check_sampled_margins(data: DelzantData, vertex_margin: float,
@@ -305,21 +299,17 @@ def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> Invarianc
     z = samples.z[:k]
     d = data.ambient_dim
     f = data.floats
-    if k:
-        theta = rng.uniform(0.0, 1.0, size=(k, d))
-        rotated = z * np.exp(2j * np.pi * theta)
-        torus = float(np.max(np.abs(
-            kernel_moment(rotated, data) - kernel_moment(z, data)
-        )))
-        sigma = rng.uniform(-1.0, 1.0, size=(k, f.kernel.shape[0]))
-        theta_n = (sigma @ f.kernel) % 1.0
-        moved = z * np.exp(2j * np.pi * theta_n)
-        kernel_res = float(np.max(np.abs(
-            induced_moment(moved, data, tol=None) - induced_moment(z, data, tol=None)
-        )))
-    else:
-        torus = 0.0
-        kernel_res = 0.0
+    theta = rng.uniform(0.0, 1.0, size=(k, d))
+    rotated = z * np.exp(2j * np.pi * theta)
+    torus = float(np.max(np.abs(
+        kernel_moment(rotated, data) - kernel_moment(z, data)
+    ), initial=0.0))
+    sigma = rng.uniform(-1.0, 1.0, size=(k, f.kernel.shape[0]))
+    theta_n = (sigma @ f.kernel) % 1.0
+    moved = z * np.exp(2j * np.pi * theta_n)
+    kernel_res = float(np.max(np.abs(
+        induced_moment(moved, data, tol=None) - induced_moment(z, data, tol=None)
+    ), initial=0.0))
     effectiveness = None
     for start in range(0, len(samples), INVARIANCE_SAMPLES):
         block = samples.z[start:start + INVARIANCE_SAMPLES]
@@ -396,22 +386,19 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     sample_set = sample_level_set(data, samples, seed=seed)
     sampled = len(sample_set) > 0
     f = data.floats
-    level = 0.0
+    # the largest |kernel_moment(z)|, from the moduli
+    level = float(np.max(np.abs((sample_set.moduli + f.lam) @ f.kernel.T), initial=0.0))
     margin = None
     if sampled:
-        # the largest |kernel_moment(z)|, from the moduli
-        level = float(np.max(np.abs((sample_set.moduli + f.lam) @ f.kernel.T)))
         margin = float(np.min(_rank_margins(f.kernel, f.vertex_moduli)))
         prefix = SampleSet(mu=sample_set.mu[:INVARIANCE_SAMPLES],
                            z=sample_set.z[:INVARIANCE_SAMPLES])
         _check_sampled_margins(data, margin, prefix)
     image = verify_moment_image(data, sample_set)
-    hamiltonian = 0.0
     pairs = min(HAMILTONIAN_PAIRS, len(sample_set))
-    if pairs:
-        directions = np.random.default_rng([seed, 1]).standard_normal((pairs, data.dim))
-        hamiltonian = float(np.max(_hamiltonian_residuals(
-            data, sample_set.z[:pairs], directions, HAMILTONIAN_STEP)))
+    directions = np.random.default_rng([seed, 1]).standard_normal((pairs, data.dim))
+    hamiltonian = float(np.max(_hamiltonian_residuals(
+        data, sample_set.z[:pairs], directions, HAMILTONIAN_STEP), initial=0.0))
     invariance = check_invariance(data, sample_set, seed=[seed, 2])
     witness = invariance.effectiveness_index
 

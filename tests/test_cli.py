@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasifold import builtin_names, cli, construction_report, csvtext
+from quasifold import builtin_names, cli, construction_report, csvtext, lattices
 from quasifold.cli import _json_text, _write_csv, main
 from quasifold.verify import sample_level_set
 
@@ -87,6 +87,14 @@ def test_construct_octahedron_exit_2(capsys):
     code, _, err = run(capsys, "construct", "--builtin", "octahedron")
     assert code == 2
     assert "NotSimple" in err
+
+
+def test_internal_inconsistency_exit_2(capsys, monkeypatch):
+    # an input outside its own Hermite lattice is a fault of the program
+    monkeypatch.setattr(lattices, "hnf_coordinates", lambda *args: None)
+    code, _, err = run(capsys, "construct", "--builtin", "square")
+    assert code == 2
+    assert "InternalInconsistency" in err
 
 
 def test_unknown_builtin_exit_2(capsys):

@@ -5,7 +5,9 @@ subgroup of Q^n/Z^n generated by the coordinate vectors, which is the
 independent oracle for the structure-group orders.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +61,6 @@ def brute_force_quotient_order(vectors):
 @settings(max_examples=120, deadline=None)
 @given(a=st.integers(-200, 200), b=st.integers(-200, 200))
 def test_xgcd(a, b):
-    import math
     g, x, y = xgcd(a, b)
     assert g == math.gcd(a, b)
     assert a * x + b * y == g
@@ -115,11 +116,51 @@ def oracle_int_rank(rows):
     return rank
 
 
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(p > q for p, q in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(a[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def determinantal_factors(rows):
+    """Invariant factors from their definition: d_k is the gcd of all
+    k x k minors, and factor k is d_k / d_(k-1), up to the rank."""
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = math.gcd(*(leibniz_det([[rows[i][j] for j in cols] for i in picked])
+                       for picked in combinations(range(len(rows)), k)
+                       for cols in combinations(range(len(rows[0])), k)))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
 class TestSmith:
     def test_pinned(self):
         assert smith_invariant_factors([(2, 4), (6, 8)]) == (2, 4)
         assert smith_invariant_factors([(6, 0), (0, 4)]) == (2, 12)
         assert smith_invariant_factors([(1, 0), (0, 1)]) == (1, 1)
+        assert smith_invariant_factors([(2, 0), (0, 3)]) == (1, 6)
+        assert smith_invariant_factors([(4, 0, 0), (0, 6, 0), (0, 0, 10)]) == (2, 2, 60)
+        assert smith_invariant_factors([(0, 1), (0, 0)]) == (1,)
+        assert smith_invariant_factors([]) == ()
+        assert smith_invariant_factors([(0, 0)]) == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_determinantal_divisors(self, data):
+        height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-12, 12), min_size=width, max_size=width),
+            min_size=height, max_size=height))
+        if height > 1 and data.draw(st.booleans()):
+            rows[-1] = [-x for x in rows[0]]  # rank-deficient
+        assert smith_invariant_factors(rows) == determinantal_factors(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(
@@ -155,16 +196,19 @@ class TestRationalRank:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_matches_fraction_elimination(self, data):
-        width = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(1, 8))
         rows = data.draw(st.lists(
             st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 10**20]),
                      min_size=width, max_size=width),
-            min_size=1, max_size=6))
+            min_size=1, max_size=12))
         want = (oracle_int_rank(rows), greedy_independent(rows))
         assert rational_rank(rows) == want
         scales = data.draw(st.lists(
             st.integers(-10**12, 10**12).filter(bool), min_size=len(rows), max_size=len(rows)))
         assert rational_rank([[k * x for x in row] for k, row in zip(scales, rows)]) == want
+
+    def test_no_rows(self):
+        assert rational_rank([]) == (0, ())
 
 
 # --------------------------------------------------------------------------
