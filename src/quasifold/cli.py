@@ -119,10 +119,20 @@ def _level(depth: int) -> tuple:
     return _levels[depth]
 
 
-def _encode(obj, depth: int, parts: list[str]) -> None:
+def _encode(obj, depth: int, parts: list[str], done: dict) -> None:
     """Append the text of the nonempty container obj, nested ``depth``
-    levels deep, to parts.  Scalars and empty containers are leaves: the C
-    encoder writes them as json does."""
+    levels deep, to parts, as one string.  Scalars and empty containers
+    are leaves: the C encoder writes them as json does.
+
+    ``done`` maps (id(container), depth) to the text of each container
+    encoded so far in this payload, so a container met again at the same
+    depth (a report shares equal vectors) reuses its text.  The ids stay
+    valid because the payload outlives the call that encodes it."""
+    key = (id(obj), depth)
+    text = done.get(key)
+    if text is not None:
+        parts.append(text)
+        return
     inner, later, outer, encoder = _level(depth)
     is_dict = isinstance(obj, dict)
     for member in obj.values() if is_dict else obj:
@@ -132,16 +142,18 @@ def _encode(obj, depth: int, parts: list[str]) -> None:
         # One C call writes the members and their separators; the
         # brackets get their newlines here.
         text = "".join(encoder(obj, 0))
-        parts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        text = done[key] = text[0] + inner + text[1:-1] + outer + text[-1]
+        parts.append(text)
         return
+    start = len(parts)
     separator = inner
     if is_dict:
         parts.append("{")
-        for key in sorted(obj):
-            member = obj[key]
-            parts += (separator, encode_basestring_ascii(key), ": ")
+        for name in sorted(obj):
+            member = obj[name]
+            parts += (separator, encode_basestring_ascii(name), ": ")
             if isinstance(member, _CONTAINERS) and member:
-                _encode(member, depth + 1, parts)
+                _encode(member, depth + 1, parts, done)
             else:
                 parts += encoder(member, 0)
             separator = later
@@ -151,26 +163,32 @@ def _encode(obj, depth: int, parts: list[str]) -> None:
         for member in obj:
             parts.append(separator)
             if isinstance(member, _CONTAINERS) and member:
-                _encode(member, depth + 1, parts)
+                _encode(member, depth + 1, parts, done)
             else:
                 parts += encoder(member, 0)
             separator = later
         parts += (outer, "]")
+    # The container's pieces become one string: the parts list then holds
+    # one entry per open container, however deep the payload nests.
+    text = "".join(parts[start:])
+    parts[start:] = [text]
+    done[key] = text
 
 
 def _json_text(payload) -> str:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, for
     payloads with text keys.  With an indent, that call runs Python's
     pure-Python encoder on Python 3.11; here each container holding only
-    scalars is encoded by one C call, and only the containers above them
-    are walked in Python."""
+    scalars is encoded by one C call, only the containers above them are
+    walked in Python, and a container met again at the same depth is
+    encoded once."""
     if c_make_encoder is None:
         return json.dumps(payload, indent=2, sort_keys=True)
     if not (isinstance(payload, _CONTAINERS) and payload):
         return "".join(_level(0)[3](payload, 0))
     parts: list[str] = []
-    _encode(payload, 0, parts)
-    return "".join(parts)
+    _encode(payload, 0, parts, {})
+    return parts[0]
 
 
 def _emit_json(payload: dict, out: Path | None) -> None:
@@ -249,12 +267,13 @@ def cmd_analyze(args) -> int:
     poly = parse_polytope(_load_document(args))
     simplicity = check_simple(poly)
     certificate = check_rational(poly)
+    memo: dict = {}
     payload = {
         "dimension": poly.dim,
         "facets": poly.facet_count,
         "field": _render_field(poly.field),
         "vertices": [
-            {**_render_vector(v.point), "active_facets": list(v.active)}
+            {**_render_vector(v.point, memo), "active_facets": list(v.active)}
             for v in poly.vertices
         ],
         "simple": {
@@ -265,7 +284,7 @@ def cmd_analyze(args) -> int:
             "rational": certificate.rational,
             "rank": certificate.rank,
             "lattice_basis": (
-                [[s.to_expr() for s in b] for b in certificate.basis]
+                [_render_vector(b, memo)["exact"] for b in certificate.basis]
                 if certificate.rational else None
             ),
             "integer_coordinates": (

@@ -123,48 +123,49 @@ class DelzantData:
 
 class _FloatData:
     """Float mirror of the exact construction data (Scalar.to_float of
-    each entry)."""
+    each entry, converted once per distinct value)."""
 
-    def __init__(self, stack, lam, kernel, pinv_stack, vertices, exact_vertices):
+    def __init__(self, stack, lam, kernel, pinv_stack, vertices, exact_vertices, floats):
         self.stack = stack          # (d, n), row j is X_j
         self.lam = lam              # (d,)
         self.kernel = kernel        # (d-n, d), rows span Lie(N)
         self.pinv_stack = pinv_stack  # (n, d), least-squares inverse of stack
         self.vertices = vertices    # (V, n), in vertex order
         self._exact_vertices = exact_vertices
+        self._floats = floats       # the _once memo of to_float
 
     @cached_property
     def vertex_moduli(self) -> np.ndarray:
         """(V, d) |z|^2 on the fiber over each vertex, in vertex order: the
         float slacks, clipped at 0.  Computed on first use; the vertex
         attainment check and the rank margin both read it."""
-        return np.array(
-            [[max(s.to_float(), 0.0) for s in v.slacks] for v in self._exact_vertices],
-            dtype=float,
-        )
+        moduli = _float_rows([v.slacks for v in self._exact_vertices], self._floats)
+        return np.maximum(moduli, 0.0)
 
     @classmethod
     def build(cls, data: "DelzantData") -> "_FloatData":
-        stack = np.array(
-            [[s.to_float() for s in normal] for normal in data.polytope.normals],
-            dtype=float,
-        )
-        lam = np.array([s.to_float() for s in data.polytope.offsets], dtype=float)
-        kernel = np.array(
-            [[s.to_float() for s in vec] for vec in data.kernel_basis],
-            dtype=float,
-        ).reshape(len(data.kernel_basis), data.polytope.facet_count)
+        p = data.polytope
+        floats: dict = {}
+        stack = _float_rows(p.normals, floats)
+        lam = _float_rows([p.offsets], floats)[0]
+        kernel = _float_rows(data.kernel_basis, floats).reshape(
+            len(data.kernel_basis), p.facet_count)
         u, svals, vt = np.linalg.svd(stack, full_matrices=False)
         if svals[-1] <= svals[0] * 1e-13:
             raise IllConditioned("facet normal matrix is numerically rank-deficient")
         # np.linalg.pinv(stack) from the same factors, in its operations:
         # every singular value is past pinv's 1e-15 relative cutoff here.
         pinv_stack = vt.T @ ((1.0 / svals)[:, None] * u.T)
-        vertices = np.array(
-            [[s.to_float() for s in v.point] for v in data.polytope.vertices],
-            dtype=float,
-        )
-        return cls(stack, lam, kernel, pinv_stack, vertices, data.polytope.vertices)
+        vertices = _float_rows([v.point for v in p.vertices], floats)
+        return cls(stack, lam, kernel, pinv_stack, vertices, p.vertices, floats)
+
+
+def _float_rows(rows: Sequence[Sequence[Scalar]], floats: dict) -> np.ndarray:
+    """The float array of rows, each distinct value converted once."""
+    return np.array(
+        [[_once(floats, s, Scalar.to_float) for s in row] for row in rows],
+        dtype=float,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -331,11 +332,37 @@ def classify(data: DelzantData) -> Classification:
 # Report rendering
 # --------------------------------------------------------------------------
 
-def _render_vector(vec: Sequence[Scalar]) -> dict:
-    return {
-        "exact": [s.to_expr() for s in vec],
-        "float": [s.to_float() for s in vec],
-    }
+def _once(memo: dict, s: Scalar, convert):
+    """convert(s), computed once per distinct value in memo.  The key is
+    the tuple (num, den), not s: Scalar.__hash__ is a Python method and
+    costs more than a rendering.  One memo serves values of one field,
+    where (num, den) identifies the value."""
+    key = (s.num, s.den)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = convert(s)
+    return value
+
+
+def _expr_and_float(s: Scalar) -> tuple[str, float]:
+    return s.to_expr(), s.to_float()
+
+
+def _render_vector(vec: Sequence[Scalar], memo: dict) -> dict:
+    """{"exact", "float"} of vec.  memo holds, per report, each value's
+    (expression, float) under its (num, den) and each vector's dict under
+    the tuple of its expressions, so equal vectors share one dict."""
+    # The hit is looked up inline, where a call would cost more than it;
+    # a pair is a nonempty tuple, so only a miss reaches _once.
+    pairs = [memo.get((s.num, s.den)) or _once(memo, s, _expr_and_float) for s in vec]
+    exact = tuple([expr for expr, _ in pairs])
+    rendered = memo.get(exact)
+    if rendered is None:
+        rendered = memo[exact] = {
+            "exact": list(exact),
+            "float": [value for _, value in pairs],
+        }
+    return rendered
 
 
 def _render_field(fld: Field) -> dict:
@@ -347,8 +374,13 @@ def _render_field(fld: Field) -> dict:
 
 
 def construction_report(data: DelzantData) -> dict:
-    """JSON-ready summary; exact expressions alongside certified floats."""
+    """JSON-ready summary; exact expressions alongside certified floats.
+
+    Each distinct value is rendered once, and equal vectors share one
+    {"exact", "float"} dict, so the payload is read-only: changing one
+    vector in place would change every equal vector with it."""
     p = data.polytope
+    memo: dict = {}
     cls = data.classification
     cert = data.quasilattice.certificate
     report = {
@@ -359,15 +391,15 @@ def construction_report(data: DelzantData) -> dict:
         "n_rational_dim": data.n_rational_dim,
         "n_compact": data.n_compact,
         "field": _render_field(p.field),
-        "projection": [_render_vector(row) for row in data.projection.rows],
-        "offsets": _render_vector(p.offsets),
-        "kernel_basis": [_render_vector(v) for v in data.kernel_basis],
+        "projection": [_render_vector(row, memo) for row in data.projection.rows],
+        "offsets": _render_vector(p.offsets, memo),
+        "kernel_basis": [_render_vector(v, memo) for v in data.kernel_basis],
         "quasilattice": {
-            "generators": [_render_vector(g) for g in data.quasilattice.generators],
+            "generators": [_render_vector(g, memo) for g in data.quasilattice.generators],
             "is_lattice": data.quasilattice.is_lattice,
             "rational_rank": cert.rank,
             "lattice_basis": (
-                [_render_vector(b) for b in cert.basis]
+                [_render_vector(b, memo) for b in cert.basis]
                 if cert.rational else None
             ),
             "generator_coordinates": (
@@ -385,11 +417,11 @@ def construction_report(data: DelzantData) -> dict:
         },
         "charts": [
             {
-                "vertex": _render_vector(chart.vertex.point),
+                "vertex": _render_vector(chart.vertex.point, memo),
                 "active_facets": list(chart.vertex.active),
-                "squared_moduli": _render_vector(chart.squared_moduli),
+                "squared_moduli": _render_vector(chart.squared_moduli, memo),
                 "generator_coords": [
-                    _render_vector(c) for c in chart.generator_coords
+                    _render_vector(c, memo) for c in chart.generator_coords
                 ],
                 "finite": chart.finite,
                 "order": chart.order,

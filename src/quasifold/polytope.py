@@ -124,20 +124,28 @@ def _parse_field_section(section) -> Field:
     return Field(coeffs, (lo, hi))
 
 
-def _parse_entry(value, fld: Field, where: str, has_theta: bool) -> Scalar:
+def _parse_entry(value, fld: Field, where: str, has_theta: bool, parsed: dict) -> Scalar:
     """One exact entry.  Without a field section the document is over Q,
     whose field gives theta the value 0, so an entry naming theta is
-    refused rather than read as 0."""
+    refused rather than read as 0.
+
+    ``parsed`` maps each entry string of the document met so far to its
+    value, so a repeated string is parsed once.  Only successful parses
+    are stored, so a refusal is raised at its first position; only
+    strings are keys, so ``true`` never finds the entry of ``1``."""
+    if isinstance(value, str):
+        scalar = parsed.get(value)
+        if scalar is None:
+            # theta and θ are the only names parse_scalar accepts
+            if not has_theta and ("theta" in value or "θ" in value):
+                raise SchemaError(f"{where}: {value!r} names theta, "
+                                  "but the document has no 'field' section")
+            scalar = parsed[value] = parse_scalar(value, fld)
+        return scalar
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{where}: expected an exact expression string, got {value!r}")
     if isinstance(value, int):
         return fld.scalar(value)
-    if isinstance(value, str):
-        # theta and θ are the only names parse_scalar accepts
-        if not has_theta and ("theta" in value or "θ" in value):
-            raise SchemaError(f"{where}: {value!r} names theta, "
-                              "but the document has no 'field' section")
-        return parse_scalar(value, fld)
     raise SchemaError(f"{where}: expected an exact expression string, got {type(value).__name__}")
 
 
@@ -160,6 +168,7 @@ def parse_polytope(document: dict) -> HPolytope:
     section = document.get("field")
     fld = _parse_field_section(section)
     has_theta = section is not None
+    parsed: dict[str, Scalar] = {}
 
     facets = document.get("facets")
     _require(isinstance(facets, list) and len(facets) >= 1, "'facets' must be a nonempty list")
@@ -172,11 +181,11 @@ def parse_polytope(document: dict) -> HPolytope:
         normal = facet["normal"]
         _require(isinstance(normal, list) and len(normal) == n,
                  f"{where}: normal must have {n} entries")
-        vec = tuple(_parse_entry(e, fld, where, has_theta) for e in normal)
+        vec = tuple(_parse_entry(e, fld, where, has_theta, parsed) for e in normal)
         if all(s.is_zero() for s in vec):
             raise SchemaError(f"{where}: zero normal vector")
         normals.append(vec)
-        offsets.append(_parse_entry(facet["offset"], fld, where, has_theta))
+        offsets.append(_parse_entry(facet["offset"], fld, where, has_theta, parsed))
 
     generators = document.get("quasilattice_extra_generators", [])
     _require(isinstance(generators, list), "'quasilattice_extra_generators' must be a list")
@@ -184,7 +193,7 @@ def parse_polytope(document: dict) -> HPolytope:
     for k, gen in enumerate(generators):
         where = f"extra generator {k}"
         _require(isinstance(gen, list) and len(gen) == n, f"{where} must have {n} entries")
-        vec = tuple(_parse_entry(e, fld, where, has_theta) for e in gen)
+        vec = tuple(_parse_entry(e, fld, where, has_theta, parsed) for e in gen)
         _require(not all(s.is_zero() for s in vec), f"{where} is zero")
         extras.append(vec)
 

@@ -912,6 +912,37 @@ def test_json_text_of_scalars_and_empty_containers(value):
     assert _json_text(value) == _dumps(value)
 
 
+def _embedding(shared):
+    """Values holding the very object shared at any number of positions
+    and depths, beside scalars and other containers."""
+    return st.recursive(
+        st.just(shared) | _JSON_SCALARS,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(_TEXT, inner, max_size=4)),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_json_text_of_shared_containers(data):
+    # A report shares equal vectors, so one container can appear at
+    # several positions, at one depth or at several; here a shared
+    # container may also hold another.
+    member = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+    shared = data.draw(st.lists(member, min_size=1, max_size=3)
+                       | st.dictionaries(_TEXT, member, min_size=1, max_size=3))
+    outer = data.draw(_embedding(shared))
+    value = [data.draw(_embedding(outer)), outer, shared]
+    assert _json_text(value) == _dumps(value)
+
+
+def test_json_text_of_one_list_at_three_depths():
+    shared = [1, "a", [2.5, None], {"k": []}]
+    value = {"a": shared, "b": [shared, shared, {"c": shared}], "d": [[shared]]}
+    assert _json_text(value) == _dumps(value)
+
+
 def test_json_text_deeper_than_any_report():
     value = "leaf"
     for depth in range(200):

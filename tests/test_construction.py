@@ -16,10 +16,13 @@ from quasifold import (
     NotAVertex,
     NotSimple,
     OffLevelSet,
+    Scalar,
     build_construction,
+    builtin_document,
     construction_report,
     induced_moment,
     kernel_moment,
+    parse_polytope,
     torus_moment,
     vertex_structure_group,
 )
@@ -374,3 +377,66 @@ class TestReport:
         report = construction_report(construct_builtin("pentagon"))
         assert report["quasilattice"]["is_lattice"] is False
         assert report["quasilattice"]["lattice_basis"] is None
+
+
+def _projective_space(n):
+    unit = lambda i: ["1" if k == i else "0" for k in range(n)]
+    facets = [(unit(i), "0") for i in range(n)] + [(["-1"] * n, "-1")]
+    return {"dimension": n,
+            "facets": [{"normal": normal, "offset": offset} for normal, offset in facets]}
+
+
+def _exact_values(payload):
+    """How many exact values the payload holds, counted per position."""
+    if isinstance(payload, dict):
+        if "exact" in payload:
+            return len(payload["exact"])
+        return sum(_exact_values(value) for value in payload.values())
+    if isinstance(payload, list):
+        return sum(_exact_values(value) for value in payload)
+    return 0
+
+
+def _count_conversions(monkeypatch, *names):
+    """Record the (num, den) of every Scalar that each named method of
+    Scalar converts."""
+    seen = {name: [] for name in names}
+    for name, keys in seen.items():
+        original = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda s, _original=original, _keys=keys:
+                            _keys.append((s.num, s.den)) or _original(s))
+    return seen
+
+
+@pytest.mark.parametrize("document, rendered, distinct", [
+    pytest.param(_projective_space(8), 1027, 3, id="cp8"),
+    pytest.param(builtin_document("cube"), 285, 3, id="cube"),
+    pytest.param(builtin_document("pentagon"), 125, 13, id="pentagon"),
+])
+def test_report_renders_each_distinct_value_once(document, rendered, distinct, monkeypatch):
+    data = build_construction(parse_polytope(document))
+    seen = _count_conversions(monkeypatch, "to_expr", "to_float")
+    report = construction_report(data)
+    monkeypatch.undo()
+    assert _exact_values(report) == rendered
+    for keys in seen.values():
+        assert len(keys) == len(set(keys)) == distinct
+
+
+@pytest.mark.parametrize("name", ["cube", "pentagon", "rugby-3"])
+def test_float_mirror_converts_each_distinct_value_once(name, monkeypatch):
+    data = construct_builtin(name)
+    p = data.polytope
+    seen = _count_conversions(monkeypatch, "to_float")
+    floats = quasifold.construction._FloatData.build(data)
+    moduli = floats.vertex_moduli
+    monkeypatch.undo()
+    keys = seen["to_float"]
+    assert len(keys) == len(set(keys))
+    # Bit-equal to converting every entry on its own.
+    rows = lambda vectors: np.array([[s.to_float() for s in v] for v in vectors], dtype=float)
+    assert np.array_equal(floats.stack, rows(p.normals))
+    assert np.array_equal(floats.lam, rows([p.offsets])[0])
+    assert np.array_equal(floats.kernel, rows(data.kernel_basis))
+    assert np.array_equal(floats.vertices, rows([v.point for v in p.vertices]))
+    assert np.array_equal(moduli, np.maximum(rows([v.slacks for v in p.vertices]), 0.0))

@@ -21,10 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (
+    DivisionByZeroScalar,
     HPolytope,
     LowerDimensional,
     NormalsDontSpan,
     NotRationalInput,
+    ScalarSyntaxError,
     SchemaError,
     UnboundedPolytope,
     build_construction,
@@ -35,6 +37,7 @@ from quasifold import (
     check_simple,
     construction_report,
     parse_polytope,
+    parse_scalar,
     rational_field,
 )
 import quasifold.polytope as polytope_module
@@ -195,6 +198,76 @@ class TestParse:
         assert blocks
         for block in blocks:
             parse_polytope(json.loads(block))  # must not raise
+
+
+def _entry_strings(document):
+    entries = [e for f in document["facets"] for e in f["normal"] + [f["offset"]]]
+    entries += [e for g in document.get("quasilattice_extra_generators", []) for e in g]
+    return [e for e in entries if isinstance(e, str)]
+
+
+def _count_parses(monkeypatch):
+    texts = []
+    parse = polytope_module.parse_scalar
+    monkeypatch.setattr(polytope_module, "parse_scalar",
+                        lambda text, fld: texts.append(text) or parse(text, fld))
+    return texts
+
+
+@pytest.mark.parametrize("name", ["cube", "pentagon", "rugby-3"])
+def test_parse_reads_each_distinct_entry_string_once(name, monkeypatch):
+    document = builtin_document(name)
+    texts = _count_parses(monkeypatch)
+    p = parse_polytope(document)
+    strings = _entry_strings(document)
+    assert len(strings) > len(set(strings))
+    assert sorted(texts) == sorted(set(strings))
+    # Equal strings give one value, shared where they repeat.
+    assert p.normals + p.extra_generators + (p.offsets,) == tuple(
+        tuple(parse_scalar(e, p.field) for e in vec)
+        for vec in [f["normal"] for f in document["facets"]]
+        + document.get("quasilattice_extra_generators", [])
+        + [[f["offset"] for f in document["facets"]]])
+
+
+SQUARE_FACETS = [(["1", "0"], "0"), (["0", "1"], "0"), (["-1", "0"], "-1"), (["0", "-1"], "-1")]
+
+
+# Each message is the one the parser gave before it kept parsed strings.
+@pytest.mark.parametrize("facets, error, message", [
+    pytest.param([(["1", "0"], "0"), (["0", "theta"], "0"), (["-1", "0"], "-1"),
+                  (["0", "theta"], "-1")],
+                 SchemaError, "facet 1: 'theta' names theta, but the document has no "
+                 "'field' section", id="theta-in-facets-1-and-3"),
+    pytest.param([([1, True], "0")] + SQUARE_FACETS[1:],
+                 SchemaError, "facet 0: expected an exact expression string, got True",
+                 id="int-then-true"),
+    pytest.param([(["1", True], "0")] + SQUARE_FACETS[1:],
+                 SchemaError, "facet 0: expected an exact expression string, got True",
+                 id="string-then-true"),
+    pytest.param([(["1", "0"], "0"), (["1", 1.0], "0")] + SQUARE_FACETS[2:],
+                 SchemaError, "facet 1: expected an exact expression string, got 1.0",
+                 id="string-then-float"),
+])
+def test_parse_refusals_are_unchanged(facets, error, message):
+    with pytest.raises(error) as info:
+        parse_polytope(doc(2, facets))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    pytest.param("1+", ScalarSyntaxError, "unexpected token ''", id="syntax"),
+    pytest.param("1/0", DivisionByZeroScalar, "division by zero scalar", id="zero-division"),
+])
+def test_malformed_string_is_refused_at_its_first_facet(bad, error, message, monkeypatch):
+    # The message names no facet; the refusal comes at facet 1, the
+    # string's first position: nothing after it is parsed.
+    texts = _count_parses(monkeypatch)
+    facets = [(["1", "0"], "0"), (["0", bad], "0"), (["-1", "0"], "-1"), (["0", bad], "-1")]
+    with pytest.raises(error) as info:
+        parse_polytope(doc(2, facets))
+    assert str(info.value) == message
+    assert texts[-1] == bad and bad not in texts[:-1]
 
 
 # --------------------------------------------------------------------------
