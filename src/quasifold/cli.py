@@ -119,20 +119,21 @@ def _level(depth: int) -> tuple:
     return _levels[depth]
 
 
-def _encode(obj, depth: int, parts: list[str], done: dict) -> None:
+def _encode(obj, depth: int, parts: list[str], done: dict) -> bool:
     """Append the text of the nonempty container obj, nested ``depth``
-    levels deep, to parts, as one string.  Scalars and empty containers
-    are leaves: the C encoder writes them as json does.
+    levels deep, to parts, as one string; True when obj holds only leaves,
+    scalars and empty containers, which the C encoder writes as json does.
 
     ``done`` maps (id(container), depth) to the text of each container
-    encoded so far in this payload, so a container met again at the same
-    depth (a report shares equal vectors) reuses its text.  The ids stay
-    valid because the payload outlives the call that encodes it."""
+    whose members are all nonempty containers of leaves, the kind a report
+    shares (an {"exact", "float"} dict), so met again at the same depth it
+    reuses its text.  The ids stay valid because the payload outlives the
+    call that encodes it."""
     key = (id(obj), depth)
     text = done.get(key)
     if text is not None:
         parts.append(text)
-        return
+        return False
     inner, later, outer, encoder = _level(depth)
     is_dict = isinstance(obj, dict)
     for member in obj.values() if is_dict else obj:
@@ -142,37 +143,29 @@ def _encode(obj, depth: int, parts: list[str], done: dict) -> None:
         # One C call writes the members and their separators; the
         # brackets get their newlines here.
         text = "".join(encoder(obj, 0))
-        text = done[key] = text[0] + inner + text[1:-1] + outer + text[-1]
-        parts.append(text)
-        return
+        parts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        return True
     start = len(parts)
-    separator = inner
-    if is_dict:
-        parts.append("{")
-        for name in sorted(obj):
-            member = obj[name]
-            parts += (separator, encode_basestring_ascii(name), ": ")
-            if isinstance(member, _CONTAINERS) and member:
-                _encode(member, depth + 1, parts, done)
-            else:
-                parts += encoder(member, 0)
-            separator = later
-        parts += (outer, "}")
-    else:
-        parts.append("[")
-        for member in obj:
-            parts.append(separator)
-            if isinstance(member, _CONTAINERS) and member:
-                _encode(member, depth + 1, parts, done)
-            else:
-                parts += encoder(member, 0)
-            separator = later
-        parts += (outer, "]")
+    parts.append("{" if is_dict else "[")
+    separator, shared = inner, True
+    for name, member in sorted(obj.items()) if is_dict else enumerate(obj):
+        parts.append(separator)
+        if is_dict:
+            parts += (encode_basestring_ascii(name), ": ")
+        if isinstance(member, _CONTAINERS) and member:
+            shared = _encode(member, depth + 1, parts, done) and shared
+        else:
+            parts += encoder(member, 0)
+            shared = False
+        separator = later
+    parts += (outer, "}" if is_dict else "]")
     # The container's pieces become one string: the parts list then holds
     # one entry per open container, however deep the payload nests.
     text = "".join(parts[start:])
     parts[start:] = [text]
-    done[key] = text
+    if shared:
+        done[key] = text
+    return False
 
 
 def _json_text(payload) -> str:
@@ -180,8 +173,8 @@ def _json_text(payload) -> str:
     payloads with text keys.  With an indent, that call runs Python's
     pure-Python encoder on Python 3.11; here each container holding only
     scalars is encoded by one C call, only the containers above them are
-    walked in Python, and a container met again at the same depth is
-    encoded once."""
+    walked in Python, and a container of such containers met again at
+    the same depth is encoded once."""
     if c_make_encoder is None:
         return json.dumps(payload, indent=2, sort_keys=True)
     if not (isinstance(payload, _CONTAINERS) and payload):

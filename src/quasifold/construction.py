@@ -121,26 +121,17 @@ class DelzantData:
         return _FloatData.build(self)
 
 
+@dataclass(eq=False)
 class _FloatData:
     """Float mirror of the exact construction data (Scalar.to_float of
     each entry, converted once per distinct value)."""
 
-    def __init__(self, stack, lam, kernel, pinv_stack, vertices, exact_vertices, floats):
-        self.stack = stack          # (d, n), row j is X_j
-        self.lam = lam              # (d,)
-        self.kernel = kernel        # (d-n, d), rows span Lie(N)
-        self.pinv_stack = pinv_stack  # (n, d), least-squares inverse of stack
-        self.vertices = vertices    # (V, n), in vertex order
-        self._exact_vertices = exact_vertices
-        self._floats = floats       # the _once memo of to_float
-
-    @cached_property
-    def vertex_moduli(self) -> np.ndarray:
-        """(V, d) |z|^2 on the fiber over each vertex, in vertex order: the
-        float slacks, clipped at 0.  Computed on first use; the vertex
-        attainment check and the rank margin both read it."""
-        moduli = _float_rows([v.slacks for v in self._exact_vertices], self._floats)
-        return np.maximum(moduli, 0.0)
+    stack: np.ndarray           # (d, n), row j is X_j
+    lam: np.ndarray             # (d,)
+    kernel: np.ndarray          # (d-n, d), rows span Lie(N)
+    pinv_stack: np.ndarray      # (n, d), least-squares inverse of stack
+    vertices: np.ndarray        # (V, n), in vertex order
+    vertex_moduli: np.ndarray   # (V, d), |z|^2 over each vertex: the slacks, clipped at 0
 
     @classmethod
     def build(cls, data: "DelzantData") -> "_FloatData":
@@ -157,7 +148,8 @@ class _FloatData:
         # every singular value is past pinv's 1e-15 relative cutoff here.
         pinv_stack = vt.T @ ((1.0 / svals)[:, None] * u.T)
         vertices = _float_rows([v.point for v in p.vertices], floats)
-        return cls(stack, lam, kernel, pinv_stack, vertices, p.vertices, floats)
+        moduli = np.maximum(_float_rows([v.slacks for v in p.vertices], floats), 0.0)
+        return cls(stack, lam, kernel, pinv_stack, vertices, moduli)
 
 
 def _float_rows(rows: Sequence[Sequence[Scalar]], floats: dict) -> np.ndarray:

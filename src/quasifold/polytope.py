@@ -2,8 +2,9 @@
 
 A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
-here is exact: vertex enumeration reaches a first feasible basis by one
-elimination and pivots, then walks the feasible bases with one pivot
+here is exact: vertex enumeration holds a basis as one tableau, with the
+coordinate hyperplanes' rows after the facets', pivots from the origin to
+a first feasible basis, then walks the feasible bases with one pivot
 each, following every facet tied in a ratio test and reporting the first
 unbounded edge it meets; full dimension is read off the vertex active
 sets, and rationality of the normal family is certified (or refuted)
@@ -15,17 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple
 
 from .errors import (
+    DivisionByZeroScalar,
     LowerDimensional,
     NormalsDontSpan,
     NotRationalInput,
+    ScalarSyntaxError,
     SchemaError,
     UnboundedPolytope,
 )
 from .lattices import LatticeCertificate, integer_det, span_certificate
-from .linalg import Matrix, Vector, dot
+from .linalg import Vector
 from .scalars import (
     Field,
     Scalar,
@@ -79,9 +82,6 @@ class HPolytope:
             self._vertices = tuple(enumerate_vertices(self))
         return self._vertices
 
-    def slack(self, point: Sequence[Scalar], j: int) -> Scalar:
-        return dot(self.normals[j], point) - self.offsets[j]
-
 
 # --------------------------------------------------------------------------
 # Document parsing
@@ -90,20 +90,6 @@ class HPolytope:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
-
-
-def _exact_number(value, where: str) -> Fraction:
-    # Rationals travel as strings ("5/16") or ints; floats are not exact.
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{where}: expected an exact rational string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad rational literal {value!r}") from exc
-    raise SchemaError(f"{where}: expected an exact rational string, got {type(value).__name__}")
 
 
 def _parse_field_section(section) -> Field:
@@ -118,10 +104,20 @@ def _parse_field_section(section) -> Field:
     _require(isinstance(minpoly, list) and len(minpoly) >= 2, "minpoly must list >= 2 coefficients")
     interval = section["root_interval"]
     _require(isinstance(interval, list) and len(interval) == 2, "root_interval must be [lo, hi]")
-    coeffs = [_exact_number(c, "minpoly") for c in minpoly]
-    lo = _exact_number(interval[0], "root_interval")
-    hi = _exact_number(interval[1], "root_interval")
-    return Field(coeffs, (lo, hi))
+    rationals = rational_field()
+    return Field([_rational(c, "minpoly", rationals) for c in minpoly],
+                 [_rational(c, "root_interval", rationals) for c in interval])
+
+
+def _rational(value, where: str, rationals: Field) -> Fraction:
+    """A number of the field section: an entry over Q that names no theta."""
+    if isinstance(value, str) and ("theta" in value or "θ" in value):
+        raise SchemaError(f"{where}: {value!r} names theta, which the field section defines")
+    try:
+        s = _parse_entry(value, rationals, where, True, {})
+    except (ScalarSyntaxError, DivisionByZeroScalar) as exc:
+        raise SchemaError(f"{where}: bad rational literal {value!r}: {exc}") from exc
+    return Fraction(s.num[0], s.den)
 
 
 def _parse_entry(value, fld: Field, where: str, has_theta: bool, parsed: dict) -> Scalar:
@@ -207,21 +203,30 @@ def parse_polytope(document: dict) -> HPolytope:
 # Vertex enumeration
 # --------------------------------------------------------------------------
 
+class _Tableau(NamedTuple):
+    """A sorted basis B, with the rows of D = X A_B^-1 and the slacks of
+    the d facets and then of x_i >= 0 (index d + i), whose rows are
+    W = A_B^-1 and whose slacks are the point."""
+
+    basis: tuple[int, ...]
+    rows: tuple[Vector, ...]
+    values: tuple[Scalar, ...]
+
+
 def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     """All vertices, exactly, in the order in which a scan of the facet
     n-subsets would first meet them.
 
     A basis is an n-subset of facets with independent normals; it is feasible
     when the common point of its hyperplanes satisfies every facet inequality,
-    and that point is a vertex.  One elimination of [P | I], the columns of P
-    being the normals, gives the least basis B (its pivots; one in the I
-    block: NormalsDontSpan), D (its left block) and W = A_B^-1 (its right
-    block, transposed).  While a facet is violated, phase 1 takes the least,
-    r, leaves B along the least edge k with D[r][k] > 0 and enters the least
-    facet tied in _ratio_test: the simplex method with Bland's rule (Math.
-    Oper. Res. 2, 1977) raising s_r over the facets already satisfied, so it
-    cannot cycle.  With no such k, y_r = 1, y_{B_k} = -D[r][k] certify that
-    the feasible set is empty (LowerDimensional): y >= 0, sum y_j X_j = 0 and
+    and that point is a vertex.  Pivots from the origin reach the least
+    basis B (_least_basis), or show that the normals do not span.  While a
+    facet is violated, phase 1 takes the least, r, leaves B along the
+    least edge k with D[r][k] > 0 and enters the least facet tied in
+    _ratio_test: the simplex method with Bland's rule (Math. Oper. Res. 2,
+    1977) raising s_r over the facets already satisfied, so it cannot
+    cycle.  With no such k, y_r = 1, y_{B_k} = -D[r][k] certify that the
+    feasible set is empty (LowerDimensional): y >= 0, sum y_j X_j = 0 and
     sum y_j lambda_j = -s_r > 0.  The walk (_walk) finds every vertex from
     there, or raises UnboundedPolytope.  Each active set lists every facet
     with zero slack, more than n of them at a non-simple vertex.
@@ -230,44 +235,61 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     hyperplane of facet j, and is not full dimensional, exactly when j is
     active at every vertex.
     """
-    d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
-    if d < n:  # the normals cannot span; refused before [P | I] is built
-        raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
-    ech = Matrix(p.field, [tuple(x[i] for x in p.normals) + (zero,) * i + (one,)
-                           + (zero,) * (n - 1 - i) for i in range(n)]).echelon()
-    if ech.pivots[-1] >= d:
-        raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
-    inverse = tuple(zip(*(row[d:] for row in ech.rows)))
-    point = tuple(dot(w, [p.offsets[j] for j in ech.pivots]) for w in inverse)
-    v = Vertex(point, ech.pivots,
-               tuple(zero if j in ech.pivots else p.slack(point, j) for j in range(d)),
-               inverse, tuple(zip(*(row[:d] for row in ech.rows))))
-    while (r := next((j for j, s in enumerate(v.slacks) if s.sign() < 0), None)) is not None:
-        k = next((k for k, a in enumerate(v.normal_coords[r]) if a.sign() > 0), None)
+    d, zero, one = p.facet_count, p.field.zero, p.field.one
+    t = _least_basis(p)
+    while (r := next((j for j, s in enumerate(t.values[:d]) if s.sign() < 0), None)) is not None:
+        k = next((k for k, a in enumerate(t.rows[r]) if a.sign() > 0), None)
         if k is None:
-            y = {b: -a for b, a in zip(v.active, v.normal_coords[r])} | {r: one}
+            y = {b: -a for b, a in zip(t.basis, t.rows[r])} | {r: one}
             raise LowerDimensional("feasible set is empty",
                                    certificate=tuple(y.get(j, zero) for j in range(d)))
-        entering = min(_ratio_test(v, k, r))
-        v = _pivot(v, k, entering, tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,))))
-    vertices = _walk(p, v)
+        entering = min(_ratio_test(t, d, k, r))
+        t = _pivot(t, k, entering, _swapped(t.basis, k, entering))
+    vertices = _walk(d, t)
     common = set(vertices[0].active).intersection(*(v.active for v in vertices[1:]))
     if common:
         raise LowerDimensional(f"facet {min(common)} is active at every vertex", facet=min(common))
     return vertices
 
 
-def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
+def _least_basis(p: HPolytope) -> _Tableau:
+    """The least basis: from the origin's, the coordinate hyperplanes with
+    W = I, D = X and slacks -lambda_j, facet j enters in place of the least
+    axis k with D[j][k] != 0, which exists exactly when X_j is independent
+    of the facets before it.  These are the pivots of an elimination of
+    [P | I], and a basis fixes its tableau.  An axis left: NormalsDontSpan."""
+    d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
+    if d >= n:  # else the normals cannot span, refused before W = I is built
+        t = _Tableau(tuple(range(d, d + n)),
+                     p.normals + tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i)
+                                       for i in range(n)),
+                     tuple(-b for b in p.offsets) + (zero,) * n)
+        for j in range(d):
+            k = next((k for k, b in enumerate(t.basis) if b >= d and not t.rows[j][k].is_zero()),
+                     None)
+            if k is not None:
+                t = _pivot(t, k, j, _swapped(t.basis, k, j))
+        if t.basis[-1] < d:
+            return t
+    raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
+
+
+def _swapped(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...]:
+    """The basis with entering in place of basis[k], sorted."""
+    return tuple(sorted(basis[:k] + basis[k + 1:] + (entering,)))
+
+
+def _walk(d: int, first: _Tableau) -> list[Vertex]:
     """Every vertex, by a walk over the feasible bases from first, each
     listed once at its least basis, in that order.
 
-    The walk's records are Vertex tableaux whose ``active`` is their basis
-    B, with W = A_B^-1 and D = X W, the first one's from phase 1.  Edge k of
-    a basis leads to every facet tied at the least step along w_k
-    (_ratio_test), and each enters by one pivot (_pivot); a zero step is
-    a degenerate pivot to another basis of the same vertex.  A simple
-    vertex has one basis, its active set, and keeps its record's cone; a
-    non-simple one is listed without a cone.
+    Edge k of a basis leads to every facet tied at the least step along
+    w_k (_ratio_test), and each enters by one pivot (_pivot); a zero step
+    is a degenerate pivot to another basis of the same vertex.  The walk
+    keeps the bases met, the tableau of each vertex's least basis, and
+    the edges still to cross; a tableau is built only when its edge is
+    crossed.  A simple vertex has one basis, its active set, and keeps its
+    cone; a non-simple one is listed without a cone.
 
     These are the simplex method's pivots, and each can be taken back.
     Pushing the facets outside one feasible basis B out by distinct
@@ -287,49 +309,49 @@ def _walk(p: HPolytope, first: Vertex) -> list[Vertex]:
     vertex it also ties the other facets active there, and leads to
     further bases of it.
     """
-    n = p.dim
-    found = {first.active: first}
-    actives = {}
-    pending = [(first, None)]
+    n = len(first.basis)
+    seen, least = {first.basis}, {}
+    pending = [(first, None, None)]  # a tableau, the edge to cross from it, the way back
     while pending:
-        v, back = pending.pop()
-        active = actives[v.active] = tuple(j for j, s in enumerate(v.slacks) if s.is_zero())
+        t, edge, back = pending.pop()
+        if edge:
+            t = _pivot(t, *edge)
+        active = tuple(j for j, s in enumerate(t.values[:d]) if s.is_zero())
+        if active not in least or t.basis < least[active].basis:
+            least[active] = t
         for k in range(n):
             if k == back:
                 continue
-            for entering in _ratio_test(v, k):
-                basis = tuple(sorted(v.active[:k] + v.active[k + 1:] + (entering,)))
-                if basis not in found:
-                    found[basis] = _pivot(v, k, entering, basis)
-                    pending.append((found[basis],
+            for entering in _ratio_test(t, d, k):
+                basis = _swapped(t.basis, k, entering)
+                if basis not in seen:
+                    seen.add(basis)
+                    pending.append((t, (k, entering, basis),
                                     basis.index(entering) if len(active) == n else None))
-    vertices: dict[tuple[int, ...], Vertex] = {}
-    for basis in sorted(found):
-        v, active = found[basis], actives[basis]
-        if active not in vertices:
-            vertices[active] = v if len(active) == n else Vertex(v.point, active, v.slacks)
-    return list(vertices.values())
+    return [Vertex(t.values[d:], active, t.values[:d],
+                   *((t.rows[d:], t.rows[:d]) if len(active) == n else ()))
+            for active, t in sorted(least.items(), key=lambda item: item[1].basis)]
 
 
-def _ratio_test(v: Vertex, k: int, r: int | None = None) -> list[int]:
-    """Every facet that edge k of the basis v runs into first, i.e. tied at
-    the least step; UnboundedPolytope, with direction w_k, when no facet
-    bounds the edge.
+def _ratio_test(t: _Tableau, d: int, k: int, r: int | None = None) -> list[int]:
+    """Every facet that edge k of the basis t runs into first, i.e. tied
+    at the least step; UnboundedPolytope, with direction w_k, when no
+    facet bounds the edge.
 
-    Along v + t*w_k the slack of facet j is s_j + t*D[j][k], so only
-    facets with D[j][k] < 0 bound the edge, at t = s_j / -D[j][k]; that
-    step is 0 for a facet active at v outside the basis.  Phase 1 counts
-    its target r, at t = -s_r / D[r][k], and skips other violated facets.
+    Along the edge the slack of facet j is s_j + step*D[j][k], so only
+    facets with D[j][k] < 0 bound the edge, at step s_j / -D[j][k]; that
+    step is 0 for a facet active at t outside the basis.  Phase 1 counts
+    its target r, at step -s_r / D[r][k], and skips other violated facets.
     The denominators are positive, so ratios compare by cross-multiplying:
     s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0, a sign
     that cross_sign reads without reducing.
     """
-    tied, least = ([], None) if r is None else ([r], (-v.slacks[r], -v.normal_coords[r][k]))
-    for j, row in enumerate(v.normal_coords):
+    tied, least = ([], None) if r is None else ([r], (-t.values[r], -t.rows[r][k]))
+    for j, row in enumerate(t.rows[:d]):
         a = row[k]
         if a.is_zero() or a.sign() > 0:
             continue
-        s = v.slacks[j]
+        s = t.values[j]
         if r is not None and s.sign() < 0:
             continue
         if not tied:
@@ -341,26 +363,26 @@ def _ratio_test(v: Vertex, k: int, r: int | None = None) -> list[int]:
         elif order == 0:
             tied.append(j)
     if not tied:
-        direction = tuple(row[k] for row in v.inverse)
+        direction = tuple(row[k] for row in t.rows[d:])
         rendered = ", ".join(s.to_expr() for s in direction)
         raise UnboundedPolytope(f"recession direction ({rendered})", direction=direction)
     return tied
 
 
-def _pivot(v: Vertex, k: int, entering: int, basis: tuple[int, ...]) -> Vertex:
-    """The basis across edge k of v, which facet ``entering`` enters.
+def _pivot(t: _Tableau, k: int, entering: int, basis: tuple[int, ...]) -> _Tableau:
+    """The tableau of basis, where row ``entering`` replaces entry k of t's.
 
-    With alpha = D[entering][k] < 0, the new edge directions are
-    w_k / alpha in the slot of the entering facet and
-    w_i - (D[entering][i] / alpha) * w_k for the others; every row of W
-    and D takes the same column operation, and zero multipliers are
-    skipped.  The step along w_k is t = s_entering / -alpha >= 0.  Each
-    updated entry is one fused x - f*a or x + f*a, reduced once.
+    With alpha = D[entering][k] != 0, the new edge directions are
+    w_k / alpha in the slot of the entering row and
+    w_i - (D[entering][i] / alpha) * w_k for the others; every row takes
+    this column operation, and zero multipliers are skipped.  Value j
+    moves by step * D[j][k], where step = -s_entering / alpha is >= 0 on
+    the walk.  Each updated entry is one fused x -+ f*a, reduced once.
     """
-    pivot_row = v.normal_coords[entering]
+    pivot_row = t.rows[entering]
     inv = pivot_row[k].inverse()
     factors = [(i, a * inv) for i, a in enumerate(pivot_row) if i != k and not a.is_zero()]
-    step = -(v.slacks[entering] * inv)
+    step = -(t.values[entering] * inv)
     slot = basis.index(entering)
 
     def column_op(row: Vector) -> Vector:
@@ -373,16 +395,8 @@ def _pivot(v: Vertex, k: int, entering: int, basis: tuple[int, ...]) -> Vertex:
         out.insert(slot, a)
         return tuple(out)
 
-    def moved(values: Vector, along: Sequence[Scalar]) -> Vector:
-        return tuple(add_product(s, step, a) for s, a in zip(values, along))
-
-    return Vertex(
-        point=moved(v.point, [row[k] for row in v.inverse]),
-        active=basis,
-        slacks=moved(v.slacks, [row[k] for row in v.normal_coords]),
-        inverse=tuple(column_op(row) for row in v.inverse),
-        normal_coords=tuple(column_op(row) for row in v.normal_coords),
-    )
+    return _Tableau(basis, tuple(column_op(row) for row in t.rows),
+                    tuple(add_product(s, step, row[k]) for s, row in zip(t.values, t.rows)))
 
 
 # --------------------------------------------------------------------------

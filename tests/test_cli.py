@@ -18,7 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasifold import builtin_names, cli, construction_report, csvtext, lattices
+from quasifold import (
+    build_construction, builtin_names, cli, construction_report, csvtext, lattices,
+    parse_polytope,
+)
 from quasifold.cli import _json_text, _write_csv, main
 from quasifold.verify import sample_level_set
 
@@ -961,6 +964,33 @@ def test_json_text_without_the_c_accelerator(monkeypatch):
     expected = _json_text(report)
     monkeypatch.setattr(cli, "c_make_encoder", None)
     assert _json_text(report) == expected == _dumps(report)
+
+
+def _cube(n):
+    """The cube [0, 1]^n."""
+    unit = lambda i, value: [value if j == i else "0" for j in range(n)]
+    return {"dimension": n,
+            "facets": [{"normal": unit(i, "1"), "offset": "0"} for i in range(n)]
+            + [{"normal": unit(i, "-1"), "offset": "-1"} for i in range(n)]}
+
+
+@pytest.mark.parametrize("document", [pytest.param(_cube(6), id="cube6"),
+                                      pytest.param(_projective_space(8), id="cp8")])
+def test_json_text_peak_memory(document):
+    # Only a container of leaf containers (an {"exact", "float"} dict) is
+    # kept for reuse, so the peak is the text, the pieces of the container
+    # being joined and the shared vectors; keeping the text of every
+    # container as well comes to about 4.4 times the text on both.
+    report = construction_report(build_construction(parse_polytope(document)))
+    text = _json_text(report)
+    tracemalloc.start()
+    try:
+        again = _json_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert peak < 3 * len(text)
 
 
 def test_reports_never_run_the_pure_python_encoder(capsys, monkeypatch):

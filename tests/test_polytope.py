@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from quasifold import (
     DivisionByZeroScalar,
+    Field,
     HPolytope,
     LowerDimensional,
     NormalsDontSpan,
@@ -40,10 +41,16 @@ from quasifold import (
     parse_scalar,
     rational_field,
 )
+import quasifold.linalg as linalg_module
 import quasifold.polytope as polytope_module
 import quasifold.scalars as scalars_module
-from quasifold.linalg import Matrix
+from quasifold.linalg import Matrix, dot
 from conftest import as_fraction, load_builtin
+
+
+def slack(p, point, j):
+    """<point, X_j> - lambda_j."""
+    return dot(p.normals[j], point) - p.offsets[j]
 
 
 def doc(dimension, facets, field=None, extra=None):
@@ -97,7 +104,7 @@ class TestParse:
 
     def test_one_facet_in_high_dimension_refused_before_elimination(self):
         # One normal cannot span R^3000; that is decided before the
-        # 3000 x 3001 matrix [P | I] is built and eliminated.
+        # 3000 x 3000 W = I of the origin's basis is built.
         f = rational_field()
         n = 3000
         p = HPolytope(field=f, dim=n, normals=((f.one,) + (f.zero,) * (n - 1),),
@@ -187,6 +194,27 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_polytope(document)
 
+    @pytest.mark.parametrize("key", ["minpoly", "root_interval"])
+    @pytest.mark.parametrize("bad", ["-2.0", "1e-3", "theta", "θ", 1.5, True])
+    def test_field_numbers_take_the_entry_grammar(self, key, bad):
+        # The section's numbers are read as entries over Q are, so a float
+        # literal is refused there too, and theta is what it defines.
+        field = {"minpoly": ["-2", "0", "1"], "root_interval": ["1", "2"]}
+        field[key][0] = bad
+        document = doc(1, [(["1"], "0"), (["-1"], "-1")], field=field)
+        with pytest.raises(SchemaError, match=f"^{key}: "):
+            parse_polytope(document)
+
+    @pytest.mark.parametrize("field, minpoly, interval", [
+        ({"minpoly": ["5/16", "0", "-5/4", "0", "1"], "root_interval": ["9/10", 1]},
+         (Fraction(5, 16), 0, Fraction(-5, 4), 0, 1), (Fraction(9, 10), 1)),
+        ({"minpoly": [-2, "0", "1"], "root_interval": ["1", "2^2"]}, (-2, 0, 1), (1, 4)),
+    ])
+    def test_field_numbers_accepted(self, field, minpoly, interval):
+        document = doc(1, [(["1"], "0"), (["-theta"], "-theta")], field=field)
+        p = parse_polytope(document)
+        assert (p.field.minpoly, p.field.root_interval) == (minpoly, interval)
+
     def test_builtin_documents_round_trip_json(self):
         for name in builtin_names():
             parsed = json.loads(json.dumps(builtin_document(name)))
@@ -207,21 +235,26 @@ def _entry_strings(document):
 
 
 def _count_parses(monkeypatch):
-    texts = []
+    calls = []
     parse = polytope_module.parse_scalar
     monkeypatch.setattr(polytope_module, "parse_scalar",
-                        lambda text, fld: texts.append(text) or parse(text, fld))
-    return texts
+                        lambda text, fld: calls.append((text, fld)) or parse(text, fld))
+    return calls
 
 
 @pytest.mark.parametrize("name", ["cube", "pentagon", "rugby-3"])
 def test_parse_reads_each_distinct_entry_string_once(name, monkeypatch):
     document = builtin_document(name)
-    texts = _count_parses(monkeypatch)
+    calls = _count_parses(monkeypatch)
     p = parse_polytope(document)
     strings = _entry_strings(document)
     assert len(strings) > len(set(strings))
-    assert sorted(texts) == sorted(set(strings))
+    assert sorted(text for text, fld in calls if fld is p.field) == sorted(set(strings))
+    # The field section's numbers are read over Q, each where it stands.
+    section = document.get("field", {})
+    assert [text for text, fld in calls if fld is not p.field] == [
+        c for c in section.get("minpoly", []) + section.get("root_interval", [])
+        if isinstance(c, str)]
     # Equal strings give one value, shared where they repeat.
     assert p.normals + p.extra_generators + (p.offsets,) == tuple(
         tuple(parse_scalar(e, p.field) for e in vec)
@@ -262,11 +295,12 @@ def test_parse_refusals_are_unchanged(facets, error, message):
 def test_malformed_string_is_refused_at_its_first_facet(bad, error, message, monkeypatch):
     # The message names no facet; the refusal comes at facet 1, the
     # string's first position: nothing after it is parsed.
-    texts = _count_parses(monkeypatch)
+    calls = _count_parses(monkeypatch)
     facets = [(["1", "0"], "0"), (["0", bad], "0"), (["-1", "0"], "-1"), (["0", bad], "-1")]
     with pytest.raises(error) as info:
         parse_polytope(doc(2, facets))
     assert str(info.value) == message
+    texts = [text for text, _ in calls]
     assert texts[-1] == bad and bad not in texts[:-1]
 
 
@@ -325,11 +359,11 @@ class TestVertices:
             p = load_builtin(name)
             for v in p.vertices:
                 for j in range(p.facet_count):
-                    slack = p.slack(v.point, j)
+                    slack_j = slack(p, v.point, j)
                     if j in v.active:
-                        assert slack.is_zero()
+                        assert slack_j.is_zero()
                     else:
-                        assert slack.sign() > 0
+                        assert slack_j.sign() > 0
 
     def test_vertex_floats_ignore_refinement_history(self):
         # A sign test refines the field's shared isolator; the floats of
@@ -444,13 +478,17 @@ def cut_boxes(draw):
 
 def _parse_keeping_satisfied_facets(document):
     """parse_polytope, checking that no pivot violates a facet that was
-    satisfied before it: phase 1's progress, and the walk's feasibility."""
-    pivot = polytope_module._pivot
+    satisfied before it: phase 1's progress, and the walk's feasibility.
+    The pivots that move a coordinate axis (basis index d + i) out of the
+    origin's basis stand in for an elimination, and are exempt."""
+    pivot, d = polytope_module._pivot, len(document["facets"])
 
-    def checked(v, *args):
-        after = pivot(v, *args)
-        violated = {j for j, s in enumerate(v.slacks) if s.sign() < 0}
-        assert all(s.sign() >= 0 for j, s in enumerate(after.slacks) if j not in violated)
+    def checked(t, k, *args):
+        after = pivot(t, k, *args)
+        if t.basis[k] < d:
+            violated = {j for j, s in enumerate(t.values[:d]) if s.sign() < 0}
+            assert all(s.sign() >= 0 for j, s in enumerate(after.values[:d])
+                       if j not in violated)
         return after
 
     with pytest.MonkeyPatch.context() as patch:
@@ -558,7 +596,7 @@ def _parse_against_the_scan(document):
     assert expected is None
     assert [list(v.point) for v in p.vertices] == points
     for v in p.vertices:
-        slacks = tuple(p.slack(v.point, j) for j in range(p.facet_count))
+        slacks = tuple(slack(p, v.point, j) for j in range(p.facet_count))
         assert v.slacks == slacks
         assert v.active == tuple(j for j, s in enumerate(slacks) if s.is_zero())
         simple = len(v.active) == p.dim
@@ -594,39 +632,90 @@ def test_walk_cone_inverts_the_active_normals(document):
             assert v.normal_coords[j] == tuple(f.one if i == k else f.zero for i in range(n))
 
 
-def _count_eliminations(monkeypatch):
-    calls = []
-    reduce = Matrix._reduce
-    monkeypatch.setattr(Matrix, "_reduce", lambda self: calls.append(1) or reduce(self))
-    return calls
+SQRT5 = Field((-5, 0, 1), (2, 3))
+
+
+@st.composite
+def normal_sets(draw):
+    """(field, normals, offsets): d normals in R^n, integer or in Q(sqrt 5),
+    d x r coefficients times r x n rows, so of rank at most r <= n."""
+    fld = draw(st.sampled_from([rational_field(), SQRT5]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    entry = st.builds(lambda a, b: fld.scalar(a) + fld.scalar(b) * fld.theta,
+                      st.integers(-2, 2), st.integers(-1, 1))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    coefficients = [[draw(entry) for _ in range(r)] for _ in range(d)]
+    normals = tuple(tuple(sum((c[i] * rows[i][k] for i in range(r)), fld.zero)
+                          for k in range(n)) for c in coefficients)
+    return fld, normals, tuple(draw(entry) for _ in range(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_sets())
+def test_least_basis_is_the_elimination_of_p_and_i(case):
+    # The axes pivot out to the tableau an elimination of [P | I] gives:
+    # its pivots are the basis, its left block transposed is D and its
+    # right block transposed is W; the slacks are those of W's point.
+    fld, normals, offsets = case
+    d, n = len(normals), len(normals[0])
+    p = HPolytope(field=fld, dim=n, normals=normals, offsets=offsets)
+    ech = Matrix(fld, [tuple(x[i] for x in normals)
+                       + tuple(fld.one if k == i else fld.zero for k in range(n))
+                       for i in range(n)]).echelon()
+    if len(ech.pivots) < n or ech.pivots[-1] >= d:
+        with pytest.raises(NormalsDontSpan):
+            polytope_module._least_basis(p)
+        return
+    t = polytope_module._least_basis(p)
+    inverse = tuple(zip(*(row[d:] for row in ech.rows)))
+    point = tuple(sum((w * offsets[j] for w, j in zip(row, ech.pivots)), fld.zero)
+                  for row in inverse)
+    assert t.basis == ech.pivots
+    assert t.rows == tuple(zip(*(row[:d] for row in ech.rows))) + inverse
+    assert t.values == tuple(slack(p, point, j) for j in range(d)) + point
+
+
+def _count_eliminations_and_pivots(monkeypatch):
+    eliminations, pivots = [], []
+    reduce, pivot = Matrix._reduce, polytope_module._pivot
+    monkeypatch.setattr(Matrix, "_reduce", lambda self: eliminations.append(1) or reduce(self))
+    monkeypatch.setattr(polytope_module, "_pivot",
+                        lambda *args: pivots.append(1) or pivot(*args))
+    return eliminations, pivots
 
 
 def test_cube8_parse_eliminates_three_times(monkeypatch):
-    # Phase 1's elimination of [P | I] ranks the normals and gives the
-    # first cone; a scan of the facet subsets would eliminate up to
-    # C(16, 8) = 12,870 of them.
-    calls = _count_eliminations(monkeypatch)
+    # No elimination: 8 pivots move the coordinate axes out of the
+    # origin's basis, and 255 more walk to the other vertices; a scan of
+    # the facet subsets would eliminate up to C(16, 8) = 12,870 of them.
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     p = parse_polytope(cube_document(8))
     assert len(p.vertices) == 256
-    assert len(calls) == 1
+    assert (len(eliminations), len(pivots)) == (0, 8 + 255)
 
 
-@pytest.mark.parametrize("document", SCANNED[:2])
-def test_non_simple_parse_eliminates_three_times(document, monkeypatch):
+@pytest.mark.parametrize("document, walked", [
+    pytest.param(builtin_document("octahedron"), 23, id="octahedron"),
+    pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), 7, id="capped-cone"),
+])
+def test_non_simple_parse_eliminates_three_times(document, walked, monkeypatch):
     # The walk follows every facet tied in a ratio test, so degenerate
-    # vertices need no elimination beyond phase 1's one; a scan of all
+    # vertices need pivots only, and no elimination; a scan of all
     # subsets would eliminate C(8, 3) = 56 for the octahedron.
-    calls = _count_eliminations(monkeypatch)
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     parse_polytope(document)
-    assert len(calls) == 1
+    assert (len(eliminations), len(pivots)) == (0, 3 + walked)
 
 
 def test_pentagon2_parse_eliminates_once(monkeypatch):
-    # The scan for a first basis eliminated 18 singular subsets here.
-    calls = _count_eliminations(monkeypatch)
+    # The scan for a first basis eliminated 18 singular subsets here; the
+    # start enters facets 0, 1, 5 and 6 by 4 pivots, passing over 2-4,
+    # whose normals depend on those of 0 and 1.
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     p = parse_polytope(pentagon_squared_document())
     assert len(p.vertices) == 25
-    assert len(calls) == 1
+    assert (len(eliminations), len(pivots)) == (0, 4 + 24)
 
 
 def test_empty_cube8_is_refused_after_one_elimination(monkeypatch):
@@ -634,35 +723,26 @@ def test_empty_cube8_is_refused_after_one_elimination(monkeypatch):
     # C(17, 8) = 24,310 subsets to show that none is feasible.
     document = cube_document(8)
     document["facets"].append({"normal": ["1"] * 8, "offset": "80"})
-    calls = _count_eliminations(monkeypatch)
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     with pytest.raises(LowerDimensional, match="feasible set is empty") as info:
         parse_polytope(document)
-    assert len(calls) == 1
+    assert (len(eliminations), len(pivots)) == (0, 8 + 8)
     y = [as_fraction(s) for s in info.value.certificate]
     assert y[16] > 0 and all(y_j >= 0 for y_j in y)
 
 
 def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
-    # Phase 1's elimination gives the first cone, D and W = A_v^-1; only
-    # its point (n = 8 dot products) and the slack of the one facet
-    # outside the basis take dot products.  The walk reaches every later
-    # cone by a pivot, with none.
-    dots, in_walk = [], []
-    dot, walk = polytope_module.dot, polytope_module._walk
-    monkeypatch.setattr(polytope_module, "dot",
-                        lambda u, v: dots.append(bool(in_walk)) or dot(u, v))
-
-    def counted_walk(p, first):
-        in_walk.append(1)
-        try:
-            return walk(p, first)
-        finally:
-            in_walk.pop()
-
-    monkeypatch.setattr(polytope_module, "_walk", counted_walk)
+    # The origin's basis gives the first cone with W = I, D = X and slacks
+    # -lambda_j, so no dot product runs: 8 pivots move the axes out, and
+    # the walk reaches each of the 8 further cones by one more.
+    dots = []
+    for module in (scalars_module, linalg_module):
+        monkeypatch.setattr(module, "dot",
+                            lambda u, v, _dot=module.dot: dots.append(1) or _dot(u, v))
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     p = parse_polytope(projective_space_document(8))
     assert len(p.vertices) == 9
-    assert dots == [False] * 9
+    assert (len(dots), len(eliminations), len(pivots)) == (0, 0, 8 + 8)
 
 
 def test_cube6_walk_reduces_once_per_fused_operation(monkeypatch):
