@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import (
     DivisionByZeroScalar,
+    InternalInconsistency,
     LowerDimensional,
     NormalsDontSpan,
     NotRationalInput,
@@ -53,7 +54,8 @@ class Vertex:
     k of W_v is the direction w_k of the edge that leaves facet
     active[k].  ``normal_coords`` is D_v, whose row j holds <X_j, w_k>
     over k: the coordinates of X_j in the basis of the active normals.
-    Both are None on a non-simple vertex.
+    ``det`` is det A_v, the product of the walk's pivot elements up to
+    sign (see _pivot).  All three are None on a non-simple vertex.
     """
 
     point: Vector
@@ -61,6 +63,7 @@ class Vertex:
     slacks: tuple[Scalar, ...]
     inverse: tuple[Vector, ...] | None = None
     normal_coords: tuple[Vector, ...] | None = None
+    det: Scalar | None = None
 
 
 @dataclass
@@ -206,11 +209,13 @@ def parse_polytope(document: dict) -> HPolytope:
 class _Tableau(NamedTuple):
     """A sorted basis B, with the rows of D = X A_B^-1 and the slacks of
     the d facets and then of x_i >= 0 (index d + i), whose rows are
-    W = A_B^-1 and whose slacks are the point."""
+    W = A_B^-1 and whose slacks are the point; det is det A_B, with the
+    rows of A_B in the order of B."""
 
     basis: tuple[int, ...]
     rows: tuple[Vector, ...]
     values: tuple[Scalar, ...]
+    det: Scalar
 
 
 def enumerate_vertices(p: HPolytope) -> list[Vertex]:
@@ -254,16 +259,16 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
 
 def _least_basis(p: HPolytope) -> _Tableau:
     """The least basis: from the origin's, the coordinate hyperplanes with
-    W = I, D = X and slacks -lambda_j, facet j enters in place of the least
-    axis k with D[j][k] != 0, which exists exactly when X_j is independent
-    of the facets before it.  These are the pivots of an elimination of
+    W = I, D = X, slacks -lambda_j and det A_B = 1, facet j enters in place
+    of the least axis k with D[j][k] != 0, which exists exactly when X_j is
+    independent of the facets before it.  These are the pivots of an elimination of
     [P | I], and a basis fixes its tableau.  An axis left: NormalsDontSpan."""
     d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
     if d >= n:  # else the normals cannot span, refused before W = I is built
         t = _Tableau(tuple(range(d, d + n)),
                      p.normals + tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i)
                                        for i in range(n)),
-                     tuple(-b for b in p.offsets) + (zero,) * n)
+                     tuple(-b for b in p.offsets) + (zero,) * n, one)
         for j in range(d):
             k = next((k for k, b in enumerate(t.basis) if b >= d and not t.rows[j][k].is_zero()),
                      None)
@@ -289,7 +294,7 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
     keeps the bases met, the tableau of each vertex's least basis, and
     the edges still to cross; a tableau is built only when its edge is
     crossed.  A simple vertex has one basis, its active set, and keeps its
-    cone; a non-simple one is listed without a cone.
+    cone and det A_v; a non-simple one is listed without either.
 
     These are the simplex method's pivots, and each can be taken back.
     Pushing the facets outside one feasible basis B out by distinct
@@ -329,7 +334,7 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
                     pending.append((t, (k, entering, basis),
                                     basis.index(entering) if len(active) == n else None))
     return [Vertex(t.values[d:], active, t.values[:d],
-                   *((t.rows[d:], t.rows[:d]) if len(active) == n else ()))
+                   *((t.rows[d:], t.rows[:d], t.det) if len(active) == n else ()))
             for active, t in sorted(least.items(), key=lambda item: item[1].basis)]
 
 
@@ -377,26 +382,54 @@ def _pivot(t: _Tableau, k: int, entering: int, basis: tuple[int, ...]) -> _Table
     w_i - (D[entering][i] / alpha) * w_k for the others; every row takes
     this column operation, and zero multipliers are skipped.  Value j
     moves by step * D[j][k], where step = -s_entering / alpha is >= 0 on
-    the walk.  Each updated entry is one fused x -+ f*a, reduced once.
+    the walk.  Each updated entry is one fused x -+ f*a, reduced once; a
+    row with D[j][k] = 0 only moves its entry k to the slot, and keeps its
+    value.  The two rows the pivot fixes are written without arithmetic:
+    the entering row becomes the unit row at the slot, with slack 0, and
+    the leaving row, e_k before, becomes -D[entering][i] / alpha with
+    1 / alpha at the slot, with slack step.
+
+    Replacing row k of A_B by X_entering = sum_i D[entering][i] A_B[i]
+    multiplies det A_B by alpha, and moving that row from place k to the
+    slot multiplies it by (-1)^(k - slot): one product per pivot.
     """
     pivot_row = t.rows[entering]
-    inv = pivot_row[k].inverse()
-    factors = [(i, a * inv) for i, a in enumerate(pivot_row) if i != k and not a.is_zero()]
+    alpha = pivot_row[k]
+    zero, one = alpha.field.zero, alpha.field.one
+    inv = alpha.inverse()
+    factors = [(i if i < k else i - 1, a * inv) for i, a in enumerate(pivot_row)
+               if i != k and not a.is_zero()]
     step = -(t.values[entering] * inv)
     slot = basis.index(entering)
+    leaving = t.basis[k]
 
     def column_op(row: Vector) -> Vector:
         out = list(row)
         a = out.pop(k)
         if not a.is_zero():
             for i, factor in factors:
-                out[i if i < k else i - 1] = sub_product(row[i], factor, a)
+                out[i] = sub_product(out[i], factor, a)
             a = a * inv
         out.insert(slot, a)
         return tuple(out)
 
-    return _Tableau(basis, tuple(column_op(row) for row in t.rows),
-                    tuple(add_product(s, step, row[k]) for s, row in zip(t.values, t.rows)))
+    rows = list(t.rows)
+    values = list(t.values)
+    moved = not step.is_zero()
+    for j, row in enumerate(rows):
+        if j != entering and j != leaving:
+            rows[j] = column_op(row)
+            if moved and not row[k].is_zero():
+                values[j] = add_product(values[j], step, row[k])
+    rows[entering] = (zero,) * slot + (one,) + (zero,) * (len(basis) - 1 - slot)
+    fixed = [zero] * (len(basis) - 1)
+    for i, factor in factors:
+        fixed[i] = -factor
+    fixed.insert(slot, inv)
+    rows[leaving] = tuple(fixed)
+    values[entering], values[leaving] = zero, step
+    det = t.det * alpha
+    return _Tableau(basis, tuple(rows), tuple(values), -det if (k - slot) % 2 else det)
 
 
 # --------------------------------------------------------------------------
@@ -447,6 +480,12 @@ def check_delzant(p: HPolytope, certificate: LatticeCertificate) -> DelzantRepor
 
     The certificate's coordinate rows must start with the facet normals
     (extra quasilattice generators, if any, come after and are ignored).
+    They give X = C L for the lattice basis L, so det C_v = det A_v / det L
+    at every simple vertex v, and the walk carries det A_v (Vertex.det).
+    One integer_det, at the first simple vertex v0, fixes the ratio
+    r = det C_v0 / det A_v0 = 1 / det L in Q(theta); every other vertex's
+    determinant is det A_v * r, which must be an integer, else
+    InternalInconsistency.
     """
     if not certificate.rational:
         raise NotRationalInput("no lattice certificate: the normals are not rational")
@@ -457,12 +496,21 @@ def check_delzant(p: HPolytope, certificate: LatticeCertificate) -> DelzantRepor
 
     dets: list[int | None] = []
     nonunimodular: list[int] = []
+    ratio = None
     for i, v in enumerate(p.vertices):
-        if len(v.active) != p.dim:
+        if v.det is None:
             dets.append(None)
             nonunimodular.append(i)
             continue
-        det = integer_det([coords[j] for j in v.active])
+        if ratio is None:
+            det = integer_det([coords[j] for j in v.active])
+            ratio = p.field.scalar(det) / v.det
+        else:
+            scaled = v.det * ratio
+            if not scaled.is_integer():
+                raise InternalInconsistency(
+                    f"vertex {i}: det A_v / det L = {scaled.to_expr()} is not an integer")
+            det = scaled.num[0]
         dets.append(det)
         if abs(det) != 1:
             nonunimodular.append(i)

@@ -8,6 +8,7 @@ the rank of the vertex differences) on simple and non-simple polytopes
 and on random H-representations.
 """
 
+import dataclasses
 import itertools
 import json
 import re
@@ -24,6 +25,7 @@ from quasifold import (
     DivisionByZeroScalar,
     Field,
     HPolytope,
+    InternalInconsistency,
     LowerDimensional,
     NormalsDontSpan,
     NotRationalInput,
@@ -44,6 +46,7 @@ from quasifold import (
 import quasifold.linalg as linalg_module
 import quasifold.polytope as polytope_module
 import quasifold.scalars as scalars_module
+from quasifold.lattices import integer_det
 from quasifold.linalg import Matrix, dot
 from conftest import as_fraction, load_builtin
 
@@ -635,6 +638,38 @@ def test_walk_cone_inverts_the_active_normals(document):
 SQRT5 = Field((-5, 0, 1), (2, 3))
 
 
+def leibniz_det(rows, fld):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)]."""
+    n, total = len(rows), fld.zero
+    for perm in itertools.permutations(range(n)):
+        term = fld.one
+        for i, c in enumerate(perm):
+            term = term * rows[i][c]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([rational_field(), SQRT5]), st.one_of(h_representations(), cut_boxes()))
+def test_vertex_det_is_the_leibniz_determinant_of_the_active_normals(fld, case):
+    # Each normal x becomes x_i + theta * x_(i+1 mod n), theta = 0 over Q:
+    # an invertible map, and over Q(sqrt 5) the determinants leave Q for n = 3.
+    n, normals, offsets = case
+    rows = tuple(tuple(fld.scalar(x[i]) + fld.theta * fld.scalar(x[(i + 1) % n])
+                       for i in range(n)) for x in normals)
+    p = HPolytope(field=fld, dim=n, normals=rows, offsets=tuple(map(fld.scalar, offsets)))
+    try:
+        vertices = p.vertices
+    except (NormalsDontSpan, LowerDimensional, UnboundedPolytope):
+        return
+    for v in vertices:
+        if len(v.active) == n:
+            assert v.det == leibniz_det([rows[j] for j in v.active], fld)
+        else:
+            assert v.det is None
+
+
 @st.composite
 def normal_sets(draw):
     """(field, normals, offsets): d normals in R^n, integer or in Q(sqrt 5),
@@ -656,7 +691,8 @@ def normal_sets(draw):
 def test_least_basis_is_the_elimination_of_p_and_i(case):
     # The axes pivot out to the tableau an elimination of [P | I] gives:
     # its pivots are the basis, its left block transposed is D and its
-    # right block transposed is W; the slacks are those of W's point.
+    # right block transposed is W; the slacks are those of W's point, and
+    # det is that of the basis normals in basis order.
     fld, normals, offsets = case
     d, n = len(normals), len(normals[0])
     p = HPolytope(field=fld, dim=n, normals=normals, offsets=offsets)
@@ -674,6 +710,7 @@ def test_least_basis_is_the_elimination_of_p_and_i(case):
     assert t.basis == ech.pivots
     assert t.rows == tuple(zip(*(row[:d] for row in ech.rows))) + inverse
     assert t.values == tuple(slack(p, point, j) for j in range(d)) + point
+    assert t.det == leibniz_det([normals[j] for j in t.basis], fld)
 
 
 def _count_eliminations_and_pivots(monkeypatch):
@@ -685,7 +722,7 @@ def _count_eliminations_and_pivots(monkeypatch):
     return eliminations, pivots
 
 
-def test_cube8_parse_eliminates_three_times(monkeypatch):
+def test_cube8_parse_takes_one_pivot_per_axis_and_per_further_vertex(monkeypatch):
     # No elimination: 8 pivots move the coordinate axes out of the
     # origin's basis, and 255 more walk to the other vertices; a scan of
     # the facet subsets would eliminate up to C(16, 8) = 12,870 of them.
@@ -699,7 +736,7 @@ def test_cube8_parse_eliminates_three_times(monkeypatch):
     pytest.param(builtin_document("octahedron"), 23, id="octahedron"),
     pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), 7, id="capped-cone"),
 ])
-def test_non_simple_parse_eliminates_three_times(document, walked, monkeypatch):
+def test_non_simple_parse_takes_pivots_only(document, walked, monkeypatch):
     # The walk follows every facet tied in a ratio test, so degenerate
     # vertices need pivots only, and no elimination; a scan of all
     # subsets would eliminate C(8, 3) = 56 for the octahedron.
@@ -708,7 +745,7 @@ def test_non_simple_parse_eliminates_three_times(document, walked, monkeypatch):
     assert (len(eliminations), len(pivots)) == (0, 3 + walked)
 
 
-def test_pentagon2_parse_eliminates_once(monkeypatch):
+def test_pentagon2_start_pivots_past_dependent_normals(monkeypatch):
     # The scan for a first basis eliminated 18 singular subsets here; the
     # start enters facets 0, 1, 5 and 6 by 4 pivots, passing over 2-4,
     # whose normals depend on those of 0 and 1.
@@ -718,7 +755,7 @@ def test_pentagon2_parse_eliminates_once(monkeypatch):
     assert (len(eliminations), len(pivots)) == (0, 4 + 24)
 
 
-def test_empty_cube8_is_refused_after_one_elimination(monkeypatch):
+def test_empty_cube8_is_refused_after_eight_phase1_pivots(monkeypatch):
     # Phase 1 pivots to a Farkas certificate; a scan would eliminate all
     # C(17, 8) = 24,310 subsets to show that none is feasible.
     document = cube_document(8)
@@ -731,7 +768,7 @@ def test_empty_cube8_is_refused_after_one_elimination(monkeypatch):
     assert y[16] > 0 and all(y_j >= 0 for y_j in y)
 
 
-def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
+def test_cp8_parse_takes_no_dot_product(monkeypatch):
     # The origin's basis gives the first cone with W = I, D = X and slacks
     # -lambda_j, so no dot product runs: 8 pivots move the axes out, and
     # the walk reaches each of the 8 further cones by one more.
@@ -748,6 +785,8 @@ def test_cp8_first_cone_takes_one_dot_product_per_column(monkeypatch):
 def test_cube6_walk_reduces_once_per_fused_operation(monkeypatch):
     # A dot product, a row update x - f*a and a step x + f*a each take one
     # gcd; splitting one back into a multiply and an add reduces twice.
+    # The entering and leaving rows and slacks are written without
+    # arithmetic (465 reductions when every entry was computed).
     p = parse_polytope(cube_document(6))
     calls = []
     reduced = scalars_module._reduced
@@ -756,7 +795,7 @@ def test_cube6_walk_reduces_once_per_fused_operation(monkeypatch):
     vertices = polytope_module.enumerate_vertices(p)
     monkeypatch.undo()
     assert len(vertices) == 64
-    assert len(calls) <= 507
+    assert len(calls) <= 270
 
 
 def test_cube6_walk_does_no_fraction_arithmetic(monkeypatch):
@@ -878,3 +917,77 @@ class TestDelzant:
         p = load_builtin("pentagon")
         with pytest.raises(NotRationalInput):
             check_delzant(p, check_rational(p))
+
+
+def weighted_projective_space_document(n):
+    """CP(1, 2, ..., n + 1): normals e_i and -(2, ..., n + 1)."""
+    return doc(n, [(_unit(n, i), "0") for i in range(n)]
+               + [([str(-w) for w in range(2, n + 2)], "-1")])
+
+
+def sqrt2_scaled_document(document):
+    """The same polytope over Q(sqrt 2), every normal and offset times
+    sqrt 2: its normals span sqrt 2 times the lattice of the original, so
+    det L = sqrt 2^n leaves Q for odd n."""
+    return doc(document["dimension"],
+               [([f"theta*({e})" for e in f["normal"]], f"theta*({f['offset']})")
+                for f in document["facets"]], field=SQRT2_FIELD)
+
+
+RATIONAL_CORPUS = [name for name in sorted(builtin_names()) if "field" not in builtin_document(name)]
+DELZANT_CASES = (
+    [pytest.param(builtin_document(name), id=name) for name in RATIONAL_CORPUS]
+    + [pytest.param(cube_document(n), id=f"cube{n}") for n in range(3, 8)]
+    + [pytest.param(weighted_projective_space_document(n), id=f"wcp{n}") for n in range(2, 7)]
+    + [pytest.param(sqrt2_scaled_document(document), id=f"sqrt2-{name}")
+       for name, document in [("teardrop-3", builtin_document("teardrop-3")),
+                              ("cube", builtin_document("cube")),
+                              ("square", builtin_document("square")),
+                              ("wcp3", weighted_projective_space_document(3))]]
+)
+
+
+@pytest.mark.parametrize("document", DELZANT_CASES)
+def test_vertex_determinants_match_an_integer_det_per_vertex(document):
+    # The oracle is the determinant of the active rows of the certificate's
+    # coordinates at every simple vertex, signs included.
+    p = parse_polytope(document)
+    cert = check_rational(p)
+    assert cert.rational
+    report = check_delzant(p, cert)
+    assert report.vertex_determinants == tuple(
+        integer_det([cert.coords[j] for j in v.active]) if len(v.active) == p.dim else None
+        for v in p.vertices)
+
+
+@pytest.mark.parametrize("document, calls", [
+    pytest.param(cube_document(6), 1, id="cube6"),
+    pytest.param(builtin_document("octahedron"), 0, id="octahedron"),
+])
+def test_check_delzant_takes_one_integer_det(document, calls, monkeypatch):
+    # One determinant at the first simple vertex fixes 1 / det L; every
+    # other vertex scales the det A_v its walk carried.  The octahedron has
+    # no simple vertex, so none.
+    p = parse_polytope(document)
+    cert = check_rational(p)
+    dets = []
+    monkeypatch.setattr(polytope_module, "integer_det",
+                        lambda rows, _det=integer_det: dets.append(1) or _det(rows))
+    report = check_delzant(p, cert)
+    assert len(dets) == calls
+    assert (None in report.vertex_determinants) == (calls == 0)
+
+
+@pytest.mark.parametrize("document, corrupt", [
+    pytest.param(cube_document(3), lambda det: det / 2, id="cube3-halved"),
+    pytest.param(sqrt2_scaled_document(builtin_document("teardrop-3")),
+                 lambda det: det * det.field.theta, id="sqrt2-teardrop-3-times-theta"),
+])
+def test_corrupted_vertex_det_is_refused(document, corrupt, monkeypatch):
+    p = parse_polytope(document)
+    cert = check_rational(p)
+    vertices = list(p.vertices)
+    vertices[1] = dataclasses.replace(vertices[1], det=corrupt(vertices[1].det))
+    monkeypatch.setattr(p, "_vertices", tuple(vertices))
+    with pytest.raises(InternalInconsistency, match="vertex 1: "):
+        check_delzant(p, cert)
