@@ -256,7 +256,8 @@ def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
     are read off the vertex's cone, without an elimination: row j of D_v
     for the normal X_j, and <w_k, g> for an extra generator g, where w_k
     are the columns of W_v.  The group is finite exactly when all
-    coordinates are rational, with order computed via Smith form."""
+    coordinates are rational, as they always are over Q, with order
+    computed via Smith form."""
     p = data.polytope
     if not 0 <= v < len(p.vertices):
         raise NotAVertex(f"vertex index {v} out of range")
@@ -268,7 +269,7 @@ def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
         tuple(dot(w, g) for w in edges) for g in p.extra_generators
     ]
     order = None
-    if all(entry.is_rational() for c in coords for entry in c):
+    if p.field.degree == 1 or all(entry.is_rational() for c in coords for entry in c):
         order = quotient_order(coords, data.dim)
     return VertexChart(vertex=vertex, generator_coords=tuple(coords), order=order)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalInconsistency
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, bareiss
 
 IntRow = list[int]
 
@@ -113,26 +113,11 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact signed determinant by ``bareiss``; 1 for no rows."""
     a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    if any(len(r) != len(a) for r in a):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+    return bareiss(a)[1]
 
 
 def quotient_order(coord_vectors: Sequence[Sequence[Scalar]], n: int) -> int:

@@ -5,9 +5,9 @@ right and take the first row with a nonzero entry.  The reduced echelon
 form is unique, so ranks, kernel bases and solutions are reproducible,
 which the golden tests rely on.
 
-Every row update x - f * a and every dot product goes through the fused
-kernels of ``quasifold.scalars``: one reduction per updated entry and per
-dot product, not one per multiply and add.
+Every row update x - f * a goes through the fused kernel ``sub_product``
+of ``quasifold.scalars``: one reduction per updated entry, not one per
+multiply and subtract.  ``dot`` is re-exported from there.
 """
 
 from __future__ import annotations

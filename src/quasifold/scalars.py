@@ -11,14 +11,19 @@ zero and every rounding to a double is decided by a Horner enclosure in
 integers over the field's isolating interval, refined by bisection,
 never by a floating epsilon.
 
-The fused kernels ``dot``, ``sub_product`` and ``add_product`` compute a
-dot product, x - f*a and x + f*a with one reduction each: they
-accumulate integer numerators over one denominator, fold theta^g, ...
-once through the field's reduction table, and take a single gcd at the
-end, where the same expression built from ``*``, ``+`` and ``-`` takes
-one per operation.  The lowest-terms form is unique, so each returns
-exactly the Scalar that expression returns.  ``cross_sign`` gives the
-sign of a*b - c*d from unreduced numerators, with no gcd and no Scalar.
+The fused kernels ``sub_product`` and ``add_product`` compute x - f*a
+and x + f*a with one reduction each: they accumulate integer numerators
+over one denominator, fold theta^g, ... once through the field's
+reduction table, and take a single gcd at the end, where the same
+expression built from ``*``, ``+`` and ``-`` takes one per operation.
+The lowest-terms form is unique, so each returns exactly the Scalar that
+expression returns.  ``cross_sign`` gives the sign of a*b - c*d from
+unreduced numerators, with no gcd and no Scalar.  ``dot`` is a chain of
+``add_product``, so it reduces once per term.
+
+``bareiss`` is the one fraction-free elimination: ``Scalar.inverse``
+solves its integer system with it, and ``lattices.integer_det`` reads a
+determinant off it.
 """
 
 from __future__ import annotations
@@ -387,15 +392,16 @@ class Scalar:
                 elif c:
                     for m, r in enumerate(table[i + j - g]):
                         system[m][j] += c * r
-        solution = _solve_fraction_free(system)
-        if solution is None:
+        pivot = bareiss(system)[0]
+        if not pivot:
             # Reachable only when a reducible minpoly slipped past the
             # square-free and rational-root pre-checks: the quotient ring
             # then has zero divisors, which are not invertible.
             raise DivisionByZeroScalar(
                 "scalar is a zero divisor (reducible minimal polynomial)"
             )
-        return _reduced(field, *solution)
+        num = tuple(row[g] if pivot > 0 else -row[g] for row in system)
+        return _reduced(field, num, abs(pivot))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -633,49 +639,11 @@ def _fold(field: Field, raw: list[int], den: int) -> tuple[tuple[int, ...], int]
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """sum_i u[i] * v[i] with one reduction.
-
-    The products accumulate as integer numerators over one running
-    denominator, which takes on each new product denominator that it is
-    not already a multiple of; theta^g, ... are folded once and one gcd
-    brings the sum to lowest terms.
-    """
-    field = u[0].field
-    den = 1
-    if field.degree == 1:
-        acc = 0
-        for a, b in zip(u, v):
-            if a.field is not field or b.field is not field:
-                _check_fields(field, a, b)
-            p = a.num[0] * b.num[0]
-            if p:
-                d = a.den * b.den
-                if d != den:
-                    if den % d:
-                        acc *= d
-                        p *= den
-                        den *= d
-                    else:
-                        p *= den // d
-                acc += p
-        return _reduced(field, (acc,), den)
-    raw = [0] * (2 * field.degree - 1)
+    """sum_i u[i] * v[i], one ``add_product`` (so one reduction) per term."""
+    acc = u[0].field.zero
     for a, b in zip(u, v):
-        if a.field is not field or b.field is not field:
-            _check_fields(field, a, b)
-        if not (any(a.num) and any(b.num)):
-            continue
-        d = a.den * b.den
-        scale = 1
-        if d != den:
-            if den % d:
-                raw = [c * d for c in raw]
-                scale = den
-                den *= d
-            else:
-                scale = den // d
-        _convolve(raw, a.num, b.num, scale)
-    return _reduced(field, *_fold(field, raw, den))
+        acc = add_product(acc, a, b)
+    return acc
 
 
 def sub_product(x: Scalar, f: Scalar, a: Scalar) -> Scalar:
@@ -730,33 +698,34 @@ def cross_sign(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> int:
     return _sign(field, _fold(field, raw, 1)[0])
 
 
-def _solve_fraction_free(system: list[list[int]]) -> tuple[tuple[int, ...], int] | None:
-    """Solve the square integer system [A | b] as numerators over a positive
-    denominator, or None when A is singular.
+def bareiss(system: list[list[int]]) -> tuple[int, int]:
+    """Reduce the integer rows [A | B], A square of order len(system), in
+    place by fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968),
+    and return (last pivot, det A); both are 0 when A is singular.
 
-    Fraction-free Gauss-Jordan (Bareiss): each row operation divides exactly
-    by the previous pivot, so every entry stays an integer minor, and at the
-    end every diagonal entry equals the last pivot, +-det A.
+    Each row operation divides exactly by the previous pivot, so every
+    entry stays an integer minor, and at the end every diagonal entry of
+    A equals the last pivot, which is det A up to the sign of the row
+    swaps.  The empty matrix gives (1, 1).
     """
-    g = len(system)
-    previous = 1
-    for k in range(g):
-        p = next((i for i in range(k, g) if system[i][k]), None)
+    n = len(system)
+    previous = sign = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if system[i][k]), None)
         if p is None:
-            return None
-        system[k], system[p] = system[p], system[k]
+            return 0, 0
+        if p != k:
+            system[k], system[p] = system[p], system[k]
+            sign = -sign
         row = system[k]
         pivot = row[k]
-        for i in range(g):
+        for i in range(n):
             if i != k:
                 factor = system[i][k]
                 system[i] = [(pivot * x - factor * y) // previous
                              for x, y in zip(system[i], row)]
         previous = pivot
-    num = tuple(row[g] for row in system)
-    if previous < 0:
-        return tuple(-c for c in num), -previous
-    return num, previous
+    return previous, sign * previous
 
 
 # --------------------------------------------------------------------------

@@ -298,6 +298,21 @@ class TestCharts:
         with pytest.raises(NotAVertex):
             vertex_structure_group(data, 99)
 
+    def test_rational_field_takes_no_rationality_scan(self, monkeypatch):
+        # Over Q every coordinate is rational, so finiteness is decided
+        # without one is_rational call; scanning D_v would take
+        # 32 vertices x 10 normals x 5 coordinates = 1,600.
+        data = build_construction(parse_polytope(_cube(5)))
+        calls = []
+        original = Scalar.is_rational
+        monkeypatch.setattr(Scalar, "is_rational", lambda s: calls.append(1) or original(s))
+        orders = tuple(vertex_structure_group(data, v).order
+                       for v in range(len(data.polytope.vertices)))
+        monkeypatch.undo()
+        assert len(orders) == 32
+        assert len(calls) == 0
+        assert orders == data.classification.vertex_orders
+
 
 # --------------------------------------------------------------------------
 # Classification
@@ -382,6 +397,13 @@ class TestReport:
 def _projective_space(n):
     unit = lambda i: ["1" if k == i else "0" for k in range(n)]
     facets = [(unit(i), "0") for i in range(n)] + [(["-1"] * n, "-1")]
+    return {"dimension": n,
+            "facets": [{"normal": normal, "offset": offset} for normal, offset in facets]}
+
+
+def _cube(n):
+    unit = lambda i, one: [one if k == i else "0" for k in range(n)]
+    facets = [(unit(i, "1"), "0") for i in range(n)] + [(unit(i, "-1"), "-1") for i in range(n)]
     return {"dimension": n,
             "facets": [{"normal": normal, "offset": offset} for normal, offset in facets]}
 

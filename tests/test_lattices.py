@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,32 @@ class TestSmith:
         factors = smith_invariant_factors(rows)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+class TestIntegerDet:
+    def test_pinned(self):
+        assert integer_det([]) == 1
+        assert integer_det([(0, 1), (1, 0)]) == -1
+        assert integer_det([(0, 2, 0), (0, 0, 3), (5, 0, 0)]) == 30
+        assert integer_det([(1, 2), (-2, -4)]) == 0
+        with pytest.raises(ValueError):
+            integer_det([(1, 2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_leibniz(self, data):
+        # Signs included; a zero first pivot with a nonzero entry below it
+        # makes the elimination swap rows.
+        n = data.draw(st.integers(0, 4))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-7, 7), min_size=n, max_size=n), min_size=n, max_size=n))
+        case = data.draw(st.sampled_from(["any", "singular", "zero first pivot"]))
+        if case == "singular" and n > 1:
+            rows[-1] = [-x for x in rows[0]]
+        elif case == "zero first pivot" and n > 1:
+            rows[0][0] = 0
+            rows[1][0] = data.draw(st.integers(-7, 7).filter(bool))
+        assert integer_det(rows) == leibniz_det(rows)
 
 
 def greedy_independent(rows):
