@@ -4,11 +4,11 @@ A document describes Delta = {mu : <mu, X_j> >= lambda_j} through facet
 normals X_j and offsets lambda_j with entries in Q(theta).  Everything
 here is exact: vertex enumeration holds a basis as one tableau, with the
 coordinate hyperplanes' rows after the facets', pivots from the origin to
-a first feasible basis, then walks the feasible bases with one pivot
-each, following every facet tied in a ratio test and reporting the first
-unbounded edge it meets; full dimension is read off the vertex active
-sets, and rationality of the normal family is certified (or refuted)
-over Q.
+a first lexicographically feasible basis, then walks those bases with one
+pivot each, breaking every tie in a ratio test lexicographically and
+reporting the first unbounded edge it meets; full dimension is read off
+the vertex active sets, and rationality of the normal family is certified
+(or refuted) over Q.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -35,6 +36,7 @@ from .scalars import (
     Scalar,
     add_product,
     cross_sign,
+    _sign,
     parse_scalar,
     rational_field,
     sub_product,
@@ -225,16 +227,25 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     A basis is an n-subset of facets with independent normals; it is feasible
     when the common point of its hyperplanes satisfies every facet inequality,
     and that point is a vertex.  Pivots from the origin reach the least
-    basis B (_least_basis), or show that the normals do not span.  While a
-    facet is violated, phase 1 takes the least, r, leaves B along the
-    least edge k with D[r][k] > 0 and enters the least facet tied in
-    _ratio_test: the simplex method with Bland's rule (Math. Oper. Res. 2,
-    1977) raising s_r over the facets already satisfied, so it cannot
-    cycle.  With no such k, y_r = 1, y_{B_k} = -D[r][k] certify that the
-    feasible set is empty (LowerDimensional): y >= 0, sum y_j X_j = 0 and
-    sum y_j lambda_j = -s_r > 0.  The walk (_walk) finds every vertex from
-    there, or raises UnboundedPolytope.  Each active set lists every facet
-    with zero slack, more than n of them at a non-simple vertex.
+    basis B (_least_basis), or show that the normals do not span.
+
+    Moving facet j's offset outward by eps^(j+1), for an infinitesimal
+    eps > 0, makes the polytope simple.  Its vertices are the
+    lexicographically feasible bases, at which no facet's perturbed slack
+    is negative (_violated), and its edges are the pivots _ratio_test
+    picks.  Phase 1 reaches such a basis (Dantzig, Orden and Wolfe,
+    Pacific J. Math. 5, 1955): while a perturbed slack is negative, it
+    takes the first facet r of _violated, leaves B along the least edge k
+    with D[r][k] > 0 and enters the facet _ratio_test picks.  No facet
+    satisfied before a pivot is violated after it, and r's perturbed
+    slack rises strictly, since only a basic facet's is zero; so no basis
+    comes back, and phase 1 ends.  With no such k, y_r = 1,
+    y_{B_k} = -D[r][k] certify that the feasible set is empty
+    (LowerDimensional): y >= 0, sum y_j X_j = 0 and sum y_j lambda_j =
+    -s_r > 0, as a zero s_r would make r's perturbed slack positive.  The
+    walk (_walk) finds every vertex from there, or raises
+    UnboundedPolytope.  Each active set lists every facet with zero slack,
+    more than n of them at a non-simple vertex.
 
     A bounded polytope is the hull of its vertices, so it lies in the
     hyperplane of facet j, and is not full dimensional, exactly when j is
@@ -242,13 +253,14 @@ def enumerate_vertices(p: HPolytope) -> list[Vertex]:
     """
     d, zero, one = p.facet_count, p.field.zero, p.field.one
     t = _least_basis(p)
-    while (r := next((j for j, s in enumerate(t.values[:d]) if s.sign() < 0), None)) is not None:
+    while violated := _violated(t, d):
+        r = violated[0]
         k = next((k for k, a in enumerate(t.rows[r]) if a.sign() > 0), None)
         if k is None:
             y = {b: -a for b, a in zip(t.basis, t.rows[r])} | {r: one}
             raise LowerDimensional("feasible set is empty",
                                    certificate=tuple(y.get(j, zero) for j in range(d)))
-        entering = min(_ratio_test(t, d, k, r))
+        entering = _ratio_test(t, d, k, violated)
         t = _pivot(t, k, entering, _swapped(t.basis, k, entering))
     vertices = _walk(d, t)
     common = set(vertices[0].active).intersection(*(v.active for v in vertices[1:]))
@@ -284,81 +296,137 @@ def _swapped(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...]:
     return tuple(sorted(basis[:k] + basis[k + 1:] + (entering,)))
 
 
+def _violated(t: _Tableau, d: int) -> list[int]:
+    """The facets whose perturbed slack is lexicographically negative,
+    those of zero slack first, then by index.
+
+    At the point of basis B moved by the perturbation, facet j's slack is
+    s_j + eps^(j+1) - sum_m D[j][m] eps^(B_m+1).  A basic facet's is 0.
+    With s_j = 0, a nonbasic facet's leading term is that of the least
+    index among j and the B_m with D[j][m] != 0: negative exactly when
+    that is some B_m < j, with D[j][m] > 0.  Putting the facets of zero
+    slack first keeps phase 1 from pushing one of them below 0: while one
+    is its target, every step is 0, and after that each is satisfied in
+    the perturbed sense, which no pivot undoes.
+    """
+    basis, rows = t.basis, t.rows
+    zero_slack, negative = [], []
+    for j, s in enumerate(t.values[:d]):
+        sign = s.sign()
+        if sign < 0:
+            negative.append(j)
+        elif sign == 0:
+            m, a = next((m, a) for m, a in enumerate(rows[j]) if not a.is_zero())
+            if basis[m] < j and a.sign() > 0:
+                zero_slack.append(j)
+    return zero_slack + negative
+
+
 def _walk(d: int, first: _Tableau) -> list[Vertex]:
-    """Every vertex, by a walk over the feasible bases from first, each
-    listed once at its least basis, in that order.
+    """Every vertex, by a walk over the lexicographically feasible bases
+    from first, each vertex listed once, in the order of its least basis.
 
-    Edge k of a basis leads to every facet tied at the least step along
-    w_k (_ratio_test), and each enters by one pivot (_pivot); a zero step
-    is a degenerate pivot to another basis of the same vertex.  The walk
-    keeps the bases met, the tableau of each vertex's least basis, and
-    the edges still to cross; a tableau is built only when its edge is
-    crossed.  A simple vertex has one basis, its active set, and keeps its
-    cone and det A_v; a non-simple one is listed without either.
+    These bases are the vertices of the perturbed, simple polytope (see
+    enumerate_vertices), and its edges are their pivots: edge k of a basis
+    leads to the one facet _ratio_test picks, by one pivot (_pivot); a
+    zero step is a degenerate pivot to another basis of the same vertex.
+    The perturbed polytope relaxes the input by an infinitesimal, so it
+    has the same recession cone, and each vertex of the input has a basis
+    among its vertices; its edge graph is connected, so the walk meets
+    every vertex, unless it meets an unbounded edge first.  A tableau is built only when its edge
+    is crossed, and the edge it was crossed by needs no ratio test from
+    its far end: on a simple polytope the way back leads to the basis it
+    came from.
 
-    These are the simplex method's pivots, and each can be taken back.
-    Pushing the facets outside one feasible basis B out by distinct
-    infinitesimals makes the polytope simple, with B and a basis of every
-    vertex among its vertices and each of its edges one of these pivots.
-    Its edge graph is connected, so the walk meets every vertex, unless it
-    meets an unbounded edge first.  If the polytope is bounded and full
-    dimensional, two such perturbations on either side of one circuit
-    share the bases of a vertex off that circuit, so the walk meets every
-    feasible basis (as in the reverse search of Avis and Fukuda, Discrete
-    Comput. Geom. 8, 1992), and a vertex's least basis is the subset at
-    which a scan of all subsets first meets it.
-
-    The edge a pivot crossed needs no ratio test from its far end when the
-    pivot left a simple vertex: the way back then ties only the facet it
-    left, and leads to the one basis it came from.  From a non-simple
-    vertex it also ties the other facets active there, and leads to
-    further bases of it.
+    The walk keeps the first tableau it meets at each vertex.  A simple
+    vertex has one basis, its active set, and keeps its cone and det A_v.
+    A non-simple one is listed without either; every independent n-subset
+    of its active set is a feasible basis of it, so its least basis, at
+    which a scan of all subsets first meets it, is the greedy least
+    independent subset in index order (_least_independent).
     """
     n = len(first.basis)
-    seen, least = {first.basis}, {}
+    seen, found = {first.basis}, {}
     pending = [(first, None, None)]  # a tableau, the edge to cross from it, the way back
     while pending:
         t, edge, back = pending.pop()
         if edge:
             t = _pivot(t, *edge)
-        active = tuple(j for j, s in enumerate(t.values[:d]) if s.is_zero())
-        if active not in least or t.basis < least[active].basis:
-            least[active] = t
+        found.setdefault(tuple([j for j, s in enumerate(t.values[:d]) if not any(s.num)]), t)
         for k in range(n):
-            if k == back:
-                continue
-            for entering in _ratio_test(t, d, k):
+            if k != back:
+                entering = _ratio_test(t, d, k)
                 basis = _swapped(t.basis, k, entering)
                 if basis not in seen:
                     seen.add(basis)
-                    pending.append((t, (k, entering, basis),
-                                    basis.index(entering) if len(active) == n else None))
-    return [Vertex(t.values[d:], active, t.values[:d],
-                   *((t.rows[d:], t.rows[:d], t.det) if len(active) == n else ()))
-            for active, t in sorted(least.items(), key=lambda item: item[1].basis)]
+                    pending.append((t, (k, entering, basis), basis.index(entering)))
+    listed = []
+    for active, t in found.items():
+        if len(active) == n:
+            listed.append((active, Vertex(t.values[d:], active, t.values[:d],
+                                          t.rows[d:], t.rows[:d], t.det)))
+        else:
+            listed.append((_least_independent(t.rows, active, n),
+                           Vertex(t.values[d:], active, t.values[:d])))
+    return [v for _, v in sorted(listed, key=itemgetter(0))]
 
 
-def _ratio_test(t: _Tableau, d: int, k: int, r: int | None = None) -> list[int]:
-    """Every facet that edge k of the basis t runs into first, i.e. tied
-    at the least step; UnboundedPolytope, with direction w_k, when no
+def _least_independent(rows: tuple[Vector, ...], active: tuple[int, ...],
+                        n: int) -> tuple[int, ...]:
+    """The first n facets of active, in index order, whose rows are
+    independent, each kept when it is independent of those kept before:
+    the least basis among active's, as for any matroid."""
+    kept, echelon = [], []  # echelon: (column, row with 1 there) per kept facet
+    for j in active:
+        row = rows[j]
+        for c, unit in echelon:
+            if any((f := row[c]).num):
+                row = [sub_product(x, f, u) for x, u in zip(row, unit)]
+        c = next((c for c, x in enumerate(row) if any(x.num)), None)
+        if c is not None:
+            inv = row[c].inverse()
+            echelon.append((c, [x * inv for x in row]))
+            kept.append(j)
+            if len(kept) == n:
+                break
+    return tuple(kept)
+
+
+def _ratio_test(t: _Tableau, d: int, k: int, violated: list[int] | None = None) -> int:
+    """The facet that edge k of the basis t runs into first on the
+    perturbed polytope; UnboundedPolytope, with direction w_k, when no
     facet bounds the edge.
 
     Along the edge the slack of facet j is s_j + step*D[j][k], so only
     facets with D[j][k] < 0 bound the edge, at step s_j / -D[j][k]; that
-    step is 0 for a facet active at t outside the basis.  Phase 1 counts
-    its target r, at step -s_r / D[r][k], and skips other violated facets.
-    The denominators are positive, so ratios compare by cross-multiplying:
-    s_j / -a_j < s_b / -a_b exactly when s_j*a_b - s_b*a_j > 0, a sign
-    that cross_sign reads without reducing.
+    step is 0 for a facet active at t outside the basis.  In phase 1,
+    violated lists the facets of negative perturbed slack (_violated):
+    their first, r, counts at step -s_r / D[r][k], and the others are
+    skipped.  The denominators are positive, so ratios compare by
+    cross-multiplying: s_j / -a_j < s_b / -a_b exactly when
+    s_j*a_b - s_b*a_j > 0, a sign that cross_sign reads without reducing.
+
+    Facets tied at the least step are told apart by their perturbed
+    slacks over -D[j][k], compared one power of eps at a time, least
+    power first.  At basis index B_m, m != k, facet j's term is
+    D[j][m] / D[j][k]; at j itself it is -1 / D[j][k], positive for a
+    facet bounding the edge, so it drops out there, and negative for r,
+    which then enters.  The terms of distinct facets differ at their own
+    index, so one facet enters.  Signs are read off the numerators, with
+    no method call per entry.
     """
-    tied, least = ([], None) if r is None else ([r], (-t.values[r], -t.rows[r][k]))
-    for j, row in enumerate(t.rows[:d]):
-        a = row[k]
-        if a.is_zero() or a.sign() > 0:
-            continue
-        s = t.values[j]
-        if r is not None and s.sign() < 0:
-            continue
+    field, rows, values = t.det.field, t.rows, t.values
+    column = [row[k].num for row in rows[:d]]
+    if field.degree == 1:
+        bounding = [j for j, a in enumerate(column) if a[0] < 0]
+    else:
+        bounding = [j for j, a in enumerate(column) if any(a) and _sign(field, a) < 0]
+    tied, least = [], None
+    if violated:
+        tied, least = [violated[0]], (-values[violated[0]], -rows[violated[0]][k])
+        bounding = [j for j in bounding if j not in violated]
+    for j in bounding:
+        s, a = values[j], rows[j][k]
         if not tied:
             tied, least = [j], (s, a)
             continue
@@ -368,10 +436,33 @@ def _ratio_test(t: _Tableau, d: int, k: int, r: int | None = None) -> list[int]:
         elif order == 0:
             tied.append(j)
     if not tied:
-        direction = tuple(row[k] for row in t.rows[d:])
+        direction = tuple(row[k] for row in rows[d:])
         rendered = ", ".join(s.to_expr() for s in direction)
         raise UnboundedPolytope(f"recession direction ({rendered})", direction=direction)
-    return tied
+    if len(tied) == 1:
+        return tied[0]
+    r = violated[0] if violated else None
+    for i in sorted({*t.basis, *tied}):
+        if len(tied) == 1:
+            break
+        if i in tied:
+            if i == r:
+                return r
+            tied.remove(i)
+        elif i in t.basis and (m := t.basis.index(i)) != k:
+            kept, low = [], None
+            for j in tied:
+                x, a = rows[j][m], rows[j][k]
+                if j == r:  # a > 0: compare -x / -a
+                    x, a = -x, -a
+                # x_j / a_j < x_l / a_l, both a < 0, when x_j*a_l - x_l*a_j < 0
+                order = cross_sign(x, low[1], low[0], a) if kept else -1
+                if order < 0:
+                    kept, low = [j], (x, a)
+                elif order == 0:
+                    kept.append(j)
+            tied = kept
+    return tied[0]
 
 
 def _pivot(t: _Tableau, k: int, entering: int, basis: tuple[int, ...]) -> _Tableau:
@@ -383,11 +474,12 @@ def _pivot(t: _Tableau, k: int, entering: int, basis: tuple[int, ...]) -> _Table
     this column operation, and zero multipliers are skipped.  Value j
     moves by step * D[j][k], where step = -s_entering / alpha is >= 0 on
     the walk.  Each updated entry is one fused x -+ f*a, reduced once; a
-    row with D[j][k] = 0 only moves its entry k to the slot, and keeps its
-    value.  The two rows the pivot fixes are written without arithmetic:
-    the entering row becomes the unit row at the slot, with slack 0, and
-    the leaving row, e_k before, becomes -D[entering][i] / alpha with
-    1 / alpha at the slot, with slack step.
+    row with D[j][k] = 0 only moves its entry k to the slot, by one
+    precomputed permutation, and keeps its value.  The two rows the pivot
+    fixes are written without arithmetic: the entering row becomes the
+    unit row at the slot, with slack 0, and the leaving row, e_k before,
+    becomes -D[entering][i] / alpha with 1 / alpha at the slot, with
+    slack step.
 
     Replacing row k of A_B by X_entering = sum_i D[entering][i] A_B[i]
     multiplies det A_B by alpha, and moving that row from place k to the
@@ -397,35 +489,34 @@ def _pivot(t: _Tableau, k: int, entering: int, basis: tuple[int, ...]) -> _Table
     alpha = pivot_row[k]
     zero, one = alpha.field.zero, alpha.field.one
     inv = alpha.inverse()
-    factors = [(i if i < k else i - 1, a * inv) for i, a in enumerate(pivot_row)
-               if i != k and not a.is_zero()]
+    n, slot, leaving = len(basis), basis.index(entering), t.basis[k]
+    order = [i for i in range(n) if i != k]
+    order.insert(slot, k)  # place p of a new row holds entry order[p] of the old
+    move = itemgetter(*order) if k != slot else tuple  # tuple(row) is row; n = 1 has k == slot
+    factors = [(p, pivot_row[i] * inv) for p, i in enumerate(order)
+               if i != k and any(pivot_row[i].num)]
     step = -(t.values[entering] * inv)
-    slot = basis.index(entering)
-    leaving = t.basis[k]
-
-    def column_op(row: Vector) -> Vector:
-        out = list(row)
-        a = out.pop(k)
-        if not a.is_zero():
-            for i, factor in factors:
-                out[i] = sub_product(out[i], factor, a)
-            a = a * inv
-        out.insert(slot, a)
-        return tuple(out)
+    moved = any(step.num)
 
     rows = list(t.rows)
     values = list(t.values)
-    moved = not step.is_zero()
     for j, row in enumerate(rows):
-        if j != entering and j != leaving:
-            rows[j] = column_op(row)
-            if moved and not row[k].is_zero():
-                values[j] = add_product(values[j], step, row[k])
-    rows[entering] = (zero,) * slot + (one,) + (zero,) * (len(basis) - 1 - slot)
-    fixed = [zero] * (len(basis) - 1)
-    for i, factor in factors:
-        fixed[i] = -factor
-    fixed.insert(slot, inv)
+        a = row[k]
+        if not any(a.num):
+            rows[j] = move(row)
+        elif j != entering and j != leaving:
+            out = list(move(row))
+            for p, factor in factors:
+                out[p] = sub_product(out[p], factor, a)
+            out[slot] = a * inv
+            rows[j] = tuple(out)
+            if moved:
+                values[j] = add_product(values[j], step, a)
+    rows[entering] = (zero,) * slot + (one,) + (zero,) * (n - 1 - slot)
+    fixed = [zero] * n
+    for p, factor in factors:
+        fixed[p] = -factor
+    fixed[slot] = inv
     rows[leaving] = tuple(fixed)
     values[entering], values[leaving] = zero, step
     det = t.det * alpha

@@ -285,8 +285,10 @@ class Field:
 
 
 def rational_field() -> Field:
-    """Degree-1 field whose theta is 0: plain rational arithmetic."""
-    return Field((0, 1), (-1, 1))
+    """Degree-1 field whose theta is 0: plain rational arithmetic.  One
+    instance serves every caller: a degree-1 field never refines its
+    isolator, and fields compare by value."""
+    return _RATIONALS
 
 
 # --------------------------------------------------------------------------
@@ -539,6 +541,9 @@ def _scalar(field: Field, num: tuple[int, ...], den: int) -> Scalar:
     s.num = num
     s.den = den
     return s
+
+
+_RATIONALS = Field((0, 1), (-1, 1))  # built once _scalar, which Field() calls, exists
 
 
 def _reduced(field: Field, num: tuple[int, ...], den: int) -> Scalar:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ def load_builtin(name):
 
 def construct_builtin(name):
     return build_construction(load_builtin(name))
+
+
+def cross_polytope_document(n):
+    """|x_1| + ... + |x_n| <= 1: one facet <x, s> >= -1 per sign vector s,
+    2n vertices, each on 2^(n-1) facets."""
+    return {"dimension": n,
+            "facets": [{"normal": [str(x) for x in signs], "offset": "-1"}
+                       for signs in itertools.product((1, -1), repeat=n)]}
 
 
 # Scalars hold integer numerators over one denominator; the tests state

@@ -25,7 +25,7 @@ from quasifold import (
 from quasifold.cli import _json_text, _write_csv, main
 from quasifold.verify import sample_level_set
 
-from conftest import construct_builtin, load_builtin
+from conftest import construct_builtin, cross_polytope_document, load_builtin
 
 
 def run(capsys, *argv):
@@ -90,6 +90,30 @@ def test_construct_octahedron_exit_2(capsys):
     code, _, err = run(capsys, "construct", "--builtin", "octahedron")
     assert code == 2
     assert "NotSimple" in err
+
+
+def test_construct_cross5_exit_2(capsys, tmp_path):
+    # 16 facets meet at each vertex; the refusal costs one walk of 240
+    # lexicographically feasible bases.
+    path = tmp_path / "cross5.json"
+    path.write_text(json.dumps(cross_polytope_document(5)))
+    code, out, err = run(capsys, "construct", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "NotSimple: vertex 0 lies on 16 facets, expected 5\n"
+
+
+def test_analyze_cross6_within_budget(capsys, tmp_path):
+    # 1,440 bases for 12 vertices; the walk that followed every tie took
+    # 5.7 s on cross5 alone (2-vCPU Xeon).
+    path = tmp_path / "cross6.json"
+    path.write_text(json.dumps(cross_polytope_document(6)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "--input", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["vertices"]) == 12
+    assert payload["simple"]["simple"] is False
 
 
 def test_internal_inconsistency_exit_2(capsys, monkeypatch):

@@ -11,6 +11,7 @@ and on random H-representations.
 import dataclasses
 import itertools
 import json
+import math
 import re
 import time
 from fractions import Fraction
@@ -48,7 +49,7 @@ import quasifold.polytope as polytope_module
 import quasifold.scalars as scalars_module
 from quasifold.lattices import integer_det
 from quasifold.linalg import Matrix, dot
-from conftest import as_fraction, load_builtin
+from conftest import as_fraction, cross_polytope_document, load_builtin
 
 
 def slack(p, point, j):
@@ -150,11 +151,13 @@ class TestParse:
     def test_cone_with_non_simple_apex_is_unbounded(self):
         # z >= |x|, z >= |y|: four facets meet at the apex.  The witness is
         # the first unbounded edge the walk meets, a positive multiple of
-        # one of the cone's four edges (+-1, +-1, 1).
+        # one of the cone's four edges (+-1, +-1, 1).  The least basis
+        # {0, 1, 2} is not lexicographically feasible, so the walk starts
+        # at {1, 2, 3}, whose edge leaving facet 2 is unbounded.
         with pytest.raises(UnboundedPolytope) as info:
             parse_polytope(doc(3, CONE_FACETS))
         ray = [as_fraction(s) for s in info.value.direction]
-        assert ray == [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)]
+        assert ray == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)]
         assert ray[2] > 0 and all(abs(x) == ray[2] for x in ray)
 
     def test_capped_cone_parses(self):
@@ -499,6 +502,54 @@ def _parse_keeping_satisfied_facets(document):
         return parse_polytope(document)
 
 
+def _lexicographically_feasible(t, d):
+    """Whether every facet's perturbed slack at the basis of t,
+    s_j + eps^(j+1) - sum_m D[j][m] eps^(B_m+1), read as the vector
+    (s_j, its eps^1 term, ..., its eps^d term), is zero or has a positive
+    first nonzero entry."""
+    for j in range(d):
+        terms = [as_fraction(t.values[j])] + [Fraction(0)] * d
+        terms[j + 1] += 1
+        for m, b in enumerate(t.basis):
+            terms[b + 1] -= as_fraction(t.rows[j][m])
+        if next((x for x in terms if x), 0) < 0:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(h_representations(), cut_boxes()))
+@example((3, [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1], [0, 0, -1]], [0, 0, 0, 0, -1]))
+def test_walk_reaches_only_lexicographically_feasible_bases(case):
+    # Phase 1 hands the walk a lexicographically feasible basis, and each
+    # pivot of the walk leads to another, never to one met before.
+    n, normals, offsets = case
+    document = doc(n, [([str(x) for x in normal], str(b))
+                       for normal, b in zip(normals, offsets)])
+    reached = []
+    walk, pivot = polytope_module._walk, polytope_module._pivot
+
+    def walking(d, first):
+        reached.append(first)
+        return walk(d, first)
+
+    def pivoting(*args):
+        after = pivot(*args)
+        if reached:
+            reached.append(after)
+        return after
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope_module, "_walk", walking)
+        patch.setattr(polytope_module, "_pivot", pivoting)
+        try:
+            parse_polytope(document)
+        except (NormalsDontSpan, LowerDimensional, UnboundedPolytope):
+            pass
+    assert all(_lexicographically_feasible(t, len(normals)) for t in reached)
+    assert len({t.basis for t in reached}) == len(reached)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(h_representations(), cut_boxes()))
 @example((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1]))     # square
@@ -733,16 +784,35 @@ def test_cube8_parse_takes_one_pivot_per_axis_and_per_further_vertex(monkeypatch
 
 
 @pytest.mark.parametrize("document, walked", [
-    pytest.param(builtin_document("octahedron"), 23, id="octahedron"),
-    pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), 7, id="capped-cone"),
+    # 12 lexicographically feasible bases: each vertex's square cone in 2
+    pytest.param(builtin_document("octahedron"), 11, id="octahedron"),
+    # one degenerate phase 1 pivot from the least basis {0, 1, 2}, whose
+    # facet 3 has zero slack but a negative perturbed one, then 6 bases
+    pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), 1 + 5, id="capped-cone"),
 ])
 def test_non_simple_parse_takes_pivots_only(document, walked, monkeypatch):
-    # The walk follows every facet tied in a ratio test, so degenerate
-    # vertices need pivots only, and no elimination; a scan of all
-    # subsets would eliminate C(8, 3) = 56 for the octahedron.
+    # The walk crosses one pivot per lexicographically feasible basis
+    # after the first, so degenerate vertices need pivots only, and no
+    # elimination; a scan of all subsets would eliminate C(8, 3) = 56 for
+    # the octahedron.
     eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
     parse_polytope(document)
     assert (len(eliminations), len(pivots)) == (0, 3 + walked)
+
+
+@pytest.mark.parametrize("n, walked", [(5, 239), (6, 1439)])
+def test_cross_polytope_walk_triangulates_each_vertex_cone(n, walked, monkeypatch):
+    # Each of the 2n vertices lies on 2^(n-1) facets, and its normal cone
+    # is over an (n-1)-cube; its lexicographically feasible bases
+    # triangulate that cube, in at most (n-1)! simplices.  So the walk
+    # takes at most 2n (n-1)! - 1 pivots after the n that move the axes
+    # out (30,079 on cross5 when it followed every tie).
+    eliminations, pivots = _count_eliminations_and_pivots(monkeypatch)
+    p = parse_polytope(cross_polytope_document(n))
+    assert len(p.vertices) == 2 * n
+    assert all(len(v.active) == 2 ** (n - 1) for v in p.vertices)
+    assert walked < 2 * n * math.factorial(n - 1)
+    assert (len(eliminations), len(pivots)) == (0, n + walked)
 
 
 def test_pentagon2_start_pivots_past_dependent_normals(monkeypatch):
