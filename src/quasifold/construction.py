@@ -23,20 +23,15 @@ from .errors import (
     NotSimple,
     OffLevelSet,
 )
-from .lattices import (
-    LatticeCertificate,
-    integer_rows,
-    quotient_order,
-    rational_rank,
-    span_certificate,
-)
-from .linalg import Matrix, Vector, dot
+from .lattices import LatticeCertificate, quotient_order, span_certificate
+from .linalg import Vector, dot
 from .polytope import (
     DelzantReport,
     HPolytope,
     Vertex,
     check_delzant,
     check_simple,
+    kernel_basis,
 )
 from .scalars import Field, Scalar
 
@@ -90,10 +85,14 @@ class VertexChart:
 
 @dataclass(eq=False)
 class DelzantData:
-    """Everything the reduction M = Psi^{-1}(0)/N is determined by."""
+    """Everything the reduction M = Psi^{-1}(0)/N is determined by.
+
+    ``projection`` is pi by rows, row i the normals' i-th coordinates;
+    ``kernel_basis`` is the echelon basis of its kernel Lie(N), read off
+    the parse's least-basis tableau (polytope.kernel_basis)."""
 
     polytope: HPolytope
-    projection: Matrix
+    projection: tuple[Vector, ...]
     kernel_basis: tuple[Vector, ...]
     quasilattice: Quasilattice
     n_rational_dim: int
@@ -168,8 +167,9 @@ def build_construction(p: HPolytope) -> DelzantData:
     """Assemble the reduction data for a simple polytope.
 
     Raises NotSimple when some vertex has more than n active facets, and
-    InternalInconsistency when the two independent classification routes
-    (global certificates vs per-vertex structure groups) disagree.
+    InternalInconsistency when a kernel vector fails its exact check or
+    the two independent classification routes (global certificates vs
+    per-vertex structure groups) disagree.
     """
     simplicity = check_simple(p)
     if not simplicity.simple:
@@ -180,32 +180,23 @@ def build_construction(p: HPolytope) -> DelzantData:
             vertex=witness, active=active,
         )
     n, d = p.dim, p.facet_count
-    projection = Matrix(p.field, [[p.normals[j][i] for j in range(d)] for i in range(n)])
-    kernel = tuple(projection.kernel())
-    if len(kernel) != d - n:
-        raise InternalInconsistency(
-            f"kernel dimension {len(kernel)} != d - n = {d - n}"
-        )
     generators = p.normals + p.extra_generators
-    quasilattice = Quasilattice(
-        generators=generators,
-        certificate=span_certificate(p.field, generators, n),
-    )
+    cert = span_certificate(p.field, generators, n)
+    quasilattice = Quasilattice(generators=generators, certificate=cert)
 
     # Rational points of Lie(N): common rational kernel of every power-basis
-    # coefficient layer of pi, whose columns are the flattened normals.
-    # Without extra generators the certificate has ranked those already.
-    normals_rank = quasilattice.certificate.rank
-    if p.extra_generators:
-        normals_rank = rational_rank(integer_rows(p.normals)[0])[0]
-    n_rational_dim = d - normals_rank
+    # coefficient layer of pi, of dimension d minus the Q-rank of the
+    # normals.  In a lattice of rank n, normals spanning R^n have Q-rank n;
+    # otherwise the normals come first among the generators, so that rank
+    # counts the certificate's independent witnesses below d.
+    normals_rank = n if cert.rational else sum(i < d for i in cert.independent)
 
     data = DelzantData(
         polytope=p,
-        projection=projection,
-        kernel_basis=kernel,
+        projection=tuple(zip(*p.normals)),
+        kernel_basis=kernel_basis(p),
         quasilattice=quasilattice,
-        n_rational_dim=n_rational_dim,
+        n_rational_dim=d - normals_rank,
         classification=None,  # filled below; classify needs the data object
     )
     data.classification = classify(data)
@@ -384,7 +375,7 @@ def construction_report(data: DelzantData) -> dict:
         "n_rational_dim": data.n_rational_dim,
         "n_compact": data.n_compact,
         "field": _render_field(p.field),
-        "projection": [_render_vector(row, memo) for row in data.projection.rows],
+        "projection": [_render_vector(row, memo) for row in data.projection],
         "offsets": _render_vector(p.offsets, memo),
         "kernel_basis": [_render_vector(v, memo) for v in data.kernel_basis],
         "quasilattice": {

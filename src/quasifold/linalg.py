@@ -1,9 +1,9 @@
 """Exact linear algebra over a scalar field.
 
-Elimination is Gauss–Jordan with a fixed pivot rule: scan columns left to
-right and take the first row with a nonzero entry.  The reduced echelon
-form is unique, so ranks, kernel bases and solutions are reproducible,
-which the golden tests rely on.
+``Matrix`` is the library's Gauss–Jordan elimination and the tests'
+reference; no command runs it.  Its pivot rule is fixed: scan columns
+left to right and take the first row with a nonzero entry.  The reduced
+echelon form is unique, so ranks, kernel bases and solutions are reproducible.
 
 Every row update x - f * a goes through the fused kernel ``sub_product``
 of ``quasifold.scalars``: one reduction per updated entry, not one per

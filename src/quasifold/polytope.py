@@ -76,6 +76,7 @@ class HPolytope:
     offsets: tuple[Scalar, ...]
     extra_generators: tuple[Vector, ...] = ()
     _vertices: tuple[Vertex, ...] | None = dc_field(default=None, repr=False, compare=False)
+    _least: _Tableau | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def facet_count(self) -> int:
@@ -274,7 +275,10 @@ def _least_basis(p: HPolytope) -> _Tableau:
     W = I, D = X, slacks -lambda_j and det A_B = 1, facet j enters in place
     of the least axis k with D[j][k] != 0, which exists exactly when X_j is
     independent of the facets before it.  These are the pivots of an elimination of
-    [P | I], and a basis fixes its tableau.  An axis left: NormalsDontSpan."""
+    [P | I], and a basis fixes its tableau.  An axis left: NormalsDontSpan.
+    The tableau is kept on p, so a polytope runs this once."""
+    if p._least is not None:
+        return p._least
     d, n, zero, one = p.facet_count, p.dim, p.field.zero, p.field.one
     if d >= n:  # else the normals cannot span, refused before W = I is built
         t = _Tableau(tuple(range(d, d + n)),
@@ -287,8 +291,36 @@ def _least_basis(p: HPolytope) -> _Tableau:
             if k is not None:
                 t = _pivot(t, k, j, _swapped(t.basis, k, j))
         if t.basis[-1] < d:
+            p._least = t
             return t
     raise NormalsDontSpan(f"facet normals span a proper subspace of R^{n}")
+
+
+def kernel_basis(p: HPolytope) -> tuple[Vector, ...]:
+    """The basis of ker P, for P: R^d -> R^n sending e_j to X_j, that the
+    reduced echelon form of P gives, read off the least basis B0's tableau
+    (_least_basis): its pivot columns are B0, and row f holds X_f in the
+    basis X_B0, so free column f, in increasing order, gives
+    e_f - sum_i D0[f][i] e_B0[i].  Each vector is certified by computing
+    X_f - sum_i D0[f][i] X_B0[i] = 0 exactly, else InternalInconsistency."""
+    t = _least_basis(p)
+    d, zero, one = p.facet_count, p.field.zero, p.field.one
+    basis = []
+    for f in range(d):
+        if f in t.basis:
+            continue
+        coords = t.rows[f]
+        for k, x in enumerate(p.normals[f]):
+            for c, b in zip(coords, t.basis):
+                x = sub_product(x, c, p.normals[b][k])
+            if any(x.num):
+                raise InternalInconsistency(f"kernel vector of free column {f} misses ker P")
+        v = [zero] * d
+        v[f] = one
+        for c, b in zip(coords, t.basis):
+            v[b] = -c
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def _swapped(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from quasifold import (
 )
 import quasifold.construction
 import quasifold.lattices
+import quasifold.polytope
 from quasifold.cli import main
 from quasifold.linalg import Matrix
 from conftest import as_fraction, construct_builtin, load_builtin
@@ -39,10 +40,13 @@ CONSTRUCTIBLE = [
 ]
 
 
+SQRT2_FIELD = {"minpoly": ["-2", "0", "1"], "root_interval": ["1", "2"]}
+
+
 def project(data, v):
     """pi(v) = sum_j v_j X_j, in the field's exact arithmetic."""
     zero = data.polytope.field.zero
-    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in data.projection.rows)
+    return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in data.projection)
 
 
 # --------------------------------------------------------------------------
@@ -88,10 +92,10 @@ class TestKernel:
         assert construct_builtin("pentagon").n_rational_dim == 1
         assert construct_builtin("sphere").n_rational_dim == 1
 
-    @pytest.mark.parametrize("name, calls", [("pentagon", 1), ("rugby-3", 2)])
+    @pytest.mark.parametrize("name, calls", [("pentagon", 1), ("rugby-3", 1)])
     def test_construct_ranks_the_normals_once(self, name, calls, monkeypatch, capsys):
-        # Only rugby-k has extra quasilattice generators, so only there
-        # do the normals need a rank of their own.
+        # The span certificate's one rank serves the normals too, with
+        # extra quasilattice generators (rugby-k) or without.
         counted = []
         rank = quasifold.lattices.rational_rank
 
@@ -100,10 +104,54 @@ class TestKernel:
             return rank(rows)
 
         monkeypatch.setattr(quasifold.lattices, "rational_rank", counting)
-        monkeypatch.setattr(quasifold.construction, "rational_rank", counting)
         assert main(["construct", "--builtin", name]) == 0
         capsys.readouterr()
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("name, extras, field, rank", [
+        ("pentagon", [["1", "0"], ["theta", "1"]], None, 1),
+        ("interval-sqrt2", [["1"]], None, 0),
+        ("square", [["1/2", "theta"]], SQRT2_FIELD, 2),
+    ])
+    def test_rational_kernel_dimension_with_extra_generators(self, name, extras, field, rank):
+        # Extra generators leave the lattice: the normals' Q-rank is read
+        # off the certificate's independent witnesses below d.
+        document = dict(builtin_document(name), quasilattice_extra_generators=extras)
+        if field is not None:
+            document["field"] = field
+        data = build_construction(parse_polytope(document))
+        assert not data.quasilattice.is_lattice
+        assert data.n_rational_dim == rank
+
+    def test_corrupted_least_basis_tableau_is_refused(self, monkeypatch):
+        # cube's least basis is {0, 1, 2}; row 3 holds X_3 = -X_0 in it.
+        p = load_builtin("cube")
+        t = p._least
+        row = t.rows[3]
+        rows = t.rows[:3] + ((row[0] + p.field.one,) + row[1:],) + t.rows[4:]
+        monkeypatch.setattr(p, "_least", t._replace(rows=rows))
+        with pytest.raises(InternalInconsistency,
+                           match="kernel vector of free column 3 misses ker P"):
+            build_construction(p)
+
+    def test_construct_pivots_no_further_than_the_parse(self, monkeypatch):
+        p = load_builtin("cube")
+        pivots = []
+        pivot = quasifold.polytope._pivot
+        monkeypatch.setattr(quasifold.polytope, "_pivot",
+                            lambda *args: pivots.append(1) or pivot(*args))
+        build_construction(p)
+        assert pivots == []
+
+    def test_construct_runs_no_matrix_elimination(self, monkeypatch, capsys):
+        eliminations = []
+        reduce = Matrix._reduce
+        monkeypatch.setattr(Matrix, "_reduce",
+                            lambda self: eliminations.append(1) or reduce(self))
+        for name in CONSTRUCTIBLE:
+            assert main(["construct", "--builtin", name]) == 0
+        capsys.readouterr()
+        assert eliminations == []
 
     def test_n_compactness_flag(self):
         assert construct_builtin("sphere").n_compact

@@ -764,6 +764,22 @@ def test_least_basis_is_the_elimination_of_p_and_i(case):
     assert t.det == leibniz_det([normals[j] for j in t.basis], fld)
 
 
+@settings(max_examples=200, deadline=None)
+@given(normal_sets())
+def test_kernel_basis_is_the_echelon_kernel(case):
+    # The read-off gives Matrix(P).kernel(), vector for vector, or both
+    # routes find that the normals do not span.
+    fld, normals, offsets = case
+    n = len(normals[0])
+    p = HPolytope(field=fld, dim=n, normals=normals, offsets=offsets)
+    projection = Matrix(fld, list(zip(*normals)))
+    if projection.rank() < n:
+        with pytest.raises(NormalsDontSpan):
+            polytope_module.kernel_basis(p)
+        return
+    assert polytope_module.kernel_basis(p) == projection.kernel()
+
+
 def _count_eliminations_and_pivots(monkeypatch):
     eliminations, pivots = [], []
     reduce, pivot = Matrix._reduce, polytope_module._pivot
