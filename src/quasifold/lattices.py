@@ -3,10 +3,10 @@
 A family of vectors over Q(theta) spans a lattice (discrete subgroup of
 rank n) exactly when the Q-vector space generated by their power-basis
 coefficient vectors has dimension n.  The family is flattened to integer
-rows over one denominator, and their Hermite normal form answers every
-question: its pivots on the transposed rows give the rank and a witness,
-its rows a lattice basis holding every input, and alternated on rows and
-columns it gives the Smith invariant factors.
+rows over one denominator, and their Hermite normal form, built one row at
+a time, answers every question: the rows that leave a remainder give the
+rank and a witness, its rows a Z-basis holding every input, and alternated
+on rows and columns it gives the Smith invariant factors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InternalInconsistency
+from .errors import DimensionMismatch, InternalInconsistency
 from .scalars import Field, Scalar, bareiss
 
 IntRow = list[int]
@@ -36,46 +36,47 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
-    """Row-style HNF of an integer matrix.
+def hermite_normal_form(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[IntRow, ...], tuple[int, ...], tuple[int, ...]]:
+    """Row-style HNF of an integer matrix, built one input row at a time.
 
-    Returns (nonzero rows, pivot columns).  Pivots are positive with
-    strictly increasing columns; entries above each pivot are reduced
-    into [0, pivot).
+    Returns (nonzero rows, pivot columns, independent).  Pivots are
+    positive with strictly increasing columns; entries above each pivot
+    are reduced into [0, pivot).  Each row is reduced at the pivots met so
+    far, and one that leaves a remainder becomes a pivot row: ``independent``
+    indexes the rows independent over Q of the rows before them.
     """
-    work = [list(map(int, r)) for r in rows]
-    m = len(work)
-    ncols = len(work[0]) if m else 0
+    form: list[IntRow] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, m):
-            if work[i][c]:
-                a, b = work[r][c], work[i][c]
+    independent: list[int] = []
+    for i, row in enumerate(rows):
+        v = list(map(int, row))
+        k = 0
+        for c in range(len(v)):
+            at_pivot = k < len(pivots) and pivots[k] == c
+            if v[c]:
+                if not at_pivot:
+                    form.insert(k, v if v[c] > 0 else [-e for e in v])
+                    pivots.insert(k, c)
+                    independent.append(i)
+                    break
+                a, b = form[k][c], v[c]
                 if b % a == 0:
                     # the pivot row stays as it is; smith_invariant_factors needs that
-                    work[i] = [q - (b // a) * p for p, q in zip(work[r], work[i])]
-                    continue
-                g, x, y = xgcd(a, b)
-                # 2x2 unimodular transform: new rows (x*R + y*I, -b/g*R + a/g*I)
-                rr = [x * p + y * q for p, q in zip(work[r], work[i])]
-                ri = [(a // g) * q - (b // g) * p for p, q in zip(work[r], work[i])]
-                work[r], work[i] = rr, ri
-        if work[r][c] < 0:
-            work[r] = [-e for e in work[r]]
+                    v = [q - (b // a) * p for p, q in zip(form[k], v)]
+                else:
+                    g, x, y = xgcd(a, b)
+                    # 2x2 unimodular transform: new rows (x*R + y*v, -b/g*R + a/g*v)
+                    form[k], v = ([x * p + y * q for p, q in zip(form[k], v)],
+                                  [(a // g) * q - (b // g) * p for p, q in zip(form[k], v)])
+            k += at_pivot
+    for r, c in enumerate(pivots):
         for k in range(r):
-            q = work[k][c] // work[r][c]
+            q = form[k][c] // form[r][c]
             if q:
-                work[k] = [p - q * t for p, t in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+                form[k] = [p - q * t for p, t in zip(form[k], form[r])]
+    return tuple(tuple(row) for row in form), tuple(pivots), tuple(independent)
 
 
 def hnf_coordinates(hnf_rows: list[IntRow], pivots: list[int], target: Sequence[int]) -> list[int] | None:
@@ -101,9 +102,9 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     before: it drops strictly unless it divides that row, and then the
     form clears its row and column (see hermite_normal_form) and leaves
     the rest to go on alone.  So the alternation ends."""
-    a, _ = hermite_normal_form(rows)
+    a = hermite_normal_form(rows)[0]
     while any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
-        a, _ = hermite_normal_form(list(zip(*a)))
+        a = hermite_normal_form(list(zip(*a)))[0]
     factors = [row[i] for i, row in enumerate(a)]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -116,7 +117,7 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact signed determinant by ``bareiss``; 1 for no rows."""
     a = [list(map(int, r)) for r in rows]
     if any(len(r) != len(a) for r in a):
-        raise ValueError("determinant of a non-square matrix")
+        raise DimensionMismatch("determinant of a non-square matrix")
     return bareiss(a)[1]
 
 
@@ -174,9 +175,9 @@ def integer_rows(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[IntRow], int
 
 def rational_rank(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
     """Rank over Q of integer rows and the indices of the rows independent of
-    those before them: the pivot columns of the transposed rows' Hermite form."""
-    pivots = hermite_normal_form(list(zip(*rows)))[1]
-    return len(pivots), pivots
+    those before them: the rows that leave a remainder in their Hermite form."""
+    independent = hermite_normal_form(rows)[2]
+    return len(independent), independent
 
 
 def span_certificate(
@@ -190,13 +191,9 @@ def span_certificate(
     matrix then provides a basis whose Z-span contains every input.
     """
     rows, den = integer_rows(vectors)
-    rank, independent = rational_rank(rows)
-    if rank != ambient_dim:
-        return LatticeCertificate(rational=False, rank=rank, independent=independent)
-
-    hnf_rows, pivots = hermite_normal_form(rows)
-    if len(hnf_rows) != ambient_dim:
-        raise InternalInconsistency("HNF rank disagrees with rational rank")
+    hnf_rows, pivots, independent = hermite_normal_form(rows)
+    if len(independent) != ambient_dim:
+        return LatticeCertificate(rational=False, rank=len(independent), independent=independent)
 
     g = field.degree
     basis = tuple(

@@ -299,7 +299,9 @@ class Scalar:
     """Element of a Field: the value (num[0] + num[1]*theta + ... +
     num[g-1]*theta^(g-1)) / den, with integer numerators ``num``, a
     positive integer ``den`` and gcd(den, *num) == 1.  The lowest-terms
-    form is unique, so ``==`` and ``hash`` compare tuples.
+    form is unique, so ``==`` compares tuples; ``hash`` hashes a rational
+    value as its Fraction, which ``==`` equates it with, and any other by
+    its tuples.
 
     ``Scalar(field, num, den=1)`` puts g = field.degree integer numerators
     over a nonzero integer denominator and brings them to that form.
@@ -451,6 +453,8 @@ class Scalar:
         return self.field == other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.num, self.den))
 
     # -- certified evaluation ----------------------------------------------------

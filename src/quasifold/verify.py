@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .construction import DelzantData, induced_moment, kernel_moment
-from .errors import InternalInconsistency, StepOutOfRange
+from .errors import DimensionMismatch, InternalInconsistency, StepOutOfRange
 
 # Finite-difference step and (sample, direction) pair count of the
 # Hamiltonian check; samples moved by the invariance check.
@@ -112,7 +112,7 @@ def sample_level_set(data: DelzantData, count: int, seed: int = 0) -> SampleSet:
     sample does not depend on the shape of the polytope.
     """
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise DimensionMismatch("count must be nonnegative")
     if count == 0:
         return SampleSet(mu=np.zeros((0, data.dim)),
                          z=np.zeros((0, data.ambient_dim), dtype=complex))

@@ -92,21 +92,29 @@ class TestKernel:
         assert construct_builtin("pentagon").n_rational_dim == 1
         assert construct_builtin("sphere").n_rational_dim == 1
 
-    @pytest.mark.parametrize("name, calls", [("pentagon", 1), ("rugby-3", 1)])
-    def test_construct_ranks_the_normals_once(self, name, calls, monkeypatch, capsys):
-        # The span certificate's one rank serves the normals too, with
-        # extra quasilattice generators (rugby-k) or without.
-        counted = []
-        rank = quasifold.lattices.rational_rank
+    @pytest.mark.parametrize("name", ["cube", "rugby-3", "pentagon"])
+    def test_span_certificate_makes_one_hermite_form(self, name, monkeypatch, capsys):
+        # One Hermite form gives the rank, the witness and the basis, in a
+        # lattice (cube, and rugby-k with its extra generator) or not.
+        forms, per_certificate = [], []
+        hnf = quasifold.lattices.hermite_normal_form
+        certificate = quasifold.construction.span_certificate
 
-        def counting(rows):
-            counted.append(1)
-            return rank(rows)
+        def counting_hnf(rows):
+            forms.append(1)
+            return hnf(rows)
 
-        monkeypatch.setattr(quasifold.lattices, "rational_rank", counting)
+        def counting_certificate(*args):
+            before = len(forms)
+            cert = certificate(*args)
+            per_certificate.append(len(forms) - before)
+            return cert
+
+        monkeypatch.setattr(quasifold.lattices, "hermite_normal_form", counting_hnf)
+        monkeypatch.setattr(quasifold.construction, "span_certificate", counting_certificate)
         assert main(["construct", "--builtin", name]) == 0
         capsys.readouterr()
-        assert len(counted) == calls
+        assert per_certificate == [1]
 
     @pytest.mark.parametrize("name, extras, field, rank", [
         ("pentagon", [["1", "0"], ["theta", "1"]], None, 1),

@@ -2,7 +2,8 @@
 
 quotient_order is cross-checked against a brute-force closure of the
 subgroup of Q^n/Z^n generated by the coordinate vectors, which is the
-independent oracle for the structure-group orders.
+independent oracle for the structure-group orders.  The row-by-row
+hermite_normal_form is cross-checked against a column-by-column one.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifold import Field, rational_field
+from quasifold import Field, QuasifoldError, rational_field
 from quasifold.lattices import (
     hermite_normal_form,
     hnf_coordinates,
@@ -67,14 +68,56 @@ def test_xgcd(a, b):
     assert a * x + b * y == g
 
 
+def reference_hermite_normal_form(rows):
+    """(nonzero rows, pivot columns) of the row-style HNF, built one
+    column at a time: swap a row with a nonzero entry up, fold every row
+    below into it by 2x2 unimodular transforms, then reduce above."""
+    work = [list(map(int, r)) for r in rows]
+    m = len(work)
+    ncols = len(work[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(r + 1, m):
+            if work[i][c]:
+                a, b = work[r][c], work[i][c]
+                if b % a == 0:
+                    work[i] = [q - (b // a) * p for p, q in zip(work[r], work[i])]
+                    continue
+                g, x, y = xgcd(a, b)
+                rr = [x * p + y * q for p, q in zip(work[r], work[i])]
+                ri = [(a // g) * q - (b // g) * p for p, q in zip(work[r], work[i])]
+                work[r], work[i] = rr, ri
+        if work[r][c] < 0:
+            work[r] = [-e for e in work[r]]
+        for k in range(r):
+            q = work[k][c] // work[r][c]
+            if q:
+                work[k] = [p - q * t for p, t in zip(work[k], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+# TestRationalRank's entries: many zeros, small values and one of 10^20.
+ENTRY_POOL = [0, 0, 0, 1, -1, 2, 3, -5, 10**20]
+
+
 class TestHermite:
     def test_pinned(self):
-        rows, pivots = hermite_normal_form([(4, 6), (2, 2)])
+        rows, pivots, independent = hermite_normal_form([(4, 6), (2, 2)])
         assert rows == ((2, 0), (0, 2))
         assert pivots == (0, 1)
+        assert independent == (0, 1)
 
     def test_row_reduction_above_pivot(self):
-        rows, pivots = hermite_normal_form([(3, 7), (0, 2)])
+        rows, pivots, _ = hermite_normal_form([(3, 7), (0, 2)])
         for i, p in enumerate(pivots):
             assert rows[i][p] > 0
             for k in range(i):
@@ -84,7 +127,7 @@ class TestHermite:
     @given(rows=st.lists(
         st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=1, max_size=4))
     def test_span_preserved(self, rows):
-        h, pivots = hermite_normal_form(rows)
+        h, pivots, _ = hermite_normal_form(rows)
         # every input row is an integer combination of the HNF rows
         for r in rows:
             assert hnf_coordinates(h, pivots, tuple(r)) is not None
@@ -92,9 +135,28 @@ class TestHermite:
         assert len(h) == oracle_int_rank(rows)
 
     def test_membership_rejects_outside(self):
-        h, pivots = hermite_normal_form([(2, 0), (0, 2)])
+        h, pivots, _ = hermite_normal_form([(2, 0), (0, 2)])
         assert hnf_coordinates(h, pivots, (1, 0)) is None
         assert hnf_coordinates(h, pivots, (4, -2)) == [2, -1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_column_by_column_form(self, data):
+        # Tall and wide shapes, zero and repeated rows: the form is unique
+        # for its lattice, and the rows that leave a remainder are the
+        # greedy Q-independent ones.
+        width = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(
+            st.lists(st.sampled_from(ENTRY_POOL), min_size=width, max_size=width),
+            min_size=1, max_size=12))
+        if len(rows) > 1 and data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(1, len(rows))), list(rows[0]))
+        h, pivots, independent = hermite_normal_form(rows)
+        assert (h, pivots) == reference_hermite_normal_form(rows)
+        assert independent == greedy_independent(rows)
+
+    def test_no_rows(self):
+        assert hermite_normal_form([]) == ((), (), ())
 
 
 def oracle_int_rank(rows):
@@ -193,6 +255,8 @@ class TestIntegerDet:
         assert integer_det([(0, 2, 0), (0, 0, 3), (5, 0, 0)]) == 30
         assert integer_det([(1, 2), (-2, -4)]) == 0
         with pytest.raises(ValueError):
+            integer_det([(1, 2)])
+        with pytest.raises(QuasifoldError):
             integer_det([(1, 2)])
 
     @settings(max_examples=200, deadline=None)

@@ -561,6 +561,17 @@ class TestConstructor:
         with pytest.raises(DimensionMismatch, match="for a field of degree 2"):
             Scalar(SQRT2, num)
 
+    def test_hash_agrees_with_equality(self):
+        # == equates a rational value with its int or Fraction, so the
+        # hashes must agree too; an irrational one hashes by its tuples.
+        f = rational_field()
+        assert f.one == 1 and 1 in {f.one}
+        half = f.scalar(Fraction(1, 2))
+        assert hash(half) == hash(Fraction(1, 2)) and half in {Fraction(1, 2)}
+        assert hash(SQRT2.scalar(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+        s = SQRT2.parse("1/2 + theta/3")
+        assert hash(s) == hash(((3, 2), 6)) == hash(SQRT2.parse("theta/3 + 1/2"))
+
 
 class TestRounding:
     @pytest.mark.parametrize("value", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from quasifold import (
     InternalInconsistency,
+    QuasifoldError,
     StepOutOfRange,
     builtin_names,
     check_hamiltonian_identity,
@@ -113,6 +114,8 @@ class TestSampling:
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
+            sample_level_set(construct_builtin("square"), -1)
+        with pytest.raises(QuasifoldError):
             sample_level_set(construct_builtin("square"), -1)
 
     def test_thin_polytope_samples_inside(self):
