@@ -248,7 +248,7 @@ def vertex_structure_group(data: DelzantData, v: int) -> VertexChart:
     for the normal X_j, and <w_k, g> for an extra generator g, where w_k
     are the columns of W_v.  The group is finite exactly when all
     coordinates are rational, as they always are over Q, with order
-    computed via Smith form."""
+    computed by a Hermite form modulo their common denominator."""
     p = data.polytope
     if not 0 <= v < len(p.vertices):
         raise NotAVertex(f"vertex index {v} out of range")

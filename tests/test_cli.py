@@ -116,6 +116,22 @@ def test_analyze_cross6_within_budget(capsys, tmp_path):
     assert payload["simple"]["simple"] is False
 
 
+def test_construct_rational_200_gon_within_budget(capsys, tmp_path):
+    # Rational points of the unit circle over a 928-bit common denominator;
+    # with the orders from Smith forms this took about 10 s (2-vCPU Xeon).
+    ts = [Fraction(math.tan(math.pi * (k + 0.25) / 200)).limit_denominator(60)
+          for k in range(200)]
+    path = tmp_path / "rational-200-gon.json"
+    path.write_text(json.dumps({"dimension": 2, "facets": [
+        {"normal": [str((1 - t * t) / (1 + t * t)), str(2 * t / (1 + t * t))], "offset": "-1"}
+        for t in ts]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "construct", "--input", str(path))
+    assert time.perf_counter() - start < 6.0
+    assert code == 0
+    assert json.loads(out)["classification"]["kind"] == "orbifold"
+
+
 def test_internal_inconsistency_exit_2(capsys, monkeypatch):
     # an input outside its own Hermite lattice is a fault of the program
     monkeypatch.setattr(lattices, "hnf_coordinates", lambda *args: None)

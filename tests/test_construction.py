@@ -413,6 +413,15 @@ class TestClassification:
         with pytest.raises(InternalInconsistency, match="vertex 0: structure group order 2"):
             construct_builtin("teardrop-3")
 
+    def test_orders_take_no_smith_form(self, monkeypatch):
+        calls = []
+        smith = quasifold.lattices.smith_invariant_factors
+        monkeypatch.setattr(quasifold.lattices, "smith_invariant_factors",
+                            lambda rows: calls.append(rows) or smith(rows))
+        for name in ("teardrop-3", "rugby-3", "cube"):
+            construct_builtin(name)
+        assert calls == []
+
 
 # --------------------------------------------------------------------------
 # Report

@@ -2,8 +2,10 @@
 
 quotient_order is cross-checked against a brute-force closure of the
 subgroup of Q^n/Z^n generated by the coordinate vectors, which is the
-independent oracle for the structure-group orders.  The row-by-row
-hermite_normal_form is cross-checked against a column-by-column one.
+independent oracle for the structure-group orders, and on large
+denominators against the product of the Smith invariant factors.  The
+row-by-row hermite_normal_form is cross-checked against a column-by-column
+one.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifold import Field, QuasifoldError, rational_field
+from quasifold import DimensionMismatch, Field, QuasifoldError, rational_field
 from quasifold.lattices import (
     hermite_normal_form,
     hnf_coordinates,
@@ -60,8 +62,12 @@ def brute_force_quotient_order(vectors):
 # xgcd / HNF / SNF
 # --------------------------------------------------------------------------
 
+SMALL_OR_HUGE = st.one_of(st.just(0), st.integers(-200, 200),
+                         st.integers(-2**1600, 2**1600))
+
+
 @settings(max_examples=120, deadline=None)
-@given(a=st.integers(-200, 200), b=st.integers(-200, 200))
+@given(a=SMALL_OR_HUGE, b=SMALL_OR_HUGE)
 def test_xgcd(a, b):
     g, x, y = xgcd(a, b)
     assert g == math.gcd(a, b)
@@ -157,6 +163,11 @@ class TestHermite:
 
     def test_no_rows(self):
         assert hermite_normal_form([]) == ((), (), ())
+
+    def test_ragged_rows_refused(self):
+        for rows in ([(2, 1), (3,)], [(3,), (2, 1)]):
+            with pytest.raises(DimensionMismatch):
+                hermite_normal_form(rows)
 
 
 def oracle_int_rank(rows):
@@ -335,6 +346,27 @@ class TestQuotientOrder:
     def test_matches_brute_force(self, vecs):
         gens = [tuple(v) for v in vecs]
         assert quotient_order(rational_vectors(gens), 2) == brute_force_quotient_order(gens)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_smith_factors(self, data):
+        # The order is D^n over the product of the Smith invariant factors
+        # of D*I_n stacked over the numerators.  Denominators mix small
+        # values, which share factors, with ones of up to 256 bits.
+        n = data.draw(st.integers(1, 4))
+        den = st.one_of(st.integers(1, 12), st.integers(1, 2**256))
+        entry = st.builds(Fraction, st.integers(-2**256, 2**256), den)
+        gens = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+        d = math.lcm(*(x.denominator for g in gens for x in g))
+        stack = [[d * (i == j) for j in range(n)] for i in range(n)]
+        stack += [[int(x * d) for x in g] for g in gens]
+        want = d ** n // math.prod(smith_invariant_factors(stack))
+        assert quotient_order(rational_vectors(gens), n) == want
+
+    def test_ragged_generator_refused(self):
+        gens = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
+        with pytest.raises(DimensionMismatch):
+            quotient_order(rational_vectors(gens), 2)
 
 
 # --------------------------------------------------------------------------
