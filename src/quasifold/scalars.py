@@ -2,7 +2,9 @@
 
 A field is described by a monic minimal polynomial with rational
 coefficients together with an isolating interval that pins down which
-real root theta denotes.  A scalar is a vector of integer numerators over
+real root theta denotes.  It keeps that polynomial once, as integers
+over one denominator, and checks the interval with a Sturm chain of
+positive integer multiples of Euclid's remainders.  A scalar is a vector of integer numerators over
 the power basis 1, theta, ..., theta^(g-1) and one positive common
 denominator, kept in lowest terms, so that equal values are equal
 tuples (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
@@ -54,63 +56,50 @@ from .errors import (
 # reducible after all.
 _MAX_REFINE = 320
 
-Rat = Fraction
-_ZERO = Fraction(0)
-
-
 # --------------------------------------------------------------------------
-# Dense polynomial helpers over Fraction, ascending coefficient order.
+# Dense integer polynomials, ascending coefficient order.
 # --------------------------------------------------------------------------
 
-def _poly_trim(p: list[Rat]) -> list[Rat]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_eval(p: Sequence[Rat], x: Rat) -> Rat:
-    acc = _ZERO
+def _eval_scaled(p: Sequence[int], a: int, b: int) -> int:
+    """b^deg * p(a/b), which has the sign of p(a/b) when b > 0."""
+    value, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        value = value * a + c * scale
+        scale *= b
+    return value
 
 
-def _poly_deriv(p: Sequence[Rat]) -> list[Rat]:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def _poly_divmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        q[k] = coeff
-        if coeff:
-            for j, bj in enumerate(b):
-                a[k + j] -= coeff * bj
-    return q, _poly_trim(a[: len(b) - 1])
-
-
-def _sturm_chain(p: list[Rat]) -> list[list[Rat]]:
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
     """Sturm chain of p by Euclid's algorithm on (p, p'): its last entry is
-    gcd(p, p') up to a constant factor."""
-    chain = [list(p), _poly_deriv(p)]
-    while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
+    gcd(p, p') up to a constant factor.  Each remainder is a positive
+    multiple of the one over Q (pseudo-division scales by |lead|, then the
+    content is divided out), so every sign variation is the same (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, 2.2)."""
+    chain = [list(p), [k * c for k, c in enumerate(p)][1:]]
+    while True:
+        *low, lead = chain[-1] if chain[-1][-1] > 0 else [-c for c in chain[-1]]
+        rem = list(chain[-2])
+        for shift in range(len(rem) - len(low) - 1, -1, -1):
+            top = rem.pop()
+            if top:
+                rem = [lead * c for c in rem]
+                for j, c in enumerate(low):
+                    rem[shift + j] -= top * c
+        while rem and not rem[-1]:
+            rem.pop()
         if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
+            return chain
+        content = math.gcd(*rem)
+        chain.append([-c // content for c in rem])
 
 
-def _sign_variations(chain: list[list[Rat]], x: Rat) -> int:
+def _sign_variations(chain: list[list[int]], a: int, b: int) -> int:
     signs = []
     for poly in chain:
-        v = _poly_eval(poly, x)
+        v = _eval_scaled(poly, a, b)
         if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            signs.append(v > 0)
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -146,35 +135,45 @@ class Field:
     with a Sturm chain).  Reducibility is screened by square-free and
     rational-root checks; full irreducibility certification is out of
     scope and documented as a caller obligation.
+
+    The minimal polynomial is kept once, as the integers F = D * minpoly
+    with D > 0 (``_minpoly_num``).  Validation, the reduction table and
+    the isolator's bisection run on F alone, with no Fraction arithmetic;
+    the Sturm chain holds positive multiples of the remainders over Q.
     """
 
-    def __init__(self, minpoly: Iterable[Rat | int | str], root_interval: tuple) -> None:
+    def __init__(self, minpoly: Iterable[Fraction | int | str], root_interval: tuple) -> None:
         coeffs = tuple(Fraction(c) for c in minpoly)
         if len(coeffs) < 2:
             raise NotMonic("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
         lo, hi = (Fraction(root_interval[0]), Fraction(root_interval[1]))
-        if lo >= hi:
+        (lo_num, hi_num), iso_den = _over_common_denominator((lo, hi))
+        if lo_num >= hi_num:
             raise NoSignChange(f"empty root interval [{lo}, {hi}]")
-        p = list(coeffs)
-        plo, phi = _poly_eval(p, lo), _poly_eval(p, hi)
+        ints, scale = _over_common_denominator(coeffs)
+        degree = len(ints) - 1
+        plo, phi = _eval_scaled(ints, lo_num, iso_den), _eval_scaled(ints, hi_num, iso_den)
         if plo == 0 or phi == 0 or (plo > 0) == (phi > 0):
+            scale *= iso_den ** degree
             raise NoSignChange(
-                f"minpoly({lo}) = {plo} and minpoly({hi}) = {phi} do not bracket a root"
+                f"minpoly({lo}) = {Fraction(plo, scale)} and "
+                f"minpoly({hi}) = {Fraction(phi, scale)} do not bracket a root"
             )
 
         self.minpoly = coeffs
-        self.degree = len(coeffs) - 1
+        self.degree = degree
         self.root_interval = (lo, hi)
 
-        self._minpoly_num = _over_common_denominator(coeffs)[0]
-        if self.degree > 1:
-            chain = _sturm_chain(p)
+        self._minpoly_num = ints
+        if degree > 1:
+            chain = _sturm_chain(ints)
             if len(chain[-1]) > 1:
                 raise ReduciblePolynomial("minimal polynomial is not square-free")
-            self._reject_rational_root(p)
-            roots = _sign_variations(chain, lo) - _sign_variations(chain, hi)
+            self._reject_rational_root()
+            roots = (_sign_variations(chain, lo_num, iso_den)
+                     - _sign_variations(chain, hi_num, iso_den))
             if roots != 1:
                 raise RootNotIsolated(
                     f"interval ({lo}, {hi}) contains {roots} roots of the minimal polynomial"
@@ -184,68 +183,62 @@ class Field:
         # only ever shrinks, and refining it only saves later work: every
         # sign and float is a function of the exact value alone, so no
         # output depends on its state.
-        (lo_num, hi_num), iso_den = _over_common_denominator((lo, hi))
         self._iso = (lo_num, hi_num, iso_den)
         self._sign_lo = 1 if plo > 0 else -1
         self._powers, self._powers_den = self._reduction_table()
 
-        zeros = (0,) * (self.degree - 1)
+        zeros = (0,) * (degree - 1)
         self.zero = _scalar(self, (0,) + zeros, 1)
         self.one = _scalar(self, (1,) + zeros, 1)
-        if self.degree == 1:
-            self.theta = self.scalar(-coeffs[0])
+        if degree == 1:  # F = (c, d) in lowest terms
+            self.theta = _scalar(self, (-ints[0],), ints[1])
         else:
             self.theta = _scalar(self, (0, 1) + zeros[1:], 1)
 
-    def _reject_rational_root(self, p: list[Rat]) -> None:
-        # Monic with rational coefficients: clear denominators and test every
-        # candidate rational root num/den with num | constant, den | leading.
+    def _reject_rational_root(self) -> None:
+        # Test every candidate rational root num/den of the integer
+        # polynomial F: num | F[0], den | F[g].
         ints = self._minpoly_num
         if ints[0] == 0:
             raise ReduciblePolynomial("zero is a rational root of the minimal polynomial")
         for den in _int_divisors(ints[-1]):
             for num in _int_divisors(ints[0]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _poly_eval(p, cand) == 0:
+                for cand in (num, -num):
+                    if not _eval_scaled(ints, cand, den):
                         raise ReduciblePolynomial(
-                            f"minimal polynomial has rational root {cand}"
+                            f"minimal polynomial has rational root {Fraction(cand, den)}"
                         )
 
     def _reduction_table(self) -> tuple[list[tuple[int, ...]], int]:
         """theta^k for k in [degree, 2*degree-2] as power-basis vectors of
-        integer numerators, over one common denominator."""
-        g = self.degree
-        table = []
-        cur = [-c for c in self.minpoly[:-1]]  # theta^g
+        integer numerators, over one common denominator.  Row k is
+        theta^(g+k) over D^(k+1), from D * theta^g = -F[:g]: theta times
+        the row before, theta^g folded in, over one more factor of D."""
+        g, ints = self.degree, self._minpoly_num
+        d = ints[-1]
+        rows, cur = [], [-c for c in ints[:-1]]
         for _ in range(g - 1):
-            table.append(tuple(cur))
-            top = cur[-1]
-            cur = [_ZERO] + cur[:-1]
-            if top:
-                for j in range(g):
-                    cur[j] += top * table[0][j]
-        nums, den = _over_common_denominator(c for row in table for c in row)
-        return [nums[k * g:(k + 1) * g] for k in range(g - 1)], den
+            rows.append(cur)
+            cur = [d * c + cur[-1] * f for c, f in zip([0] + cur[:-1], rows[0])]
+        den = d ** (g - 1)
+        rows = [[c * d ** (g - 2 - k) for c in row] for k, row in enumerate(rows)]
+        common = math.gcd(den, *(c for row in rows for c in row))
+        return [tuple([c // common for c in row]) for row in rows], den // common
 
     # -- isolator -----------------------------------------------------------
 
     def _refine(self) -> None:
         # Only irrational scalars refine, so the degree is >= 2 and the
         # minimal polynomial has no rational root: the midpoint is never one.
-        # Its sign at mid/den is that of sum_k c_k mid^k den^(g-k).
         lo, hi, den = self._iso
         mid = lo + hi
         den *= 2
-        value, scale = 0, 1
-        for c in reversed(self._minpoly_num):
-            value = value * mid + c * scale
-            scale *= den
-        if (value > 0) == (self._sign_lo > 0):
+        if (_eval_scaled(self._minpoly_num, mid, den) > 0) == (self._sign_lo > 0):
             self._iso = (mid, 2 * hi, den)
         else:
             self._iso = (2 * lo, mid, den)
 
-    def isolator(self) -> tuple[Rat, Rat]:
+    def isolator(self) -> tuple[Fraction, Fraction]:
         lo, hi, den = self._iso
         return Fraction(lo, den), Fraction(hi, den)
 

@@ -9,7 +9,9 @@ bitwise reproducible for equal seeds.
 
 The checks avoid repeated passes over a sample set: |z|^2 is computed
 once (``SampleSet.moduli``) for the level residual and Phi, and the
-effectiveness witness is searched from the first rows.
+effectiveness witness is searched from the first rows.  A prefix's Phi
+and Psi are computed from the prefix rows, not sliced from a product over
+all samples: BLAS may round (A @ B.T)[:k] and A[:k] @ B.T differently.
 
 The rank margin, which shows that 0 is a regular value of the level map
 Psi, is evaluated at the V vertex fibers, not at the samples.  At a
