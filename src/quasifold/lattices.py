@@ -59,14 +59,10 @@ def hermite_normal_form(
                     independent.append(i)
                     break
                 a, b = form[k][c], v[c]
-                if b % a == 0:
-                    # the pivot row stays as it is; smith_invariant_factors needs that
-                    v = [q - (b // a) * p for p, q in zip(form[k], v)]
-                else:
-                    g, x, y = xgcd(a, b)
-                    # 2x2 unimodular transform: new rows (x*R + y*v, -b/g*R + a/g*v)
-                    form[k], v = ([x * p + y * q for p, q in zip(form[k], v)],
-                                  [(a // g) * q - (b // g) * p for p, q in zip(form[k], v)])
+                g, x, y = xgcd(a, b)
+                # 2x2 unimodular transform: new rows (x*R + y*v, -b/g*R + a/g*v)
+                form[k], v = ([x * p + y * q for p, q in zip(form[k], v)],
+                              [(a // g) * q - (b // g) * p for p, q in zip(form[k], v)])
             k += at_pivot
     for r, c in enumerate(pivots):
         for k in range(r):
@@ -97,10 +93,10 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     and gcd/lcm exchanges make the diagonal a divisibility chain.  From
     the second form on, the leading pivot is the gcd of the leading row
     before: it drops strictly unless it divides that row, and then the
-    form clears its row and column (see hermite_normal_form) and leaves
-    the rest to go on alone.  So the alternation ends.  No command calls
-    it: it is the tests' reference for quotient_order, and the benchmark's
-    tracer counts its calls by name."""
+    form, which is unique (Cohen, 2.4), clears its row and column and
+    leaves the rest to go on alone.  So the alternation ends.  No
+    command calls it: it is the tests' reference for quotient_order, and
+    the benchmark's tracer counts its calls by name."""
     a = hermite_normal_form(rows)[0]
     while any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
         a = hermite_normal_form(list(zip(*a)))[0]

@@ -190,14 +190,13 @@ def _rank_margins(kernel: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     The rows are taken RANK_CHUNK_BYTES of product at a time.  eigvalsh
     factors each matrix on its own, so the margins do not depend on the
     chunk size.  Rounding can push the smallest eigenvalue below zero; it
-    is clipped to 0.  A 1x1 Gram matrix (d - n = 1) is its own
-    eigenvalue, as LAPACK returns it, so no eigensolver runs there."""
+    is clipped to 0."""
     chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
     margins = np.empty(len(moduli))
     for start in range(0, len(moduli), chunk):
         block = moduli[start:start + chunk]
         gram = (kernel[None, :, :] * block[:, None, :]) @ kernel.T
-        eig = gram[:, 0] if len(kernel) == 1 else np.linalg.eigvalsh(gram)
+        eig = np.linalg.eigvalsh(gram)
         margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
     return margins
 

@@ -19,7 +19,6 @@ from quasifold import (
     MANIFOLD,
     ORBIFOLD,
     QUASIFOLD,
-    Matrix,
     NotSimple,
     build_construction,
     check_hamiltonian_identity,
@@ -30,6 +29,7 @@ from quasifold import (
     verify_moment_image,
     vertex_structure_group,
 )
+from quasifold.linalg import Matrix
 from conftest import as_fraction, construct_builtin, load_builtin
 
 CONSTRUCTIBLE = [

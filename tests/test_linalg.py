@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasifold import DimensionMismatch, Field, Matrix, rational_field
+from quasifold import DimensionMismatch, Field, rational_field
+from quasifold.linalg import Matrix
 from conftest import as_fraction
 
 RAT = rational_field()
