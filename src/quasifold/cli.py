@@ -100,6 +100,8 @@ def _load_document(args) -> dict:
         return json.loads(args.input.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{args.input}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{args.input}: JSON nested too deeply") from None
 
 
 # Per nesting depth, built on first use: the newline and indent before the

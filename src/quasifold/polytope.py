@@ -365,10 +365,12 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
     The perturbed polytope relaxes the input by an infinitesimal, so it
     has the same recession cone, and each vertex of the input has a basis
     among its vertices; its edge graph is connected, so the walk meets
-    every vertex, unless it meets an unbounded edge first.  A tableau is built only when its edge
-    is crossed, and the edge it was crossed by needs no ratio test from
-    its far end: on a simple polytope the way back leads to the basis it
-    came from.
+    every vertex, unless it meets an unbounded edge first.  A tableau is
+    built only when its edge is crossed, and each edge is ratio-tested
+    once: on a simple polytope, when edge k of t leads to basis b, edge
+    b.index(entering) of b leads back to t, so b skips that slot.  A
+    skipped test would meet a basis already seen and push nothing, and a
+    skipped edge is bounded, so the first unbounded edge is the same.
 
     The walk keeps the first tableau it meets at each vertex.  A simple
     vertex has one basis, its active set, and keeps its cone and det A_v.
@@ -378,20 +380,24 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
     independent subset in index order (_least_independent).
     """
     n = len(first.basis)
-    seen, found = {first.basis}, {}
-    pending = [(first, None, None)]  # a tableau, the edge to cross from it, the way back
+    tested, found = {first.basis: set()}, {}  # per basis seen, its slots tested from the far end
+    pending = [(first, None)]  # a tableau and the edge to cross from it
     while pending:
-        t, edge, back = pending.pop()
+        t, edge = pending.pop()
         if edge:
             t = _pivot(t, *edge)
         found.setdefault(tuple([j for j, s in enumerate(t.values[:d]) if not any(s.num)]), t)
+        skip = tested[t.basis]
         for k in range(n):
-            if k != back:
+            if k not in skip:
                 entering = _ratio_test(t, d, k)
                 basis = _swapped(t.basis, k, entering)
-                if basis not in seen:
-                    seen.add(basis)
-                    pending.append((t, (k, entering, basis), basis.index(entering)))
+                slots = tested.get(basis)
+                if slots is None:
+                    tested[basis] = {basis.index(entering)}
+                    pending.append((t, (k, entering, basis)))
+                else:
+                    slots.add(basis.index(entering))
     listed = []
     for active, t in found.items():
         if len(active) == n:

@@ -369,11 +369,11 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZeroScalar("division by zero scalar")
-        if self.field.degree == 1:
-            num = self.num[0]
+        if self.is_rational():  # den / num[0], zero higher numerators kept
+            num, zeros = self.num[0], self.num[1:]
             if num < 0:
-                return _scalar(self.field, (-self.den,), -num)
-            return _scalar(self.field, (self.den,), num)
+                return _scalar(self.field, (-self.den, *zeros), -num)
+            return _scalar(self.field, (self.den, *zeros), num)
         # x = den / (num[0] + ... + num[g-1]*theta^(g-1)) solves the integer
         # system whose column j is T * num * theta^j, reduced by the field's
         # table over its denominator T, with right-hand side T * den * e_0.
@@ -864,7 +864,10 @@ def parse_scalar(text: str, field: Field) -> Scalar:
     if not isinstance(text, str) or not text.strip():
         raise ScalarSyntaxError("empty scalar expression")
     parser = _Parser(_tokenize(text), field)
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:  # deep parentheses or a long run of signs
+        raise ScalarSyntaxError("expression nested too deeply") from None
     if parser.peek() != "end":
         raise ScalarSyntaxError(f"trailing input after expression in {text!r}")
     return value

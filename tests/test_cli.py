@@ -213,6 +213,28 @@ def test_value_too_large_to_write_exit_2(capsys, tmp_path, command, offset, mess
     assert err == f"ScalarTooLarge: {message}\n"
 
 
+def _interval_with_offset(offset):
+    return json.dumps({"dimension": 1,
+                       "facets": [{"normal": ["1"], "offset": offset},
+                                  {"normal": ["-1"], "offset": "-2"}]})
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct", "verify"])
+@pytest.mark.parametrize("text, error", [
+    (_interval_with_offset("(" * 400 + "0" + ")" * 400),
+     "ScalarSyntaxError: expression nested too deeply"),
+    (_interval_with_offset("-" * 3000 + "1"), "ScalarSyntaxError: expression nested too deeply"),
+    ("[" * 100_000 + "]" * 100_000, "SchemaError: {path}: JSON nested too deeply"),
+], ids=["parentheses", "signs", "arrays"])
+def test_deep_nesting_exit_2(capsys, tmp_path, command, text, error):
+    # Each would overflow Python's recursion limit, which is not an I/O error.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == error.format(path=path) + "\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "construct"])
 @pytest.mark.parametrize("document, where", [
     ({"dimension": 1,

@@ -841,6 +841,73 @@ def test_pentagon2_start_pivots_past_dependent_normals(monkeypatch):
     assert (len(eliminations), len(pivots)) == (0, 4 + 24)
 
 
+def dodecahedron_document():
+    """Normals (0, +-1, +-phi) and their cyclic shifts, phi = (1 + sqrt5)/2,
+    the vertices of an icosahedron: the regular dodecahedron."""
+    phi = "1/2 + 1/2*theta"
+    normals = [rotate for a in ("1", "-1") for b in (phi, f"-({phi})")
+               for rotate in (["0", a, b], [a, b, "0"], [b, "0", a])]
+    return doc(3, [(normal, "-1") for normal in normals],
+               field={"minpoly": ["-5", "0", "1"], "root_interval": ["2", "3"]})
+
+
+def _walk_ratio_tests_and_pivots(document):
+    """Parse, counting the ratio tests and pivots inside _walk; the basis
+    size n, or None when the walk did not return."""
+    walk, ratio_test, pivot = (polytope_module._walk, polytope_module._ratio_test,
+                               polytope_module._pivot)
+    walking, tests, pivots, walked = [], [], [], []
+
+    def counted(calls, function):
+        def call(*args):
+            if walking:
+                calls.append(1)
+            return function(*args)
+        return call
+
+    def walk_counted(d, first):
+        walking.append(1)
+        vertices = walk(d, first)
+        walking.clear()
+        walked.append(len(first.basis))
+        return vertices
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope_module, "_walk", walk_counted)
+        patch.setattr(polytope_module, "_ratio_test", counted(tests, ratio_test))
+        patch.setattr(polytope_module, "_pivot", counted(pivots, pivot))
+        try:
+            parse_polytope(document)
+        except (NormalsDontSpan, LowerDimensional, UnboundedPolytope):
+            pass
+    return len(tests), len(pivots), (walked or [None])[0]
+
+
+@pytest.mark.parametrize("document, tests", [
+    pytest.param(cube_document(6), 192, id="cube6"),            # 321 from both ends
+    pytest.param(dodecahedron_document(), 30, id="dodecahedron"),  # 41
+    pytest.param(pentagon_squared_document(), 50, id="pentagon2"),  # 76
+    pytest.param(builtin_document("octahedron"), 18, id="octahedron"),  # 25
+    pytest.param(cross_polytope_document(5), 600, id="cross5"),  # 961
+])
+def test_walk_ratio_tests_each_edge_once(document, tests):
+    # The bases the walk visits are the vertices of a simple polytope, so
+    # each has n edges and the walk crosses one edge per basis after the
+    # first: (pivots + 1) n / 2 edges, each ratio-tested from one end.
+    counted, pivots, n = _walk_ratio_tests_and_pivots(document)
+    assert counted == tests == (pivots + 1) * n // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(h_representations(), cut_boxes()))
+def test_walk_ratio_tests_each_edge_once_on_every_bounded_outcome(case):
+    n, normals, offsets = case
+    tests, pivots, walked = _walk_ratio_tests_and_pivots(
+        doc(n, [([str(x) for x in normal], str(b)) for normal, b in zip(normals, offsets)]))
+    if walked is not None:
+        assert 2 * tests == (pivots + 1) * n
+
+
 def test_empty_cube8_is_refused_after_eight_phase1_pivots(monkeypatch):
     # Phase 1 pivots to a Farkas certificate; a scan would eliminate all
     # C(17, 8) = 24,310 subsets to show that none is feasible.

@@ -26,6 +26,7 @@ from quasifold import (
 from quasifold.scalars import (
     _over_common_denominator, _sturm_chain, add_product, cross_sign, dot, sub_product,
 )
+import quasifold.scalars as scalars_module
 from conftest import as_fraction, coeffs, from_coeffs
 
 
@@ -124,7 +125,11 @@ class TestParse:
     def test_division(self, sqrt2_field):
         assert sqrt2_field.parse("1/theta") == sqrt2_field.parse("theta/2")
 
-    @pytest.mark.parametrize("bad", ["", "1 +", "theta^(1/2)", "2 ** 3", "x + 1", "(1", "1//2"])
+    @pytest.mark.parametrize("bad", [
+        "", "1 +", "theta^(1/2)", "2 ** 3", "x + 1", "(1", "1//2",
+        pytest.param("(" * 400 + "1" + ")" * 400, id="deep-parentheses"),
+        pytest.param("-" * 3000 + "1", id="deep-signs"),
+    ])
     def test_syntax_errors(self, bad, sqrt2_field):
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad, sqrt2_field)
@@ -238,6 +243,23 @@ class TestFieldAxioms:
     def test_multiplicative_inverse(self, a):
         if not a.is_zero():
             assert a * a.inverse() == COSF.one
+
+    @pytest.mark.parametrize("field", [SQRT2, COSF], ids=["sqrt2", "cos_pi_10"])
+    @pytest.mark.parametrize("value, num, den", [
+        (Fraction(-3, 7), -7, 3), (Fraction(5), 1, 5), (Fraction(1), 1, 1),
+    ])
+    def test_rational_inverse_swaps_numerator_and_denominator(self, monkeypatch, field,
+                                                              value, num, den):
+        # No integer system is solved for a rational value: the inverse of
+        # num[0] / den is den / num[0], with the higher numerators still 0.
+        calls = []
+        bareiss = scalars_module.bareiss
+        monkeypatch.setattr(scalars_module, "bareiss",
+                            lambda system: calls.append(1) or bareiss(system))
+        inverse = field.scalar(value).inverse()
+        assert (inverse.num, inverse.den) == ((num,) + (0,) * (field.degree - 1), den)
+        assert calls == []
+        assert field.theta.inverse() * field.theta == field.one and calls == [1]
 
     @settings(max_examples=40, deadline=None)
     @given(a=_scalars(COSF))
@@ -427,8 +449,12 @@ def _assert_canonical(s):
 
 
 def _coefficient_vectors(field):
+    """Coefficient vectors, and rational ones (zero past theta^0), which an
+    irrational field inverts by swapping numerator and denominator."""
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-    return st.tuples(*[coeff] * field.degree)
+    zeros = (Fraction(0),) * (field.degree - 1)
+    return st.one_of(st.tuples(*[coeff] * field.degree),
+                     coeff.map(lambda c: (c,) + zeros))
 
 
 ORACLE_FIELDS = [rational_field(), SQRT2, COSF]
