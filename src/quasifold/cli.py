@@ -98,7 +98,7 @@ def _load_document(args) -> dict:
             raise SchemaError(str(exc.args[0])) from None
     try:
         return json.loads(args.input.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad bytes, bad JSON, or an integer past the digit limit
         raise SchemaError(f"{args.input}: not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{args.input}: JSON nested too deeply") from None

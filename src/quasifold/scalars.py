@@ -3,9 +3,10 @@
 A field is described by a monic minimal polynomial with rational
 coefficients together with an isolating interval that pins down which
 real root theta denotes.  It keeps that polynomial once, as integers
-over one denominator, and checks the interval with a Sturm chain of
-positive integer multiples of Euclid's remainders.  A scalar is a vector of integer numerators over
-the power basis 1, theta, ..., theta^(g-1) and one positive common
+over one denominator, and builds one Sturm chain of positive integer
+multiples of Euclid's remainders, which both checks the interval and
+finds any rational root.  A scalar is a vector of integer numerators
+over the power basis 1, theta, ..., theta^(g-1) and one positive common
 denominator, kept in lowest terms, so that equal values are equal
 tuples (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
 All arithmetic is exact integer arithmetic.  Every comparison against
@@ -19,9 +20,11 @@ over one denominator, fold theta^g, ... once through the field's
 reduction table, and take a single gcd at the end, where the same
 expression built from ``*``, ``+`` and ``-`` takes one per operation.
 The lowest-terms form is unique, so each returns exactly the Scalar that
-expression returns.  ``cross_sign`` gives the sign of a*b - c*d from
-unreduced numerators, with no gcd and no Scalar.  ``dot`` is a chain of
-``add_product``, so it reduces once per term.
+expression returns.  ``+`` and ``-`` are the same kernel with f*1, so
+every linear combination in Q(theta) goes through it.  ``cross_sign``
+gives the sign of a*b - c*d from unreduced numerators, with no gcd and
+no Scalar.  ``dot`` is a chain of ``add_product``, so it reduces once
+per term.
 
 ``bareiss`` is the one fraction-free elimination: ``Scalar.inverse``
 solves its integer system with it, and ``lattices.integer_det`` reads a
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -102,16 +105,29 @@ def _sign_variations(chain: list[list[int]], a: int, b: int) -> int:
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _rational_root(p: Sequence[int], chain: list[list[int]]) -> Fraction | None:
+    """A rational root of the square-free integer polynomial p, or None,
+    found by the Sturm chain alone.  A root in lowest terms has a
+    denominator dividing a = p[-1] > 0, so it is k/a for an integer k,
+    and |k| < b*a by Cauchy's bound b.  V(lo/a) - V(hi/a) counts the roots
+    in (lo/a, hi/a]; pieces with roots are halved until one step wide,
+    where hi/a is the only candidate."""
+    a = p[-1]
+    bound = (2 + max(abs(c) for c in p) // a) * a
+    pieces = [(-bound, _sign_variations(chain, -bound, a),
+               bound, _sign_variations(chain, bound, a))]
+    while pieces:
+        lo, vlo, hi, vhi = pieces.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if not _eval_scaled(p, hi, a):
+                return Fraction(hi, a)
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_variations(chain, mid, a)
+        pieces += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+    return None
 
 
 def _over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
@@ -133,8 +149,8 @@ class Field:
     monic; ``root_interval`` is an open interval whose endpoints evaluate
     to opposite signs and which contains exactly one real root (verified
     with a Sturm chain).  Reducibility is screened by square-free and
-    rational-root checks; full irreducibility certification is out of
-    scope and documented as a caller obligation.
+    rational-root checks, both read off that chain; full irreducibility
+    certification is out of scope and documented as a caller obligation.
 
     The minimal polynomial is kept once, as the integers F = D * minpoly
     with D > 0 (``_minpoly_num``).  Validation, the reduction table and
@@ -171,7 +187,9 @@ class Field:
             chain = _sturm_chain(ints)
             if len(chain[-1]) > 1:
                 raise ReduciblePolynomial("minimal polynomial is not square-free")
-            self._reject_rational_root()
+            root = _rational_root(ints, chain)
+            if root is not None:
+                raise ReduciblePolynomial(f"minimal polynomial has rational root {root}")
             roots = (_sign_variations(chain, lo_num, iso_den)
                      - _sign_variations(chain, hi_num, iso_den))
             if roots != 1:
@@ -194,20 +212,6 @@ class Field:
             self.theta = _scalar(self, (-ints[0],), ints[1])
         else:
             self.theta = _scalar(self, (0, 1) + zeros[1:], 1)
-
-    def _reject_rational_root(self) -> None:
-        # Test every candidate rational root num/den of the integer
-        # polynomial F: num | F[0], den | F[g].
-        ints = self._minpoly_num
-        if ints[0] == 0:
-            raise ReduciblePolynomial("zero is a rational root of the minimal polynomial")
-        for den in _int_divisors(ints[-1]):
-            for num in _int_divisors(ints[0]):
-                for cand in (num, -num):
-                    if not _eval_scaled(ints, cand, den):
-                        raise ReduciblePolynomial(
-                            f"minimal polynomial has rational root {Fraction(cand, den)}"
-                        )
 
     def _reduction_table(self) -> tuple[list[tuple[int, ...]], int]:
         """theta^k for k in [degree, 2*degree-2] as power-basis vectors of
@@ -332,7 +336,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(self, o, add)
+        return _fused(self, o, self.field.one, 1)
 
     __radd__ = __add__
 
@@ -343,7 +347,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _combine(self, o, sub)
+        return _fused(self, o, self.field.one, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -550,16 +554,6 @@ def _reduced(field: Field, num: tuple[int, ...], den: int) -> Scalar:
         num = tuple([c // common for c in num])
         den //= common
     return _scalar(field, num, den)
-
-
-def _combine(x: Scalar, y: Scalar, op) -> Scalar:
-    """x + y or x - y (op is operator.add or sub): the numerators combine
-    directly over equal denominators and cross-multiplied otherwise."""
-    a, b = x.den, y.den
-    if a == b:
-        return _reduced(x.field, tuple(map(op, x.num, y.num)), a)
-    return _reduced(x.field, tuple(map(op, [c * b for c in x.num], [c * a for c in y.num])),
-                    a * b)
 
 
 def _horner_interval(num: Sequence[int], den: int,

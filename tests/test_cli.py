@@ -235,6 +235,24 @@ def test_deep_nesting_exit_2(capsys, tmp_path, command, text, error):
     assert err == error.format(path=path) + "\n"
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs Python's limit on integer string conversion below 5000 digits")
+@pytest.mark.parametrize("command", ["analyze", "construct", "verify", "plot"])
+@pytest.mark.parametrize("text", [
+    '{"dimension": ' + "9" * 5000 + ', "facets": []}',
+    _interval_with_offset(0).replace("0", "9" * 5000, 1),
+], ids=["dimension", "offset"])
+def test_integer_literal_past_the_digit_limit_exit_2(capsys, tmp_path, command, text):
+    # json.loads raises a bare ValueError when int() refuses the literal.
+    path, csv_path = tmp_path / "big.json", tmp_path / "samples.csv"
+    path.write_text(text)
+    extra = ["--csv", str(csv_path)] if command == "plot" else []
+    code, out, err = run(capsys, command, "--input", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"SchemaError: {path}: not valid JSON: Exceeds the limit")
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "construct"])
 @pytest.mark.parametrize("document, where", [
     ({"dimension": 1,

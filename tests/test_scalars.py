@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,28 @@ class TestFieldCreate:
             Field(("-1", "0", "1"), ("1/2", 2))  # rational roots +-1
         with pytest.raises(ReduciblePolynomial, match="not square-free"):
             Field(("2", "-3", "0", "1"), (-3, 0))  # (x-1)^2 (x+2)
+
+    @pytest.mark.parametrize("c", [2 * 10**16, 2 * 10**24])
+    def test_large_constant_term_builds_quickly(self, c):
+        # Q(sqrt c) is Q(sqrt 2) with a large constant term.  The
+        # rational-root screen halves the Sturm chain's grid about log2(c)
+        # times, so its cost must not grow like sqrt(c).
+        root = math.isqrt(c)
+        start = time.perf_counter()
+        field = Field((-c, 0, 1), (root, root + 1))
+        assert time.perf_counter() - start < 1
+        assert field.theta * field.theta == c
+
+    def test_large_rational_root_named(self):
+        # (x - 10^12)(x^2 - 2), around sqrt 2
+        with pytest.raises(ReduciblePolynomial, match="has rational root 1000000000000$"):
+            Field((2 * 10**12, -2, -10**12, 1), (1, 2))
+
+    def test_rational_root_between_the_integers(self):
+        # (16x - 5)(x^2 - 2): the root 5/16 is the grid point 5/a with
+        # a = 16, the leading coefficient of the integer polynomial
+        with pytest.raises(ReduciblePolynomial, match="has rational root 5/16$"):
+            Field(("5/8", "-2", "-5/16", "1"), (1, 2))
 
     def test_square_free_check_alone_refuses(self):
         # (x^2-2)^2 (x^2-3) has no rational root and one root, sqrt 3, in
@@ -613,10 +636,9 @@ def _ref_has_rational_root(p):
     den | leading coefficient once denominators are cleared."""
     scale = math.lcm(*(c.denominator for c in p))
     constant, leading = p[0] * scale, p[-1] * scale
-    return constant == 0 or any(
-        _ref_eval(p, Fraction(sign * num, den)) == 0
-        for den in _ref_divisors(leading.numerator)
-        for num in _ref_divisors(constant.numerator) for sign in (1, -1))
+    nums, dens = _ref_divisors(constant.numerator), _ref_divisors(leading.numerator)
+    return constant == 0 or any(_ref_eval(p, Fraction(sign * num, den)) == 0
+                                for den in dens for num in nums for sign in (1, -1))
 
 
 def _ref_refusal(p, lo, hi):
@@ -675,6 +697,12 @@ def _factored_field(rng):
     centers = [Fraction(0)] if rng.random() < 1 / 3 else _SMALL
     factors = [(rng.choice(centers), rng.choice([None, *_SPREADS]))
                for _ in range(rng.randint(1, 3))]
+    if rng.random() < 1 / 3:
+        # A linear factor qx - p with q <= 30 and |p| <= 10^6, whose root
+        # is a grid point k/a of the chain's screen, a often larger than
+        # q; with at most one more factor the divisor reference stays quick.
+        factors = [(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 30)), None),
+                   *factors[1:2]]
     if rng.random() < 0.25:
         factors.append(rng.choice(factors))
     for r, m in factors:
