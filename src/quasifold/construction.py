@@ -130,7 +130,7 @@ class _FloatData:
     kernel: np.ndarray          # (d-n, d), rows span Lie(N)
     pinv_stack: np.ndarray      # (n, d), least-squares inverse of stack
     vertices: np.ndarray        # (V, n), in vertex order
-    vertex_moduli: np.ndarray   # (V, d), |z|^2 over each vertex: the slacks, clipped at 0
+    vertex_moduli: np.ndarray   # (V, d), |z|^2 over each vertex: the slacks, exact and >= 0
 
     @classmethod
     def build(cls, data: "DelzantData") -> "_FloatData":
@@ -147,7 +147,7 @@ class _FloatData:
         # every singular value is past pinv's 1e-15 relative cutoff here.
         pinv_stack = vt.T @ ((1.0 / svals)[:, None] * u.T)
         vertices = _float_rows([v.point for v in p.vertices], floats)
-        moduli = np.maximum(_float_rows([v.slacks for v in p.vertices], floats), 0.0)
+        moduli = _float_rows([v.slacks for v in p.vertices], floats)
         return cls(stack, lam, kernel, pinv_stack, vertices, moduli)
 
 

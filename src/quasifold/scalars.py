@@ -34,6 +34,7 @@ determinant off it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from operator import add
@@ -130,6 +131,18 @@ def _rational_root(p: Sequence[int], chain: list[list[int]]) -> Fraction | None:
     return None
 
 
+def _rational(value) -> Fraction:
+    """Fraction(value) of an exact value, refusing binary floats:
+    Fraction(0.1) is the double's value 3602879701896397/2**55, not
+    1/10.  Python and numpy floats are numbers.Real but not
+    numbers.Rational."""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        raise TypeError(
+            f"binary float {value!r}: expected an int, a Fraction or an expression string"
+        )
+    return Fraction(value)
+
+
 def _over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
     """Integer numerators over the least common denominator of the
     rationals; the result is in lowest terms."""
@@ -145,7 +158,8 @@ def _over_common_denominator(values: Iterable) -> tuple[tuple[int, ...], int]:
 class Field:
     """Real algebraic number field Q(theta).
 
-    ``minpoly`` lists rational coefficients in ascending order and must be
+    ``minpoly`` lists rational coefficients in ascending order (ints,
+    Fractions or strings; a binary float raises TypeError) and must be
     monic; ``root_interval`` is an open interval whose endpoints evaluate
     to opposite signs and which contains exactly one real root (verified
     with a Sturm chain).  Reducibility is screened by square-free and
@@ -159,12 +173,12 @@ class Field:
     """
 
     def __init__(self, minpoly: Iterable[Fraction | int | str], root_interval: tuple) -> None:
-        coeffs = tuple(Fraction(c) for c in minpoly)
+        coeffs = tuple(_rational(c) for c in minpoly)
         if len(coeffs) < 2:
             raise NotMonic("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
-        lo, hi = (Fraction(root_interval[0]), Fraction(root_interval[1]))
+        lo, hi = (_rational(root_interval[0]), _rational(root_interval[1]))
         (lo_num, hi_num), iso_den = _over_common_denominator((lo, hi))
         if lo_num >= hi_num:
             raise NoSignChange(f"empty root interval [{lo}, {hi}]")
@@ -258,7 +272,7 @@ class Field:
         zeros = (0,) * (self.degree - 1)
         if isinstance(value, int):
             return _scalar(self, (value,) + zeros, 1)
-        value = Fraction(value)
+        value = _rational(value)
         return _scalar(self, (value.numerator,) + zeros, value.denominator)
 
     def parse(self, text: str) -> "Scalar":

@@ -7,11 +7,14 @@ polytope into simplices, determines the moduli
 randomness flows through one seeded generator per check, so reports are
 bitwise reproducible for equal seeds.
 
-The checks avoid repeated passes over a sample set: |z|^2 is computed
-once (``SampleSet.moduli``) for the level residual and Phi, and the
-effectiveness witness is searched from the first rows.  A prefix's Phi
-and Psi are computed from the prefix rows, not sliced from a product over
-all samples: BLAS may round (A @ B.T)[:k] and A[:k] @ B.T differently.
+The checks avoid repeated passes over a sample set: |z|^2 of its z is
+computed once (``SampleSet.moduli``), and every check that needs it reads
+that array: the level residual, Phi, the sampled rank-margin
+cross-check, the unmoved side of both invariance comparisons, and the
+effectiveness witness, which is searched from the first rows.  A
+prefix's Phi and Psi are computed from the prefix rows, not sliced from a
+product over all samples: BLAS may round (A @ B.T)[:k] and A[:k] @ B.T
+differently.
 
 The rank margin, which shows that 0 is a regular value of the level map
 Psi, is evaluated at the V vertex fibers, not at the samples.  At a
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .construction import DelzantData, induced_moment, kernel_moment
-from .errors import DimensionMismatch, InternalInconsistency, StepOutOfRange
+from .errors import DimensionMismatch, IllConditioned, InternalInconsistency, StepOutOfRange
 
 # Finite-difference step and (sample, direction) pair count of the
 # Hamiltonian check; samples moved by the invariance check.
@@ -65,8 +68,8 @@ class SampleSet:
 
     @cached_property
     def moduli(self) -> np.ndarray:
-        """|z|^2 (N, d), computed on first use; the level residual, Phi and
-        check_regular_value all read it."""
+        """|z|^2 (N, d), computed on first use; every check of the samples
+        reads it (see the module docstring)."""
         return np.abs(self.z) ** 2
 
 
@@ -190,14 +193,16 @@ def _rank_margins(kernel: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     The rows are taken RANK_CHUNK_BYTES of product at a time.  eigvalsh
     factors each matrix on its own, so the margins do not depend on the
     chunk size.  Rounding can push the smallest eigenvalue below zero; it
-    is clipped to 0."""
+    is clipped to 0.  A Gram matrix that rounds to 0 has the margin 0/0,
+    NaN, without a warning."""
     chunk = max(1, RANK_CHUNK_BYTES // kernel.nbytes)
     margins = np.empty(len(moduli))
     for start in range(0, len(moduli), chunk):
         block = moduli[start:start + chunk]
         gram = (kernel[None, :, :] * block[:, None, :]) @ kernel.T
         eig = np.linalg.eigvalsh(gram)
-        margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
+        with np.errstate(invalid="ignore"):
+            margins[start:start + chunk] = np.sqrt(np.maximum(eig[:, 0], 0.0) / eig[:, -1])
     return margins
 
 
@@ -211,22 +216,38 @@ def check_regular_value(data: DelzantData, samples: SampleSet) -> float:
     the eigenvalues of the (d-n, d-n) Gram matrix B diag(|z|^2) B^T up to
     the factor 4, which the ratio drops, as it drops the phases.  The
     minimum over the whole level set lies at a vertex fiber (see the
-    module docstring); run_verification reports that one and calls this
-    on a prefix of the samples as a cross-check."""
+    module docstring); run_verification reports that one and cross-checks
+    it with _check_sampled_margins, which reads the moduli of a prefix of
+    the samples directly.  A sample whose Gram matrix rounds to 0 makes
+    the result NaN."""
     return float(np.min(_rank_margins(data.floats.kernel, samples.moduli), initial=math.inf))
 
 
 def _check_sampled_margins(data: DelzantData, vertex_margin: float,
-                           samples: SampleSet) -> None:
-    """Raise InternalInconsistency when some sample's squared rank margin
-    falls below vertex_margin**2 by more than RANK_ROUNDING * d * eps.
-    The vertex minimum is the minimum over the level set, so such a
-    sample means wrong vertex slacks or a wrong kernel."""
-    sampled = check_regular_value(data, samples)
+                           moduli: np.ndarray) -> None:
+    """Cross-check the vertex minimum against the samples whose |z|^2 are
+    the rows of moduli (P, d), and fail closed on the first sample whose
+    squared rank margin is not at least vertex_margin**2 minus
+    RANK_ROUNDING * d * eps.
+
+    A finite margin below that bound raises InternalInconsistency: the
+    vertex minimum is the minimum over the level set, so such a sample
+    means wrong vertex slacks or a wrong kernel.  A NaN margin, whose Gram
+    matrix B diag(m) B^T rounded to 0, raises IllConditioned: the floats
+    cannot resolve the level set there."""
+    margins = _rank_margins(data.floats.kernel, moduli)
     allowance = RANK_ROUNDING * data.ambient_dim * np.finfo(float).eps
-    if sampled ** 2 < vertex_margin ** 2 - allowance:
+    failing = np.flatnonzero(~(margins ** 2 >= vertex_margin ** 2 - allowance))
+    if failing.size:
+        index = int(failing[0])
+        sampled = float(margins[index])
+        if math.isnan(sampled):
+            raise IllConditioned(
+                f"sample {index}: the rank-margin Gram matrix B diag(|z|^2) B^T rounds to 0"
+            )
         raise InternalInconsistency(
-            f"sampled rank margin {sampled!r} below the vertex minimum {vertex_margin!r}"
+            f"sample {index}: sampled rank margin {sampled!r} below the vertex minimum "
+            f"{vertex_margin!r}"
         )
 
 
@@ -292,9 +313,10 @@ class InvarianceCheck:
 def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> InvarianceCheck:
     """Psi under random full-torus elements, Phi under random elements of
     the kernel subgroup, on the first INVARIANCE_SAMPLES samples, plus a
-    free-orbit witness (the first sample with every modulus positive,
+    free-orbit witness (the first sample with every |z_j|^2 positive,
     where the torus action is effective), searched INVARIANCE_SAMPLES
-    rows at a time."""
+    rows at a time.  Psi and Phi of the unmoved samples, and the witness,
+    are read from samples.moduli."""
     rng = np.random.default_rng(seed)
     k = min(INVARIANCE_SAMPLES, len(samples))
     z = samples.z[:k]
@@ -302,19 +324,20 @@ def check_invariance(data: DelzantData, samples: SampleSet, seed=0) -> Invarianc
     f = data.floats
     theta = rng.uniform(0.0, 1.0, size=(k, d))
     rotated = z * np.exp(2j * np.pi * theta)
+    j = samples.moduli[:k] + f.lam  # torus_moment(z), from the moduli
     torus = float(np.max(np.abs(
-        kernel_moment(rotated, data) - kernel_moment(z, data)
+        kernel_moment(rotated, data) - j @ f.kernel.T
     ), initial=0.0))
     sigma = rng.uniform(-1.0, 1.0, size=(k, f.kernel.shape[0]))
     theta_n = (sigma @ f.kernel) % 1.0
     moved = z * np.exp(2j * np.pi * theta_n)
     kernel_res = float(np.max(np.abs(
-        induced_moment(moved, data, tol=None) - induced_moment(z, data, tol=None)
+        induced_moment(moved, data, tol=None) - j @ f.pinv_stack.T
     ), initial=0.0))
     effectiveness = None
     for start in range(0, len(samples), INVARIANCE_SAMPLES):
-        block = samples.z[start:start + INVARIANCE_SAMPLES]
-        hits = np.flatnonzero(np.min(np.abs(block), axis=1) > 0.0)
+        block = samples.moduli[start:start + INVARIANCE_SAMPLES]
+        hits = np.flatnonzero(np.min(block, axis=1) > 0.0)
         if hits.size:
             effectiveness = start + int(hits[0])
             break
@@ -372,7 +395,8 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     quasiconcave in mu (see the module docstring), so that is its minimum
     over the level set, and it does not depend on the seed or the sample
     count.  The first INVARIANCE_SAMPLES samples cross-check it: a sampled
-    margin below it beyond rounding raises InternalInconsistency.
+    margin below it beyond rounding raises InternalInconsistency, and one
+    whose Gram matrix rounds to 0 raises IllConditioned.
     """
     tol = {
         "level_residual": 1e-9,
@@ -392,9 +416,7 @@ def run_verification(data: DelzantData, samples: int = 10_000, seed: int = 0,
     margin = None
     if sampled:
         margin = float(np.min(_rank_margins(f.kernel, f.vertex_moduli)))
-        prefix = SampleSet(mu=sample_set.mu[:INVARIANCE_SAMPLES],
-                           z=sample_set.z[:INVARIANCE_SAMPLES])
-        _check_sampled_margins(data, margin, prefix)
+        _check_sampled_margins(data, margin, sample_set.moduli[:INVARIANCE_SAMPLES])
     image = verify_moment_image(data, sample_set)
     pairs = min(HAMILTONIAN_PAIRS, len(sample_set))
     directions = np.random.default_rng([seed, 1]).standard_normal((pairs, data.dim))

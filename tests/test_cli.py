@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -782,6 +783,23 @@ def test_verify_threshold_failure_exit_3(capsys, option, failure):
     assert err == "verification failed: " + ", ".join(payload["failures"]) + "\n"
 
 
+def test_verify_refuses_samples_whose_gram_matrix_rounds_to_zero(capsys, tmp_path):
+    # On [10^300, 10^300 + 1] most samples' float slacks round to 0, so
+    # their rank-margin Gram matrix is 0 and the margin 0/0 is NaN.  The
+    # cross-check fails closed on NaN, with no numpy warning.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "facets": [{"normal": ["1"], "offset": "10^300"},
+                   {"normal": ["-1"], "offset": "-10^300 - 1"}],
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--input", str(path), "--samples", "200")
+    assert (code, out) == (2, "")
+    assert err.startswith("IllConditioned: sample ")
+
+
 def test_verify_without_samples_skips_the_rank_check(capsys):
     code, out, _ = run(capsys, "verify", "--builtin", "square", "--samples", "0",
                        "--tol-rank", "1")
@@ -849,6 +867,20 @@ def test_plot_csv_bytes_match_golden_digests(capsys, tmp_path, name):
                        "--seed", "0", "--csv", str(out_csv))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == VERIFY_CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CSV_DIGESTS))
+def test_plot_and_verify_write_the_same_csv(capsys, tmp_path, name):
+    # plot evaluates Phi as induced_moment(z); verify reads it off the
+    # sample set's cached |z|^2.  The two must agree bit for bit.
+    written = []
+    for command in ("plot", "verify"):
+        path = tmp_path / f"{command}.csv"
+        code, _, err = run(capsys, command, "--builtin", name, "--samples", "3000",
+                           "--seed", "7", "--csv", str(path))
+        assert (code, err) == (0, "")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 # sha256 of the `plot --samples 2000 --seed 0 --svg` file for every planar

@@ -8,7 +8,9 @@ samples, seed 0) on the original and on the transformed documents.  Bytes
 may differ, because the echelon kernel and the sample stream follow the
 facet order, so the cases compare the invariant parts: kind, vertex count,
 certificate rank, ``n_rational_dim``, the orders vertex by vertex and the
-verifier's failures.
+verifier's failures.  Some relations are exact and need no verify run:
+the shear maps every vertex by U and keeps its active facets, and a
+product's kernel is the direct sum of its factors' kernels.
 """
 
 import random
@@ -35,9 +37,19 @@ def vertex_key(vertex):
     return tuple(s.to_expr() for s in vertex.point)
 
 
+def construct(document):
+    return build_construction(parse_polytope(document))
+
+
+def exprs(vectors):
+    """Vectors as tuples of expressions: scalars of two fields never
+    compare equal, even where their values do."""
+    return [tuple(s.to_expr() for s in vector) for vector in vectors]
+
+
 def summary(document):
     """The invariant parts of one document's construction and verify run."""
-    data = build_construction(parse_polytope(document))
+    data = construct(document)
     report = run_verification(data, samples=2000, seed=0)
     return {
         "kind": data.classification.kind,
@@ -100,6 +112,15 @@ def test_lattice_change_keeps_kind_and_orders(name):
     assert sorted_orders(after["orders"]) == sorted_orders(before["orders"])
 
 
+@pytest.mark.parametrize("name", ["cp2", "square", "triangle-sqrt2", "pentagon"])
+def test_lattice_change_maps_each_vertex_by_u(name):
+    before = parse_polytope(builtin_document(name)).vertices
+    after = parse_polytope(sheared(builtin_document(name))).vertices
+    assert [v.active for v in after] == [v.active for v in before]
+    assert exprs(v.point for v in after) == exprs(
+        (v.point[0] + v.point[1], v.point[1]) for v in before)
+
+
 # --------------------------------------------------------------------------
 # Products
 # --------------------------------------------------------------------------
@@ -131,13 +152,16 @@ def product_document(first, second):
     return document
 
 
-@pytest.mark.parametrize("first, second", [
+PRODUCTS = [
     ("teardrop-3", "teardrop-5"),
     ("teardrop-2", "cp2"),
     ("rugby-3", "teardrop-2"),
     ("pentagon", "sphere"),
     ("interval-sqrt2", "teardrop-3"),
-])
+]
+
+
+@pytest.mark.parametrize("first, second", PRODUCTS)
 def test_product_combines_the_factors(first, second):
     one, two = builtin_summary(first), builtin_summary(second)
     product = summary(product_document(builtin_document(first), builtin_document(second)))
@@ -154,3 +178,16 @@ def test_product_combines_the_factors(first, second):
     }
     assert product["orders"] == expected
     assert product["failures"] == []
+
+
+@pytest.mark.parametrize("first, second", PRODUCTS)
+def test_product_kernel_is_the_direct_sum(first, second):
+    # n = n_1 + n_2: the echelon kernel of the product is each factor's
+    # echelon kernel padded with zeros, the first factor's rows first.
+    one = construct(builtin_document(first))
+    two = construct(builtin_document(second))
+    product = construct(product_document(builtin_document(first), builtin_document(second)))
+    zeros = lambda data: ("0",) * data.ambient_dim
+    assert exprs(product.kernel_basis) == (
+        [row + zeros(two) for row in exprs(one.kernel_basis)]
+        + [zeros(one) + row for row in exprs(two.kernel_basis)])

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,33 @@ class TestFieldCreate:
     def test_field_equality_by_value(self, sqrt2_field):
         assert sqrt2_field == Field(("-2", "0", "1"), (1, 2))
         assert sqrt2_field != rational_field()
+
+    @pytest.mark.parametrize("minpoly, interval", [
+        ((-2.0, 0, 1.0), (1, 2)),
+        (("-2", "0", "1"), (1, 2.0)),
+        ((np.float64(-2), 0, 1), (1, 2)),
+        (("-2", "0", "1"), (np.float32(1), 2)),
+    ], ids=["coefficient", "endpoint", "numpy-coefficient", "numpy-endpoint"])
+    def test_binary_floats_refused(self, minpoly, interval):
+        # A double stands for its own dyadic value, never for the decimal
+        # it prints as, so an exact field takes none.
+        with pytest.raises(TypeError, match="binary float"):
+            Field(minpoly, interval)
+
+    def test_exact_values_accepted(self):
+        assert Field((-2, 0, Fraction(1)), (np.int64(1), "2")) == Field(("-2", "0", "1"), (1, 2))
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, np.float64(0.5), np.float32(0.5)])
+    def test_scalar_refuses_binary_floats(self, value):
+        # Fraction(0.1) would give 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError, match="binary float"):
+            rational_field().scalar(value)
+
+    def test_scalar_of_exact_values(self, sqrt2_field):
+        for field in (rational_field(), sqrt2_field):
+            for value in (Fraction(1, 10), "1/10"):
+                assert as_fraction(field.scalar(value)) == Fraction(1, 10)
+            assert as_fraction(field.scalar(np.int64(-3))) == -3
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasifold import (
+    IllConditioned,
     InternalInconsistency,
     QuasifoldError,
     StepOutOfRange,
@@ -26,6 +27,7 @@ from quasifold import (
     sample_level_set,
     verify_moment_image,
 )
+import quasifold.construction as construction_module
 import quasifold.verify as verify_module
 from quasifold.verify import SampleSet, _dissection
 from conftest import construct_builtin
@@ -359,7 +361,8 @@ def lattice_polygon(points):
 
 def assert_no_sample_below_the_vertex_minimum(data, count, seed):
     samples = sample_level_set(data, count, seed=seed)
-    verify_module._check_sampled_margins(data, float(np.min(vertex_margins(data))), samples)
+    verify_module._check_sampled_margins(data, float(np.min(vertex_margins(data))),
+                                         samples.moduli)
 
 
 class TestVertexRankMargin:
@@ -425,6 +428,23 @@ class TestVertexRankMargin:
         monkeypatch.setattr(f, "vertex_moduli", wrong)
         with pytest.raises(InternalInconsistency, match="below the vertex minimum"):
             run_verification(data, samples=500, seed=0)
+
+    def test_sampled_margins_fail_closed(self):
+        # Pentagon rows: vertex 0's slacks (margin 0.786), a zero row
+        # (Gram matrix 0, margin NaN) and vertex 3's slacks (0.278).
+        data = construct_builtin("pentagon")
+        f = data.floats
+        vertex_margin = float(vertex_margins(data)[0])
+        check = verify_module._check_sampled_margins
+        moduli = np.repeat(f.vertex_moduli[:1], 6, axis=0)
+        check(data, vertex_margin, moduli)
+        moduli[4] = f.vertex_moduli[3]
+        with pytest.raises(InternalInconsistency,
+                           match=r"^sample 4: sampled rank margin .* below the vertex minimum"):
+            check(data, vertex_margin, moduli)
+        moduli[2] = 0.0
+        with pytest.raises(IllConditioned, match=r"^sample 2: .* rounds to 0$"):
+            check(data, vertex_margin, moduli)
 
     @pytest.mark.parametrize("name", ["pentagon", "parabola-41"])
     def test_eigensolves_are_bounded_by_the_vertex_count(self, name, monkeypatch):
@@ -529,6 +549,19 @@ class TestInvariance:
         inv = check_invariance(data, SampleSet(mu=samples.mu, z=z), seed=12)
         assert inv.effectiveness_index == expected
 
+    def test_unmoved_samples_read_the_moduli(self, monkeypatch):
+        # |z|^2 + lambda of the unmoved samples is read from samples.moduli,
+        # so J is evaluated only at the rotated and at the moved samples.
+        data = construct_builtin("pentagon")
+        samples = sample_level_set(data, 300, seed=11)
+        calls = []
+        torus_moment = construction_module.torus_moment
+        monkeypatch.setattr(construction_module, "torus_moment",
+                            lambda z, d: calls.append(len(z)) or torus_moment(z, d))
+        inv = check_invariance(data, samples, seed=12)
+        assert calls == [verify_module.INVARIANCE_SAMPLES] * 2
+        assert inv.effectiveness_index == 0
+
     def test_empty_sample_residuals(self):
         data = construct_builtin("square")
         inv = check_invariance(data, sample_level_set(data, 0))
@@ -564,6 +597,21 @@ class TestReport:
         payload = report.as_dict()
         assert payload["metrics"]["min_rank_margin"] is None
         json.dumps(payload)  # strict JSON, no Infinity
+
+    def test_one_sample_set_per_run(self, monkeypatch):
+        # Every check reads the sample set sample_level_set returns; none
+        # builds a prefix copy of it.
+        built = []
+
+        class CountingSampleSet(SampleSet):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "SampleSet", CountingSampleSet)
+        report = run_verification(construct_builtin("pentagon"), samples=500, seed=0)
+        assert report.passed
+        assert len(built) == 1
 
     def test_peak_memory_of_ten_thousand_samples(self):
         # CP^6 at the benchmark's sample count: the run holds mu, z, |z|^2
