@@ -222,8 +222,9 @@ class _Tableau(NamedTuple):
 
 
 def enumerate_vertices(p: HPolytope) -> list[Vertex]:
-    """All vertices, exactly, in the order in which a scan of the facet
-    n-subsets would first meet them.
+    """All vertices, exactly, in the lexicographic order of their active
+    sets: the order in which a scan of the facet n-subsets would first
+    meet them (see _walk).
 
     A basis is an n-subset of facets with independent normals; it is feasible
     when the common point of its hyperplanes satisfies every facet inequality,
@@ -356,7 +357,7 @@ def _violated(t: _Tableau, d: int) -> list[int]:
 
 def _walk(d: int, first: _Tableau) -> list[Vertex]:
     """Every vertex, by a walk over the lexicographically feasible bases
-    from first, each vertex listed once, in the order of its least basis.
+    from first, each vertex listed once, in the order of its active set.
 
     These bases are the vertices of the perturbed, simple polytope (see
     enumerate_vertices), and its edges are their pivots: edge k of a basis
@@ -373,11 +374,23 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
     skipped edge is bounded, so the first unbounded edge is the same.
 
     The walk keeps the first tableau it meets at each vertex.  A simple
-    vertex has one basis, its active set, and keeps its cone and det A_v.
-    A non-simple one is listed without either; every independent n-subset
-    of its active set is a feasible basis of it, so its least basis, at
-    which a scan of all subsets first meets it, is the greedy least
-    independent subset in index order (_least_independent).
+    vertex has one basis, its active set, and keeps its cone and det A_v;
+    a non-simple one is listed without either.
+
+    Vertices are listed in the order of their active sets, which is the
+    order in which a scan of all n-subsets first meets them.  The scan
+    meets a vertex first at its least basis L(A): every independent
+    n-subset of its active set A is a feasible basis of it, so L(A) is
+    the greedy least independent n-subset of A in index order.  Take
+    vertices u != v with active sets A != B, and let m be the least facet
+    in exactly one of them, say m in A.  Both greedy runs first see the
+    facets P = A & B below m, so both keep the same independent K within
+    P, and |K| < n, since n independent facets active at both would force
+    u = v.  X_m is independent of K: if X_m = sum_K c_k X_k, then
+    <v, X_m> = sum_K c_k lambda_k = <u, X_m> = lambda_m, and m would be
+    active at v.  So the run over A keeps m next, while every facet the
+    run over B keeps after K, of which there is at least one, is greater
+    than m: L(A) < L(B) exactly when A < B.  At a simple vertex L(A) = A.
     """
     n = len(first.basis)
     tested, found = {first.basis: set()}, {}  # per basis seen, its slots tested from the far end
@@ -398,36 +411,9 @@ def _walk(d: int, first: _Tableau) -> list[Vertex]:
                     pending.append((t, (k, entering, basis)))
                 else:
                     slots.add(basis.index(entering))
-    listed = []
-    for active, t in found.items():
-        if len(active) == n:
-            listed.append((active, Vertex(t.values[d:], active, t.values[:d],
-                                          t.rows[d:], t.rows[:d], t.det)))
-        else:
-            listed.append((_least_independent(t.rows, active, n),
-                           Vertex(t.values[d:], active, t.values[:d])))
-    return [v for _, v in sorted(listed, key=itemgetter(0))]
-
-
-def _least_independent(rows: tuple[Vector, ...], active: tuple[int, ...],
-                        n: int) -> tuple[int, ...]:
-    """The first n facets of active, in index order, whose rows are
-    independent, each kept when it is independent of those kept before:
-    the least basis among active's, as for any matroid."""
-    kept, echelon = [], []  # echelon: (column, row with 1 there) per kept facet
-    for j in active:
-        row = rows[j]
-        for c, unit in echelon:
-            if any((f := row[c]).num):
-                row = [sub_product(x, f, u) for x, u in zip(row, unit)]
-        c = next((c for c, x in enumerate(row) if any(x.num)), None)
-        if c is not None:
-            inv = row[c].inverse()
-            echelon.append((c, [x * inv for x in row]))
-            kept.append(j)
-            if len(kept) == n:
-                break
-    return tuple(kept)
+    return [Vertex(t.values[d:], active, t.values[:d], t.rows[d:], t.rows[:d], t.det)
+            if len(active) == n else Vertex(t.values[d:], active, t.values[:d])
+            for active, t in sorted(found.items())]
 
 
 def _ratio_test(t: _Tableau, d: int, k: int, violated: list[int] | None = None) -> int:

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -631,10 +632,20 @@ WALKED = (
     + [pytest.param(projective_space_document(n), id=f"cp{n}") for n in range(3, 9)]
     + [pytest.param(pentagon_squared_document(), id="pentagon2")]
 )
+# The unit square with x >= 0 listed twice, the second time as 2x >= 0.
+# Its vertices have active sets (0, 1, 2), (0, 1, 4), (2, 3) and (3, 4);
+# at the first two, the first n active facets {0, 1} are dependent, so the
+# scan meets them first at {0, 2} and {0, 4}.
+DUPLICATE_FACET_SQUARE = doc(2, [
+    (["1", "0"], "0"), (["2", "0"], "0"), (["0", "1"], "0"),
+    (["-1", "0"], "-1"), (["0", "-1"], "-1"),
+])
+
 SCANNED = [
     pytest.param(builtin_document("octahedron"), id="octahedron"),
     pytest.param(doc(3, CONE_FACETS + [(["0", "0", "-1"], "-1")]), id="capped-cone"),
     pytest.param(PYRAMID, id="pyramid"),
+    pytest.param(DUPLICATE_FACET_SQUARE, id="duplicate-facet-square"),
 ]
 
 
@@ -666,10 +677,46 @@ def test_walk_gives_the_scan_vertices(document):
 
 @pytest.mark.parametrize("document", SCANNED)
 def test_non_simple_input_takes_the_scan(document):
-    # Non-simple input: the walk lists each vertex once, at its least
-    # basis, as the exhaustive scan does.
+    # Non-simple input: the walk lists each vertex once, in the order of
+    # its active set, which is the order in which the exhaustive scan
+    # first meets it.
     p = _parse_against_the_scan(document)
     assert any(len(v.active) > p.dim for v in p.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(h_representations(), cut_boxes()))
+@example((2, [[1, 0], [2, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 0, -1, -1]))  # duplicate facet
+def test_vertices_are_listed_in_active_set_order(case):
+    n, normals, offsets = case
+    document = doc(n, [([str(x) for x in normal], str(b))
+                       for normal, b in zip(normals, offsets)])
+    try:
+        p = parse_polytope(document)
+    except (NormalsDontSpan, LowerDimensional, UnboundedPolytope):
+        return
+    actives = [v.active for v in p.vertices]
+    assert all(a < b for a, b in zip(actives, actives[1:]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("document", SCANNED + [
+    pytest.param(cross_polytope_document(4), id="cross4"),
+])
+def test_facet_permutation_permutes_the_active_sets(document, seed):
+    # A relation on non-simple input: moving facet j to place sigma(j)
+    # keeps every point and maps its active set A to sigma(A), and the
+    # vertices are then listed in the order of the sets sigma(A).
+    facets = document["facets"]
+    sigma = random.Random(seed).sample(range(len(facets)), len(facets))
+    moved = [None] * len(facets)
+    for j, facet in enumerate(facets):
+        moved[sigma[j]] = facet
+    before = parse_polytope(document).vertices
+    after = parse_polytope(dict(document, facets=moved)).vertices
+    expected = sorted((tuple(sorted(sigma[j] for j in v.active)),
+                       [as_fraction(s) for s in v.point]) for v in before)
+    assert [(v.active, [as_fraction(s) for s in v.point]) for v in after] == expected
 
 
 @pytest.mark.parametrize("document", WALKED)

@@ -2,7 +2,8 @@
 
 The quasifold depends only on the polytope and its quasilattice up to
 isomorphism, so some transformations of a document have answers known in
-advance: reordering the facets, a change of lattice basis, and products.
+advance: reordering the facets, a change of lattice basis, products, and
+a cut that truncates one vertex.
 Each case runs ``build_construction`` and ``run_verification`` (2,000
 samples, seed 0) on the original and on the transformed documents.  Bytes
 may differ, because the echelon kernel and the sample stream follow the
@@ -10,10 +11,13 @@ facet order, so the cases compare the invariant parts: kind, vertex count,
 certificate rank, ``n_rational_dim``, the orders vertex by vertex and the
 verifier's failures.  Some relations are exact and need no verify run:
 the shear maps every vertex by U and keeps its active facets, and a
-product's kernel is the direct sum of its factors' kernels.
+product's kernel is the direct sum of its factors' kernels and its faces
+are the pairs of its factors' faces.
 """
 
+import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -191,3 +195,80 @@ def test_product_kernel_is_the_direct_sum(first, second):
     assert exprs(product.kernel_basis) == (
         [row + zeros(two) for row in exprs(one.kernel_basis)]
         + [zeros(one) + row for row in exprs(two.kernel_basis)])
+
+
+def f_vector(p):
+    """(f_0, ..., f_n) of a simple polytope: the facets containing a
+    k-face are an (n - k)-subset of some vertex's active set."""
+    return tuple(len({face for v in p.vertices
+                      for face in itertools.combinations(v.active, p.dim - k)})
+                 for k in range(p.dim + 1))
+
+
+def convolution(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                 for k in range(len(a) + len(b) - 1))
+
+
+@pytest.mark.parametrize("first, second", PRODUCTS)
+def test_product_faces_are_pairs_of_faces(first, second):
+    # The k-faces of P x Q are the products of an i-face of P and a
+    # (k - i)-face of Q: pentagon x sphere has f = (10, 15, 7, 1).  Vertex
+    # i_1 * V_2 + i_2 is the pair (i_1, i_2), whose active set is
+    # active(i_1) + (active(i_2) + d_1): the pairs in active-set order.
+    one = parse_polytope(builtin_document(first))
+    two = parse_polytope(builtin_document(second))
+    product = parse_polytope(product_document(builtin_document(first), builtin_document(second)))
+    assert f_vector(product) == convolution(f_vector(one), f_vector(two))
+    d1 = one.facet_count
+    assert [(v.active, vertex_key(v)) for v in product.vertices] == [
+        (v1.active + tuple(j + d1 for j in v2.active), vertex_key(v1) + vertex_key(v2))
+        for v1 in one.vertices for v2 in two.vertices]
+
+
+# --------------------------------------------------------------------------
+# Cuts
+# --------------------------------------------------------------------------
+
+CUTS = [pytest.param(name, i, id=f"{name}-{i}") for name in CONSTRUCTIBLE
+        for i in range(len(parse_polytope(builtin_document(name)).vertices))]
+
+
+@pytest.mark.parametrize("name, index", CUTS)
+def test_cut_replaces_a_vertex_by_its_edge_points(name, index):
+    # Cut vertex v off by <x, c> >= <v, c> + 1/10, c the sum of its active
+    # normals.  <c, w_k> = 1 along each edge w_k of v, so the cut meets it
+    # at v + w_k / 10, on every active facet but the k-th.  The group at
+    # such a point is v's: c and the other n - 1 active normals span
+    # Lambda_v.
+    document = builtin_document(name)
+    p = parse_polytope(document)
+    f, n, d, v = p.field, p.dim, p.facet_count, p.vertices[index]
+    tenth = f.scalar(Fraction(1, 10))
+    c = [sum((p.normals[j][i] for j in v.active), f.zero) for i in range(n)]
+    edges = [[v.inverse[i][k] for i in range(n)] for k in range(n)]
+    assert all(sum((x * y for x, y in zip(c, w)), f.zero) == f.one for w in edges)
+    document["facets"].append({
+        "normal": [x.to_expr() for x in c],
+        "offset": sum((x * y for x, y in zip(c, v.point)), tenth).to_expr(),
+    })
+    cut = parse_polytope(document).vertices
+    assert len(cut) == len(p.vertices) + n - 1
+
+    untouched = [u for u in p.vertices if u is not v]
+    kept = [u for u in cut if d not in u.active]
+    assert [(u.active, vertex_key(u)) for u in kept] == [
+        (u.active, vertex_key(u)) for u in untouched]
+    new = [u for u in cut if d in u.active]
+    assert [(u.active, vertex_key(u)) for u in new] == sorted(
+        (v.active[:k] + v.active[k + 1:] + (d,),
+         tuple((x + y * tenth).to_expr() for x, y in zip(v.point, w)))
+        for k, w in enumerate(edges))
+
+    before, after = builtin_summary(name), summary(document)
+    assert all(after["orders"][vertex_key(u)] == before["orders"][vertex_key(u)]
+               for u in untouched)
+    assert all(after["orders"][vertex_key(u)] == before["orders"][vertex_key(v)] for u in new)
+    for key in ("kind", "rank"):
+        assert after[key] == before[key]
+    assert after["failures"] == []
