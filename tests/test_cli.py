@@ -656,55 +656,55 @@ def test_verify_csv_bytes_match_golden_digests(capsys, tmp_path, name):
 # entry, at 2000 samples and at 0 samples.
 VERIFY_JSON_DIGESTS = {
     "cp2": (
-        "bfb15f65cf741024cd0c8cac5a3d72e729b26479227951754e201f9710672ad4",
+        "4448c526633b11cb54a2fa9531107d00c2e23c2a83a6be60e1c0af48d3e0fb90",
         "982ea2d9e37ba1ff7dc0a89ee1f4db187323b7d266d85e7605f722912dd55fb8",
     ),
     "cube": (
-        "a1dd958b519fef2dc37970adce4fc68a9adff5971748acfdc35c92005c1ecf48",
+        "cc99c051f67bb878bb1f6ee73cb088aa3730af183d222c030465e02b1407a79f",
         "b7d929bb1658516dfa5fd321ffd54f8e3d1f33a095a4796d110840f6bb5cc0af",
     ),
     "interval-sqrt2": (
-        "0f889bc031ddb0ff0144083ee7e296e78812748bce51714edccc6e3cd58c60ea",
+        "1f19344a12eb073d79ab457318ddc0d1e8018bc0506b3f90d6ad0ca33c3b8309",
         "88f8f129804a6fff0c11bd383e54da473de229d0acd383484e6d0436d8eca805",
     ),
     "pentagon": (
-        "107b4bc79b5d1577b1212c5cbce052fab1dc632d7c60ea865190357f6cff88a8",
+        "891777f1bd6e44b23c6b10fe78052c46fa5a16b9998e41b139db024c8318d71e",
         "0bea86957873a7a25a5798a435e973cedea6d5400c4da107c0a8423bbe77f83b",
     ),
     "rugby-2": (
-        "445260fe84369fc276229630963347530c8a66a95a947c193485be3a3fc929c7",
+        "756a17bd7ff4a318f72b5b3f823e2756126238ec0bfe6071e2e1a61a9bef3a5e",
         "47c4d41ed3e478953ebfe3e43140f784e9c522206828c018283a79d4f9104234",
     ),
     "rugby-3": (
-        "3a1007f82dc5cd44e8192f7651d433473cb6b492174c1f1f7f3164ba8700869e",
+        "843007eec34481012c7b81edebafe45a554da246bfacf36a92791d1f36ad04ef",
         "461f6f5885138a28b6d189fa4c6c8d415bfdb661ac878b047feeda805801cd1f",
     ),
     "rugby-5": (
-        "ef061496eaf915963c4f51da1c42cb3ed03554904a6f961d9773c447ce025e01",
+        "437f47ba6a9ebfb0ac83df5afee712f374d6213f822d488c9ca9f294d4872cbf",
         "f3d512224c293a843c48b0ddebb4e0494e9caa1116b875dfdff65aeefdf181ed",
     ),
     "sphere": (
-        "cc96ba3297e3fa7fc296a32708e219cb0efc32501e6cf716d47c9485ea2d0259",
+        "5f859f48ab175838ab25662aadc74093e5e9b397bb3474cafb364725ce869989",
         "0dce031ad6a1e1b556d8da38e5bae9601acf3a3e4cb995bdfde0e5a2f1e8450f",
     ),
     "square": (
-        "be9861bfa8ca8ded4d0ba147b440fc4dcdc82bd54fbef967e42e128e52ba442c",
+        "40507c69d7c7ab6667b36b0c17d2fc9bb48896a83638886a539eb4022be5aa90",
         "1db3999c4c5a23738d1407b5c36b4b32602cae8af33acb593f9d37259387b2eb",
     ),
     "teardrop-2": (
-        "4e29281375aee0b5421ef1b6636273fba8da49d9b95e775e4be6cbced561c4d5",
+        "1070f4d53998623575f077d5ec391a41e8888897c5cebbed2a4be34043710817",
         "93f2c346362e881f709406345c6697dce8f18be95243f5f5910d8e32d9f5ed8e",
     ),
     "teardrop-3": (
-        "83613baf754606a2df7880bc3ed73a59f54c1e2c554026716b8973dd413c5a46",
+        "a3e22644e933c3a08eef734d55aeb06af87b1de26f91af5e6bdc1a0f56394393",
         "bcd083be7eec53b8f7c384f8f7c27f6f43bf7ad294f59074e110123c13c5c92e",
     ),
     "teardrop-5": (
-        "1a90638d6be3244c179ec05b456b6929f40f98783e0ec62902e91b8a53d67f4e",
+        "0fea5220767075f8287207d4db7bdf9f892126f0623fe57a1ffd424186a8e8cf",
         "3166eaa932d60560f0a728edb62db2890b54bd97afb0c0fcaedd4900554461db",
     ),
     "triangle-sqrt2": (
-        "d41414b8ef59229b51d5f3147b1914a5112da4c7f263a27da8ceefc07bd5aa75",
+        "e24620f4d054ee272e117761a51f63d4cd666af616e72754b3dd1c400c884fa4",
         "6dfbc08ad08cb63d3f6ae674acd6119b1e88e9eb945e9413fe425a83dfbbb302",
     ),
 }
@@ -728,11 +728,11 @@ def test_verify_json_bytes_match_golden_digests(capsys, name):
 # --seed 0` on CP^n, n = 4..6, given as a document: the corpus holds no
 # entry with more than three dimensions.
 VERIFY_PROJECTIVE_DIGESTS = {
-    4: ("b0290d1a7b2d6a9af19b5048856aac91ec18131485f9268250f32e99dc529d4e",
+    4: ("ae32ea229c4957572dbd024e24d1e161a64ea1dd4417eb25c76da52bdbdefbcf",
         "d8671093d215abc614ee3cad97d7aea6dfcb1a11359d7958a4f556dea32f6e69"),
-    5: ("aa207c4afa32a45899ad2feb01506cd78af6733effd4d58a8ce98f51b9641ac4",
+    5: ("d0720aec0985b140f7beab474195efebb360c0d4c819feba927c7e89141369bd",
         "fa47573bb8dc2040ddd8f8e2077a2712601f1e7bb27dd9a6e1142ee072c6f28d"),
-    6: ("cb6120777359317f4ddf6b6546b39bec3b7c783045b0ada469f5643087871c63",
+    6: ("47de4243ba1770a94747e6d8d035323a71c69cfe510a9814f734447011048dc0",
         "ddc776af51801bf186be24bef3c2f58bd44f6ad8c60be161e45da73948fe22b1"),
 }
 

@@ -32,6 +32,7 @@ from quasifold import (
     parse_polytope,
     run_verification,
 )
+from quasifold.lattices import hermite_normal_form, integer_rows
 
 CONSTRUCTIBLE = [name for name in builtin_names() if name != "octahedron"]
 KINDS = (MANIFOLD, ORBIFOLD, QUASIFOLD)
@@ -114,6 +115,27 @@ def test_lattice_change_keeps_kind_and_orders(name):
     for key in ("kind", "rank", "failures"):
         assert after[key] == before[key]
     assert sorted_orders(after["orders"]) == sorted_orders(before["orders"])
+
+
+@pytest.mark.parametrize("name", ["cp2", "square"])
+def test_lattice_change_maps_the_certificate_basis_by_u(name):
+    # The normals map by U^-T, so the Z-span of the certificate's basis
+    # does too, and the Hermite form is the same for every basis of it.
+    before = construct(builtin_document(name)).quasilattice.certificate
+    after = construct(sheared(builtin_document(name))).quasilattice.certificate
+    mapped, den = integer_rows([(x1, x2 - x1) for x1, x2 in before.basis])
+    rows, den_after = integer_rows(after.basis)
+    assert den == den_after
+    assert hermite_normal_form(mapped) == hermite_normal_form(rows)
+
+
+@pytest.mark.parametrize("name", ["triangle-sqrt2", "pentagon"])
+def test_lattice_change_keeps_the_independence_witness(name):
+    # U^-T is invertible over Q, so a normal is Q-independent of those
+    # before it exactly when its image is.
+    before = construct(builtin_document(name)).quasilattice.certificate
+    after = construct(sheared(builtin_document(name))).quasilattice.certificate
+    assert (after.rank, after.independent) == (before.rank, before.independent)
 
 
 @pytest.mark.parametrize("name", ["cp2", "square", "triangle-sqrt2", "pentagon"])
@@ -234,20 +256,19 @@ CUTS = [pytest.param(name, i, id=f"{name}-{i}") for name in CONSTRUCTIBLE
         for i in range(len(parse_polytope(builtin_document(name)).vertices))]
 
 
-@pytest.mark.parametrize("name, index", CUTS)
-def test_cut_replaces_a_vertex_by_its_edge_points(name, index):
-    # Cut vertex v off by <x, c> >= <v, c> + 1/10, c the sum of its active
-    # normals.  <c, w_k> = 1 along each edge w_k of v, so the cut meets it
-    # at v + w_k / 10, on every active facet but the k-th.  The group at
-    # such a point is v's: c and the other n - 1 active normals span
-    # Lambda_v.
-    document = builtin_document(name)
-    p = parse_polytope(document)
-    f, n, d, v = p.field, p.dim, p.facet_count, p.vertices[index]
+def cut_off(document, p, v, weights):
+    """Append to the document of p the facet <x, c> >= <v, c> + 1/10,
+    with c = sum_k weights[k] X_active[k], and check the vertices it
+    leaves.  Along the k-th edge w_k of v, <c, w_k> = weights[k] > 0, so
+    the cut meets it at v + w_k / (10 weights[k]), on every active facet
+    of v but the k-th; no other vertex is cut off.  Returns the untouched
+    vertices and the new ones."""
+    f, n, d = p.field, p.dim, p.facet_count
     tenth = f.scalar(Fraction(1, 10))
-    c = [sum((p.normals[j][i] for j in v.active), f.zero) for i in range(n)]
+    c = [sum((w * p.normals[j][i] for w, j in zip(weights, v.active)), f.zero)
+         for i in range(n)]
     edges = [[v.inverse[i][k] for i in range(n)] for k in range(n)]
-    assert all(sum((x * y for x, y in zip(c, w)), f.zero) == f.one for w in edges)
+    assert [sum((x * y for x, y in zip(c, w)), f.zero) for w in edges] == list(weights)
     document["facets"].append({
         "normal": [x.to_expr() for x in c],
         "offset": sum((x * y for x, y in zip(c, v.point)), tenth).to_expr(),
@@ -262,8 +283,20 @@ def test_cut_replaces_a_vertex_by_its_edge_points(name, index):
     new = [u for u in cut if d in u.active]
     assert [(u.active, vertex_key(u)) for u in new] == sorted(
         (v.active[:k] + v.active[k + 1:] + (d,),
-         tuple((x + y * tenth).to_expr() for x, y in zip(v.point, w)))
-        for k, w in enumerate(edges))
+         tuple((x + y * tenth / weight).to_expr() for x, y in zip(v.point, w)))
+        for k, (w, weight) in enumerate(zip(edges, weights)))
+    return untouched, new
+
+
+@pytest.mark.parametrize("name, index", CUTS)
+def test_cut_replaces_a_vertex_by_its_edge_points(name, index):
+    # c is the sum of v's active normals, so the new vertices are
+    # v + w_k / 10.  The group at each is v's: c and the other n - 1
+    # active normals span Lambda_v.
+    document = builtin_document(name)
+    p = parse_polytope(document)
+    v = p.vertices[index]
+    untouched, new = cut_off(document, p, v, [p.field.one] * p.dim)
 
     before, after = builtin_summary(name), summary(document)
     assert all(after["orders"][vertex_key(u)] == before["orders"][vertex_key(u)]
@@ -271,4 +304,26 @@ def test_cut_replaces_a_vertex_by_its_edge_points(name, index):
     assert all(after["orders"][vertex_key(u)] == before["orders"][vertex_key(v)] for u in new)
     for key in ("kind", "rank"):
         assert after[key] == before[key]
+    assert after["failures"] == []
+
+
+FIELD_CUTS = [pytest.param(name, i, id=f"{name}-{i}")
+              for name in ("interval-sqrt2", "triangle-sqrt2", "pentagon")
+              for i in range(len(parse_polytope(builtin_document(name)).vertices))]
+
+
+@pytest.mark.parametrize("name, index", FIELD_CUTS)
+def test_cut_with_a_normal_in_the_field(name, index):
+    # c = sum_k (1 + delta_k) X_active[k] with delta_k = theta / (8(k + 1)),
+    # so the cut normal adds at most one Q-direction to the span.
+    document = builtin_document(name)
+    p = parse_polytope(document)
+    f = p.field
+    weights = [f.one + f.theta * f.scalar(Fraction(1, 8 * (k + 1))) for k in range(p.dim)]
+    cut_off(document, p, p.vertices[index], weights)
+
+    before, after = builtin_summary(name), summary(document)
+    assert after["kind"] == before["kind"] == QUASIFOLD
+    assert set(after["orders"].values()) == {None}
+    assert before["rank"] <= after["rank"] <= before["rank"] + 1
     assert after["failures"] == []
